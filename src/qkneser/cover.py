@@ -69,6 +69,8 @@ def certificate_from_json(data: Dict) -> CoverCertificate:
         classes_json = data["classes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificate(f"certificate JSON missing d/q/U/classes: {exc}") from exc
+    if not isinstance(classes_json, list):
+        raise MalformedCertificate("certificate classes must be a list of descriptors")
     fld = make_field(q)
     n = 2 * d + 1
     if not pg.is_canonical_rows(u_rows, n, fld):
@@ -145,7 +147,11 @@ def build_cover(d: int, q: int) -> CoverCertificate:
 
 @dataclass
 class VerifyReport:
-    """Outcome of the exhaustive certificate check."""
+    """Outcome of the exhaustive certificate check.
+
+    Each class_sizes entry also holds the pair_tests and pairs_pruned of the
+    class's star-pruned scan; they sum to C(|class|, 2).
+    """
 
     total_flags: int
     covered: int
@@ -174,6 +180,8 @@ class VerifyReport:
             ],
             "class_sizes": self.class_sizes,
             "size_mismatches": self.size_mismatches,
+            "pair_tests": sum(c["pair_tests"] for c in self.class_sizes),
+            "pairs_pruned": sum(c["pairs_pruned"] for c in self.class_sizes),
         }
 
 
@@ -241,7 +249,9 @@ def verify_cover(
     bad_classes = []
     for i in range(len(cert.classes)):
         ids = np.nonzero(memberships[i])[0]
-        hit = universe.check_pairwise_independent(ids, threads=threads)
+        plan = universe.star_plan(ids)
+        class_sizes[i].update(pair_tests=plan.pair_tests, pairs_pruned=plan.pairs_pruned)
+        hit = universe.check_pairwise_independent(ids, threads=threads, plan=plan)
         if hit is not None:
             bad_classes.append((i, (universe.flag_of(hit[0]), universe.flag_of(hit[1]))))
 

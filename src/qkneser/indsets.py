@@ -552,6 +552,8 @@ def descriptor_from_json(data: Dict) -> IndSetDescriptor:
         q = int(data["q"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDescriptor(f"descriptor JSON missing variant/d/q: {exc}") from exc
+    if not isinstance(variant, str):
+        raise InvalidDescriptor(f"descriptor variant must be a string, got {variant!r}")
     variant = VARIANT_ALIASES.get(variant, variant)
     n = 2 * d + 1
     field = make_field(q)

@@ -7,13 +7,22 @@ specialized test for type {d, d+1} in rank 2d+1 (the two "meet of opposite
 members is zero" conditions) and runs on precomputed point-set bitmasks, so
 bulk verification is a stream of word ANDs.  The two are cross-checked
 exhaustively by the test suite.
+
+FlagUniverse.check_pairwise_independent is the bulk check.  For type
+{d, d+1} in rank 2d+1 it first groups the flags into stars (flags whose
+lower members share a point, or whose upper members lie in one hyperplane,
+are never adjacent) and then tests only the pairs across groups, with one
+tiled block kernel whose blocks run through run_blocks.  Other types test
+every pair with a scalar row loop.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +36,10 @@ DEFAULT_VERTEX_CAP = 20_000
 
 _WORD = np.uint64
 _WORD_BITS = 64
+
+# pairs per pair-scan block: a few blocks per star group for run_blocks to
+# share out, each long enough that its per-call cost does not show
+_BLOCK_PAIRS = 1 << 21
 
 
 class Flag:
@@ -169,6 +182,22 @@ def _mask_words(mask: int, n_words: int) -> Tuple[int, ...]:
     return tuple((mask >> (_WORD_BITS * w)) & full for w in range(n_words))
 
 
+@dataclass(frozen=True)
+class StarPlan:
+    """The pairs a star-pruned scan tests, from FlagUniverse.star_plan.
+
+    order lists caller positions: each star group in turn, then the
+    ungrouped rest.  A block (r0, r1, c0) pairs rows r0..r1-1 of that order
+    with the columns from c0 on that come after the row.
+    """
+
+    order: np.ndarray
+    group_sizes: Tuple[int, ...]
+    blocks: Tuple[Tuple[int, int, int], ...]
+    pair_tests: int
+    pairs_pruned: int
+
+
 class FlagUniverse:
     """Dense id <-> flag bijection with bit-packed member masks.
 
@@ -299,15 +328,35 @@ class FlagUniverse:
 
     @property
     def dual_top_cols(self) -> List[np.ndarray]:
-        """Masks of the duals of the top chain member (built lazily)."""
+        """Masks of the duals of the top chain member (built lazily).
+
+        s^perp is the meet of the hyperplanes x^perp over the basis rows x of
+        s, and canonical basis rows are normalized, so they are points: its
+        mask is the AND of their hyperplane masks, read off the table of dot
+        products of points.
+        """
         if self._dual_top is None:
+            fld = self.field
+            elems = range(fld.q)
+            add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
+            mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
+            pts = np.array(pg.all_points(self.n, fld), dtype=np.uint8)
+            dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
+            for k in range(self.n):
+                dot = add[dot, mul[pts[:, k, None], pts[None, :, k]]]
+            on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
+            on_hyperplane[:, : len(pts)] = dot == 0
+            hyperplanes = np.packbits(on_hyperplane, axis=1, bitorder="little")
+            hyperplanes = hyperplanes.view("<u8").astype(_WORD)
+
             pos = len(self.types) - 1
-            dual_masks = [subspace_point_mask(pg.dual(s)) for s in self.tables[pos]]
-            words = [_mask_words(m, self.n_words) for m in dual_masks]
+            index = pg.point_index(self.n, fld)
+            basis = np.array([[index[r] for r in s.rows] for s in self.tables[pos]])
+            dual_words = hyperplanes[basis[:, 0]]
+            for j in range(1, basis.shape[1]):
+                dual_words &= hyperplanes[basis[:, j]]
             ids = self.member_ids[pos]
-            self._dual_top = [
-                np.array([ws[w] for ws in words], dtype=_WORD)[ids] for w in range(self.n_words)
-            ]
+            self._dual_top = [dual_words[:, w][ids] for w in range(self.n_words)]
         return self._dual_top
 
     def dual_top_has_point(self, point_bit: int) -> np.ndarray:
@@ -361,83 +410,145 @@ class FlagUniverse:
     def _gather(self, ids: np.ndarray) -> List[List[np.ndarray]]:
         return [[col[ids] for col in cols] for cols in self._cols]
 
+    def star_plan(self, ids: Sequence[int]) -> StarPlan:
+        """Star groups of an id list and the blocks that check_pairwise_independent scans.
+
+        Two flags whose lower members share a point are never adjacent (that
+        point lies in pi_a and in tau_b), and neither are two flags whose upper
+        members lie in one hyperplane H (then pi_a + tau_b lies in H, so
+        pi_a and tau_b meet).  The second case is a shared point H^perp of the
+        duals of the upper members.  Greedily, the point shared by the most
+        flags not yet grouped makes those flags a group, until no point is
+        shared by two of them.  The groups come from the flags' own masks, so
+        the plan is sound for any id list.  Other types get no groups.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        m = int(ids.size)
+        free = np.ones(m, dtype=bool)
+        groups: List[np.ndarray] = []
+        if self._kneser_fast and m > 1:
+            words = np.stack([col[ids] for col in self._cols[0] + self.dual_top_cols], axis=1)
+            incidence = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            counts = incidence.sum(axis=0, dtype=np.int64)
+            while True:
+                point = int(np.argmax(counts))
+                if counts[point] < 2:
+                    break
+                members = np.nonzero(free & (incidence[:, point] != 0))[0]
+                groups.append(members)
+                free[members] = False
+                counts -= incidence[members].sum(axis=0, dtype=np.int64)
+        rest = np.nonzero(free)[0]
+        order = np.concatenate(groups + [rest])
+
+        blocks: List[Tuple[int, int, int]] = []
+        pair_tests = 0
+        start = 0
+        for g in groups:
+            # the rows of a group against every later position
+            stop = start + g.size
+            cols = m - stop
+            pair_tests += g.size * cols
+            if cols:
+                step = max(1, _BLOCK_PAIRS // cols)
+                blocks += [(r, min(r + step, stop), stop) for r in range(start, stop, step)]
+            start = stop
+        pair_tests += comb(m - start, 2)
+        # the ungrouped rest: one triangle, each row against the rows after it
+        r = start
+        while r < m - 1:
+            step = max(1, _BLOCK_PAIRS // (m - 1 - r))
+            blocks.append((r, min(r + step, m - 1), r + 1))
+            r += step
+        return StarPlan(
+            order=order,
+            group_sizes=tuple(int(g.size) for g in groups),
+            blocks=tuple(blocks),
+            pair_tests=pair_tests,
+            pairs_pruned=comb(m, 2) - pair_tests,
+        )
+
     def check_pairwise_independent(
-        self, ids: Sequence[int], threads: int = 1
+        self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
     ) -> Optional[Tuple[int, int]]:
         """Exhaustive pair scan; returns the first adjacent (id_a, id_b) or None.
 
         "First" means smallest position pair in the given order, so callers
-        that pass canonically sorted ids get reproducible witnesses.  The
-        serial path walks one row at a time (slices stay cache resident); the
-        partitioned path covers disjoint row ranges with column-tiled blocks,
-        whose long ufunc loops let threads overlap.  Both orders report the
-        row-major first witness, so the result is identical either way.
+        that pass canonically sorted ids get reproducible witnesses.  For type
+        {d, d+1} in rank 2d+1 the scan tests the pairs of star_plan(ids) (or
+        of the given plan, which must come from these ids) and skips the pairs
+        inside a star group, which are provably not adjacent.  Its blocks run
+        through run_blocks; each reports its smallest adjacent (min, max)
+        caller position pair, and the smallest over all blocks is the
+        row-major first pair whatever the thread count.  Other types test
+        every pair.
         """
         ids = np.asarray(list(ids), dtype=np.int64)
         m = int(ids.size)
         if m < 2:
             return None
-        sub = self._gather(ids)
         if not self._kneser_fast:
-            found = self._scalar_pair_scan(sub, m)
-        elif threads <= 1:
-            found = self._row_pair_scan(sub, m, (0, m - 1))
+            found = self._scalar_pair_scan(self._gather(ids), m)
         else:
-            n_ranges = max(1, min(threads * 2, m - 1))
-            bounds = np.linspace(0, m - 1, n_ranges + 1, dtype=int)
-            ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-            results = [
-                r
-                for r in run_blocks(lambda rg: self._tiled_pair_scan(sub, m, rg), ranges, threads)
-                if r is not None
+            if plan is None:
+                plan = self.star_plan(ids)
+            elif plan.order.size != m:
+                raise InvalidArgs(f"plan covers {plan.order.size} ids, got {m}")
+            order = plan.order
+            sub = self._gather(ids[order])
+            hits = [
+                h
+                for h in run_blocks(lambda b: self._tiled_pair_scan(sub, order, b), plan.blocks, threads)
+                if h is not None
             ]
-            found = min(results) if results else None
+            found = min(hits) if hits else None
         if found is None:
             return None
         return int(ids[found[0]]), int(ids[found[1]])
 
-    def _row_pair_scan(self, sub, m: int, bounds: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-        lo, hi = sub
-        for a in range(bounds[0], bounds[1]):
-            sl = slice(a + 1, m)
-            z1 = lo[0][a] & hi[0][sl]
-            z2 = hi[0][a] & lo[0][sl]
-            for w in range(1, self.n_words):
-                z1 = z1 | (lo[w][a] & hi[w][sl])
-                z2 = z2 | (hi[w][a] & lo[w][sl])
-            adj = (z1 == 0) & (z2 == 0)
-            if adj.size and adj.any():
-                return a, a + 1 + int(np.argmax(adj))
-        return None
-
     def _tiled_pair_scan(
-        self, sub, m: int, bounds: Tuple[int, int], brow: int = 64, bcol: int = 2048
+        self, sub, order: np.ndarray, block: Tuple[int, int, int], brow: int = 64, bcol: int = 2048
     ) -> Optional[Tuple[int, int]]:
+        """Rows r0..r1-1 against the columns c0..m-1 after them, in tiles.
+
+        sub holds the gathered masks in plan order; order maps a plan row
+        back to its caller position.  Returns the smallest (min, max) caller
+        position pair among the adjacent ones, or None.
+        """
         lo, hi = sub
-        for start in range(bounds[0], bounds[1], brow):
-            stop = min(start + brow, bounds[1])
-            best = None
-            for cstart in range(start + 1, m, bcol):
-                cstop = min(cstart + bcol, m)
-                z1 = lo[0][start:stop, None] & hi[0][None, cstart:cstop]
-                z2 = hi[0][start:stop, None] & lo[0][None, cstart:cstop]
-                for w in range(1, self.n_words):
-                    z1 |= lo[w][start:stop, None] & hi[w][None, cstart:cstop]
-                    z2 |= hi[w][start:stop, None] & lo[w][None, cstart:cstop]
-                adj = (z1 == 0) & (z2 == 0)
-                if cstart < stop:
-                    # this tile straddles the diagonal; keep only j > i pairs
-                    adj &= (np.arange(adj.shape[1])[None, :] + cstart) > (
-                        np.arange(adj.shape[0])[:, None] + start
-                    )
-                if adj.any():
-                    r, c = np.argwhere(adj)[0]
-                    cand = (start + int(r), cstart + int(c))
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None:
-                return best
-        return None
+        m = int(order.size)
+        r0, r1, c0 = block
+        best = None
+        for rs in range(r0, r1, brow):
+            re = min(rs + brow, r1)
+            for cs in range(max(c0, rs + 1), m, bcol):
+                ce = min(cs + bcol, m)
+                # nonzero where the pair meets: pi_a & tau_b or tau_a & pi_b, any word
+                z = lo[0][rs:re, None] & hi[0][None, cs:ce]
+                t = np.empty_like(z)
+                for w in range(self.n_words):
+                    if w:
+                        np.bitwise_and(lo[w][rs:re, None], hi[w][None, cs:ce], out=t)
+                        z |= t
+                    np.bitwise_and(hi[w][rs:re, None], lo[w][None, cs:ce], out=t)
+                    z |= t
+                if cs < re:
+                    # this tile straddles the diagonal; keep only column > row
+                    z[np.tri(re - rs, ce - cs, rs - cs, dtype=bool)] = 1
+                if np.count_nonzero(z) == z.size:
+                    continue
+                r, c = np.nonzero(z == 0)
+                a, b = order[r + rs], order[c + cs]
+                first, second = np.minimum(a, b), np.maximum(a, b)
+                k = int(np.lexsort((second, first))[0])
+                cand = (int(first[k]), int(second[k]))
+                if best is None or cand < best:
+                    best = cand
+        return best
+
+    # perfbench/spans.py wraps this name by attribute, so it stays as an alias;
+    # the star-pruned scan has the one kernel above
+    _row_pair_scan = _tiled_pair_scan
 
     def _scalar_pair_scan(self, sub, m: int) -> Optional[Tuple[int, int]]:
         # general-type fallback; only small universes take this path

@@ -144,8 +144,8 @@ def rref(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> Subspace:
         if len(r) != n:
             raise DimensionMismatch(f"row of length {len(r)} in ambient of rank {n}")
         for v in r:
-            if not 0 <= v < q:
-                raise InvalidArgs(f"scalar {v} outside GF({q})")
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
+                raise InvalidArgs(f"scalar {v!r} is not an element of GF({q})")
     return Subspace(field, n, _rref_rows(rows, n, field))
 
 
@@ -166,6 +166,8 @@ def full_space(n: int, field: FieldSpec) -> Subspace:
 
 def is_canonical_rows(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> bool:
     """True iff rows are exactly an RREF basis (used to vet external input)."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        return False
     try:
         s = rref(rows, n, field)
     except (DimensionMismatch, InvalidArgs):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qkneser import cli, cover, indsets, pg
 
 from conftest import unit_rows
@@ -176,3 +178,38 @@ def test_end_to_end_pipe_subprocess():
     )
     assert verify.returncode == 0
     assert json.loads(verify.stdout)["valid"] is True
+
+
+def _break_classes(cert):
+    cert["classes"] = 5
+
+
+def _break_u(cert):
+    cert["U"][0][0] = "a"
+
+
+def _break_u_shape(cert):
+    cert["U"] = 5
+
+
+def _break_descriptor(cert):
+    cert["classes"][0]["P"][0][-1] = 0.0
+
+
+def _break_variant(cert):
+    cert["classes"][0]["variant"] = ["point_line"]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_break_classes, _break_u, _break_u_shape, _break_descriptor, _break_variant]
+)
+def test_cover_verify_bad_json_exits_1_without_traceback(corrupt):
+    cert = cover.build_cover(2, 2).to_json()
+    corrupt(cert)
+    done = subprocess.run(
+        [sys.executable, "-m", "qkneser.cli", "cover", "verify"],
+        input=json.dumps(cert), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "qkneser: error:" in done.stderr
+    assert "Traceback" not in done.stderr

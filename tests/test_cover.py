@@ -1,5 +1,7 @@
 import json
+from math import comb
 
+import numpy as np
 import pytest
 
 from qkneser import cover, indsets, pg, qcalc
@@ -54,6 +56,27 @@ def test_verify_cover_22(u22):
         assert (entry["generic"], entry["special"]) == (105, 28)
 
 
+def test_verify_report_pair_counts(u22):
+    data = cover.verify_cover(cover.build_cover(2, 2), universe=u22).to_json()
+    for entry in data["class_sizes"]:
+        assert entry["pair_tests"] + entry["pairs_pruned"] == comb(entry["total"], 2)
+    assert data["pair_tests"] == sum(e["pair_tests"] for e in data["class_sizes"])
+    assert data["pair_tests"] + data["pairs_pruned"] == sum(
+        comb(e["total"], 2) for e in data["class_sizes"]
+    )
+    assert data["pairs_pruned"] > 0
+
+
+def test_pinned_32_star_plans(u32):
+    tests = 0
+    for desc in cover.build_cover(3, 2).classes:
+        generic, special = indsets.descriptor_masks(desc, u32)
+        plan = u32.star_plan(np.nonzero(generic | special)[0])
+        assert plan.group_sizes == (9765, 620, 620)
+        tests += plan.pair_tests
+    assert tests == 362_297_000
+
+
 def test_verify_cover_23(u23):
     report = cover.verify_cover(cover.build_cover(2, 3), universe=u23)
     assert report.valid
@@ -98,6 +121,10 @@ def test_verify_cover_rejects_malformed(u22, f2):
     del data3["U"]
     with pytest.raises(MalformedCertificate):
         cover.certificate_from_json(data3)
+    data4 = cert.to_json()
+    data4["classes"] = 5
+    with pytest.raises(MalformedCertificate):
+        cover.certificate_from_json(data4)
 
 
 def test_certificate_json_round_trip():

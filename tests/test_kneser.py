@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qkneser import kneser, pg, qcalc
+from qkneser import cover, indsets, kneser, pg, qcalc
 from qkneser.errors import DimensionMismatch, InvalidType, TooLarge
 
 from conftest import unit_rows
@@ -160,6 +160,98 @@ def test_check_pairwise_independent_threads_match(u22):
     serial = u22.check_pairwise_independent(ids, threads=1)
     threaded = u22.check_pairwise_independent(ids, threads=4)
     assert serial == threaded
+
+
+def reference_pair_scan(universe, ids):
+    """Row-major first adjacent pair by position in ids, testing every pair."""
+    ids = np.asarray(ids, dtype=np.int64)
+    lo, hi = universe._gather(ids)
+    for a in range(ids.size - 1):
+        sl = slice(a + 1, ids.size)
+        z1 = lo[0][a] & hi[0][sl]
+        z2 = hi[0][a] & lo[0][sl]
+        for w in range(1, universe.n_words):
+            z1 = z1 | (lo[w][a] & hi[w][sl])
+            z2 = z2 | (hi[w][a] & lo[w][sl])
+        adj = (z1 == 0) & (z2 == 0)
+        if adj.any():
+            return int(ids[a]), int(ids[a + 1 + int(np.argmax(adj))])
+    return None
+
+
+def star_pruned(universe, i, start):
+    """Flags start.. whose lower member shares a point with flag i's, or
+    whose upper member lies in a common hyperplane with flag i's."""
+    sl = slice(start, len(universe))
+    out = np.zeros(len(universe) - start, dtype=bool)
+    for cols in (universe._cols[0], universe.dual_top_cols):
+        for w in range(universe.n_words):
+            out |= (cols[w][i] & cols[w][sl]) != 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_dual_top_cols_match_duals(name, request):
+    universe = request.getfixturevalue(name)
+    masks = [kneser.subspace_point_mask(pg.dual(s)) for s in universe.tables[1]]
+    for w in range(universe.n_words):
+        table = np.array([(m >> (64 * w)) & (2**64 - 1) for m in masks], dtype=np.uint64)
+        assert np.array_equal(universe.dual_top_cols[w], table[universe.member_ids[1]])
+
+
+def test_star_rule_sound_against_definition(u22):
+    pruned = 0
+    for i in range(len(u22) - 1):
+        for j in np.nonzero(star_pruned(u22, i, i + 1))[0] + i + 1:
+            assert not kneser.general_position(u22.flag_of(i), u22.flag_of(int(j)))
+            pruned += 1
+    assert pruned > 0
+
+
+def test_star_rule_sound_against_adjacency_rows(u23):
+    pruned = 0
+    for i in range(len(u23) - 1):
+        rule = star_pruned(u23, i, i + 1)
+        assert not (rule & u23.adjacency_row(i, i + 1)).any()
+        pruned += int(np.count_nonzero(rule))
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_star_scan_matches_reference(name, request):
+    universe = request.getfixturevalue(name)
+    cert = cover.build_cover(2, universe.field.q)
+    classes = [
+        np.nonzero(np.logical_or(*indsets.descriptor_masks(c, universe)))[0].tolist()
+        for c in cert.classes
+    ]
+    rng = random.Random(17)
+    cases = []
+    for _ in range(15):
+        members = rng.choice(classes)
+        invalid = members + rng.sample(range(len(universe)), rng.choice([1, 3]))
+        cases.append(sorted(rng.sample(range(len(universe)), rng.choice([2, 30, 300]))))
+        cases.append(sorted(invalid))
+        for ids in (list(members), invalid):
+            rng.shuffle(ids)
+            cases.append(ids)
+    witnesses = [reference_pair_scan(universe, ids) for ids in cases]
+    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+    for ids, expected in zip(cases, witnesses):
+        for threads in (1, 4):
+            assert universe.check_pairwise_independent(ids, threads=threads) == expected
+
+
+def test_star_plan_counts_every_pair(u22):
+    rng = random.Random(5)
+    for size in (0, 1, 2, 40, 500):
+        ids = rng.sample(range(len(u22)), size)
+        plan = u22.star_plan(ids)
+        assert sorted(plan.order.tolist()) == list(range(size))
+        assert plan.pair_tests + plan.pairs_pruned == size * (size - 1) // 2
+        # a block pairs each of its rows with the columns from c0 on after it
+        tested = sum(size - max(c0, r + 1) for r0, r1, c0 in plan.blocks for r in range(r0, r1))
+        assert tested == plan.pair_tests
 
 
 def test_export_dimacs_fano(f2):

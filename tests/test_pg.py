@@ -43,6 +43,12 @@ def test_rref_rejects_bad_rows(f2, f3):
     with pytest.raises(InvalidArgs):
         pg.rref([(2, 0, 0)], 3, f2)
     assert pg.rref([(2, 0, 0)], 3, f3).rows == ((1, 0, 0),)
+    for scalar in ("a", 0.0, 1.0, True, None):
+        with pytest.raises(InvalidArgs):
+            pg.rref([(scalar, 0, 0)], 3, f2)
+        assert not pg.is_canonical_rows([[scalar, 0, 0]], 3, f2)
+    assert not pg.is_canonical_rows(5, 3, f2)
+    assert not pg.is_canonical_rows([5], 3, f2)
 
 
 def test_rref_canonical_under_shuffle(f3):
