@@ -266,8 +266,12 @@ def _cmd_graph(args) -> int:
 
 def _cmd_indset(args) -> int:
     desc = indsets.descriptor_from_json(_load_json(args.infile))
+    # the universe refuses oversized graphs before the set is built
+    universe = kneser.FlagUniverse(desc.n, (desc.d, desc.d + 1), gf.make_field(desc.q))
+    threads = getattr(args, "threads", None) or _default_threads()
+    split = indsets.build(desc)
+    independent = indsets.is_independent(split.all, universe=universe, threads=threads)
     if args.ind_op == "build":
-        split = indsets.build(desc)
         ordered = sorted(split.all, key=lambda f: f.sort_key())
         if args.out:
             _write_json_atomic([indsets.flag_to_json(f) for f in ordered], args.out)
@@ -276,17 +280,10 @@ def _cmd_indset(args) -> int:
             "generic": len(split.generic),
             "special": len(split.special),
             "total": len(split),
-            "independent": indsets.is_independent(split.all),
+            "independent": independent,
         })
         return EXIT_OK
-    threads = args.threads or _default_threads()
-    split = indsets.build(desc)
-    out = {
-        "variant": desc.variant,
-        "total": len(split),
-        "independent": indsets.is_independent(split.all),
-    }
-    universe = kneser.FlagUniverse(desc.n, (desc.d, desc.d + 1), gf.make_field(desc.q))
+    out = {"variant": desc.variant, "total": len(split), "independent": independent}
     result = indsets.classify(split.all, universe)
     out["classified"] = (
         indsets.descriptor_to_json(result)

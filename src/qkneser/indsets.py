@@ -466,7 +466,7 @@ def classify(flags: Iterable[Flag], universe: FlagUniverse):
             if int(np.count_nonzero(generic_mask)) == len(flag_set):
                 return point_pencil(p)
             continue
-        tops = {universe.flags[i].chain[1] for i in special_ids}
+        tops = {universe.flag_of(i).chain[1] for i in special_ids}
         try:
             desc = point_family(p, tops)
         except InvalidDescriptor:
@@ -484,7 +484,7 @@ def classify(flags: Iterable[Flag], universe: FlagUniverse):
             if int(np.count_nonzero(generic_mask)) == len(flag_set):
                 return dual_point_pencil(h)
             continue
-        lows = {universe.flags[i].chain[0] for i in special_ids}
+        lows = {universe.flag_of(i).chain[0] for i in special_ids}
         try:
             desc = hyperplane_family(h, lows)
         except InvalidDescriptor:

@@ -8,6 +8,14 @@ members is zero" conditions) and runs on precomputed point-set bitmasks, so
 bulk verification is a stream of word ANDs.  The two are cross-checked
 exhaustively by the test suite.
 
+FlagUniverse numbers the flags of one graph without holding them.  It
+enumerates the lower-member table once and derives every upper member's
+point mask from the lower member's span vectors with the quotient-point lift
+(the points of lo + <w> are those of lo and the <v + w> for v in lo), using
+GF(q) add/mul tables and a lookup from vector code to point id.  Distinct
+upper masks form the upper table; flag_of builds a Flag only when asked.
+A closed-form flag count above MAX_FLAGS is refused before anything is built.
+
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars (flags whose
 lower members share a point, or whose upper members lie in one hyperplane,
@@ -22,20 +30,28 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, product
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import pg
+from . import pg, qcalc
 from .errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 from .gf import FieldSpec
 from ._parallel import run_blocks
 
 DEFAULT_VERTEX_CAP = 20_000
 
+# FlagUniverse refuses larger graphs before it allocates anything: (2,5) with
+# 629,486 flags fits; (2,7), (3,3) and (4,2) do not
+MAX_FLAGS = 1_000_000
+
 _WORD = np.uint64
 _WORD_BITS = 64
+
+# lower members per step of the universe build; bounds its scratch arrays
+_BUILD_CHUNK = 256
 
 # pairs per pair-scan block: a few blocks per star group for run_blocks to
 # share out, each long enough that its per-call cost does not show
@@ -129,10 +145,9 @@ def general_position(f1: Flag, f2: Flag) -> bool:
     """Definition-level adjacency test via matrix ranks (the slow oracle)."""
     _check_compatible(f1, f2)
     n = f1.n
-    fld = f1.chain[0].field
     for u1 in f1.chain:
         for u2 in f2.chain:
-            rank_join = pg.rank_of_rows(list(u1.rows) + list(u2.rows), n, fld)
+            rank_join = pg.join_rank(u1, u2)
             if rank_join != u1.rank + u2.rank and rank_join != n:
                 return False
     return True
@@ -182,6 +197,123 @@ def _mask_words(mask: int, n_words: int) -> Tuple[int, ...]:
     return tuple((mask >> (_WORD_BITS * w)) & full for w in range(n_words))
 
 
+@lru_cache(maxsize=None)
+def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """GF(q) addition and multiplication tables as uint8 arrays."""
+    elems = range(field.q)
+    add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
+    mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
+    return add, mul
+
+
+def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
+    """Base-q codes of the vectors along the last axis (int32 Horner loop)."""
+    code = np.zeros(vecs.shape[:-1], dtype=np.int32)
+    for k in range(vecs.shape[-1]):
+        code *= q
+        code += vecs[..., k]
+    return code
+
+
+@lru_cache(maxsize=None)
+def _point_of_code(n: int, field: FieldSpec) -> np.ndarray:
+    """Point id (all_points order) of every nonzero vector of GF(q)^n, by code."""
+    _, mul = _field_arrays(field)
+    pts = np.array(pg.all_points(n, field), dtype=np.uint8)
+    lookup = np.full(field.q**n, -1, dtype=np.int32)
+    for a in range(1, field.q):
+        lookup[_codes(mul[a][pts], field.q)] = np.arange(len(pts), dtype=np.int32)
+    return lookup
+
+
+def _pack_bits(incidence: np.ndarray) -> np.ndarray:
+    """uint64 words of a boolean array whose last axis is a whole number of words."""
+    return np.packbits(incidence, axis=-1, bitorder="little").view("<u8").astype(_WORD)
+
+
+def _number_by_first_occurrence(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids, first): equal rows share an id, ids count up in order of first
+    occurrence, and first[i] is the index of the first row with id i."""
+    order = np.lexsort(rows.T[::-1])  # stable, so equal rows stay in index order
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[starts]
+    renumber = np.empty(first.size, dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(first.size)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = renumber[np.cumsum(starts) - 1]
+    return ids, np.sort(first)
+
+
+def _member_words(
+    n: int, J: Tuple[int, ...], field: FieldSpec, lows: List[pg.Subspace], n_words: int
+):
+    """Point-mask words of the lower members and of every (lower, upper) pair.
+
+    Returns (lo_words, up_words, quotient): lo_words[t] is the mask of
+    lows[t], and up_words[t * K + j] is the mask of lows[t] joined with the
+    lift of quotient[j].  quotient lists the K quotient bases in
+    enumerate_superspaces order: the points for gap 1, else the subspaces.
+    For a single-member type up_words is None.
+    """
+    q = field.q
+    add, mul = _field_arrays(field)
+    point_of = _point_of_code(n, field)
+    j1 = J[0]
+    m = n - j1
+    width = n_words * _WORD_BITS
+    rows = np.array([s.rows for s in lows], dtype=np.uint8).reshape(len(lows), j1, n)
+    # coefficient vectors of the span, the zero vector first
+    coeffs = np.array(list(product(range(q), repeat=j1)), dtype=np.uint8)
+    lo_words = np.empty((len(lows), n_words), dtype=_WORD)
+
+    quotient: List[Tuple[pg.Row, ...]] = []
+    groups = None
+    if len(J) == 2:
+        qpts = np.array(pg.all_points(m, field), dtype=np.uint8)
+        if J[1] == j1 + 1:
+            quotient = [(pt,) for pt in pg.all_points(m, field)]
+        else:
+            tsubs = list(pg.enumerate_subspaces(m, J[1] - j1, field))
+            quotient = [t.rows for t in tsubs]
+            groups = np.array([pg.subspace_point_ids(t) for t in tsubs])
+        # the non-pivot columns of each lower member carry the quotient coordinates
+        is_pivot = np.zeros((len(lows), n), dtype=bool)
+        is_pivot[np.arange(len(lows))[:, None], np.argmax(rows != 0, axis=2)] = True
+        free = np.argsort(is_pivot, axis=1, kind="stable")[:, :m]
+        up_words = np.empty((len(lows), len(quotient), n_words), dtype=_WORD)
+    else:
+        up_words = None
+
+    for c0 in range(0, len(lows), _BUILD_CHUNK):
+        r = rows[c0 : c0 + _BUILD_CHUNK]
+        c = r.shape[0]
+        at = np.arange(c)
+        span = np.zeros((c, coeffs.shape[0], n), dtype=np.uint8)
+        for i in range(j1):
+            span = add[span, mul[coeffs[None, :, i, None], r[:, None, i, :]]]
+        lo_pts = np.zeros((c, width), dtype=bool)
+        lo_pts[at[:, None], point_of[_codes(span[:, 1:], q)]] = True
+        lo_words[c0 : c0 + c] = _pack_bits(lo_pts)
+        if up_words is None:
+            continue
+        k = qpts.shape[0]
+        lifted = np.zeros((c, k, n), dtype=np.uint8)
+        lifted[at[:, None, None], np.arange(k)[None, :, None], free[c0 : c0 + c, None, :]] = qpts
+        # <v + w> for every v in lo and lifted quotient point w
+        new = point_of[_codes(add[span[:, :, None, :], lifted[:, None, :, :]], q)]
+        up_pts = np.zeros((c, k, width), dtype=bool)
+        up_pts[at[:, None, None], np.arange(k)[None, None, :], new] = True
+        if groups is not None:
+            up_pts = up_pts[:, groups].any(axis=2)
+        up_pts |= lo_pts[:, None, :]
+        up_words[c0 : c0 + c] = _pack_bits(up_pts)
+    if up_words is not None:
+        up_words = up_words.reshape(-1, n_words)
+    return lo_words, up_words, quotient
+
+
 @dataclass(frozen=True)
 class StarPlan:
     """The pairs a star-pruned scan tests, from FlagUniverse.star_plan.
@@ -201,79 +333,87 @@ class StarPlan:
 class FlagUniverse:
     """Dense id <-> flag bijection with bit-packed member masks.
 
-    The enumeration order is deterministic for fixed (n, J, q), so ids are
-    stable across runs; certificates still reference flags by explicit basis
-    matrices, never by id.
+    The universe holds the member tables and each flag's member table ids,
+    not the flags: flag i has lower member tables[0][i // K] and upper member
+    tables[1][member_ids[1][i]], where K is the number of uppers over one
+    lower member, and flag_of builds the Flag on demand.  The upper table
+    lists the distinct upper members in order of first occurrence.  Ids follow
+    enumerate_flags, so they are stable across runs; certificates still
+    reference flags by explicit basis matrices, never by id.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
         self.n = n
         self.types = _validate_type(n, J)
         self.field = field
+        q = field.q
+        j1 = self.types[0]
+        gap = self.types[-1] - j1
+        count = qcalc.gauss(n, j1, q) * qcalc.gauss(n - j1, gap, q)
+        if count > MAX_FLAGS:
+            raise TooLarge(
+                f"{count} flags of type {self.types} in GF({q})^{n} exceed the cap of {MAX_FLAGS}"
+            )
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
-        flags: List[Flag] = []
-        tables: List[List[pg.Subspace]] = [[] for _ in self.types]
-        table_ids: List[dict] = [{} for _ in self.types]
-        ids_per_pos: List[List[int]] = [[] for _ in self.types]
-        for f in enumerate_flags(n, J, field):
-            flags.append(f)
-            for pos, member in enumerate(f.chain):
-                tid = table_ids[pos].get(member)
-                if tid is None:
-                    tid = len(tables[pos])
-                    table_ids[pos][member] = tid
-                    tables[pos].append(member)
-                ids_per_pos[pos].append(tid)
-        self.flags = flags
-        self.index = {f: i for i, f in enumerate(flags)}
-        self.tables = tables
-        self._table_ids = table_ids
-        self.member_ids = [np.array(ids, dtype=np.int64) for ids in ids_per_pos]
-
-        self._table_masks = [
-            [subspace_point_mask(s) for s in table] for table in tables
+        lows = list(pg.enumerate_subspaces(n, j1, field))
+        lo_words, up_words, quotient = _member_words(n, self.types, field, lows, self.n_words)
+        self._per_lower = len(quotient) or 1
+        self._size = len(lows) * self._per_lower
+        self.tables: List[List[pg.Subspace]] = [lows]
+        self.member_ids = [np.repeat(np.arange(len(lows), dtype=np.int64), self._per_lower)]
+        self._table_words = [lo_words]
+        if up_words is not None:
+            upper_ids, first = _number_by_first_occurrence(up_words)
+            self.member_ids.append(upper_ids)
+            self._table_words.append(up_words[first])
+            uppers: List[pg.Subspace] = []
+            for lo, fs in groupby(first.tolist(), key=lambda f: f // self._per_lower):
+                uppers += pg.superspaces(lows[lo], (quotient[f % self._per_lower] for f in fs))
+            self.tables.append(uppers)
+        self._table_ids = [{s: t for t, s in enumerate(table)} for table in self.tables]
+        self._cols = [
+            [words[:, w][ids] for w in range(self.n_words)]
+            for words, ids in zip(self._table_words, self.member_ids)
         ]
-        self._cols = [self._expand_cols(pos) for pos in range(len(self.types))]
         self._dual_top = None
         self._int_masks: List[Optional[List[int]]] = [None] * len(self.types)
 
         # popcount -> rank lookup for join-rank tests
         lut = np.full(self.num_points + 1, -1, dtype=np.int64)
         for r in range(n + 1):
-            pts = 0 if r == 0 else (field.q**r - 1) // (field.q - 1)
+            pts = 0 if r == 0 else (q**r - 1) // (q - 1)
             if pts <= self.num_points:
                 lut[pts] = r
         self._rank_of_popcount = lut
 
-        d = self.types[0]
-        self._kneser_fast = len(self.types) == 2 and self.types == (d, d + 1) and n == 2 * d + 1
-
-    def _expand_cols(self, pos: int) -> List[np.ndarray]:
-        masks = self._table_masks[pos]
-        words = [_mask_words(m, self.n_words) for m in masks]
-        ids = self.member_ids[pos]
-        cols = []
-        for w in range(self.n_words):
-            table_col = np.array([ws[w] for ws in words], dtype=_WORD)
-            cols.append(table_col[ids])
-        return cols
+        self._kneser_fast = self.types == (j1, j1 + 1) and n == 2 * j1 + 1
 
     def __len__(self) -> int:
-        return len(self.flags)
+        return self._size
 
     def __iter__(self) -> Iterator[Flag]:
-        return iter(self.flags)
+        return (self.flag_of(i) for i in range(self._size))
 
     def id_of(self, f: Flag) -> int:
-        try:
-            return self.index[f]
-        except KeyError:
-            raise InvalidArgs(f"flag {f!r} is not in this universe") from None
+        tids = [table.get(s) for table, s in zip(self._table_ids, f.chain)]
+        if len(f.chain) == len(self.types) and None not in tids:
+            if len(tids) == 1:
+                return tids[0]
+            start = tids[0] * self._per_lower
+            hit = np.flatnonzero(self.member_ids[1][start : start + self._per_lower] == tids[1])
+            if hit.size:
+                return start + int(hit[0])
+        raise InvalidArgs(f"flag {f!r} is not in this universe")
 
     def flag_of(self, i: int) -> Flag:
-        return self.flags[i]
+        if not 0 <= i < self._size:
+            raise InvalidArgs(f"flag id {i} outside [0, {self._size})")
+        lo = self.tables[0][i // self._per_lower]
+        if len(self.types) == 1:
+            return Flag((lo,))
+        return Flag((lo, self.tables[1][self.member_ids[1][i]]))
 
     # -- member mask predicates, vectorized over all flags ------------------
 
@@ -284,7 +424,8 @@ class FlagUniverse:
         """Per-flag point masks of one chain position, as plain ints (cached)."""
         cached = self._int_masks[pos]
         if cached is None:
-            table = self._table_masks[pos]
+            words = self._table_words[pos].astype("<u8")
+            table = [int.from_bytes(row.tobytes(), "little") for row in words]
             cached = self._int_masks[pos] = [table[t] for t in self.member_ids[pos].tolist()]
         return cached
 
@@ -337,9 +478,7 @@ class FlagUniverse:
         """
         if self._dual_top is None:
             fld = self.field
-            elems = range(fld.q)
-            add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
-            mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
+            add, mul = _field_arrays(fld)
             pts = np.array(pg.all_points(self.n, fld), dtype=np.uint8)
             dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
             for k in range(self.n):
@@ -382,7 +521,7 @@ class FlagUniverse:
 
     def adjacency_row(self, i: int, start: int = 0) -> np.ndarray:
         """Boolean adjacency of flag i against flags start..N-1 (self excluded)."""
-        sl = slice(start, len(self.flags))
+        sl = slice(start, self._size)
         if self._kneser_fast:
             lo, hi = self._cols
             row = self._meet_zero(lo, i, hi, sl) & self._meet_zero(hi, i, lo, sl)
@@ -401,7 +540,7 @@ class FlagUniverse:
 
     def count_edges(self) -> int:
         total = 0
-        for i in range(len(self.flags) - 1):
+        for i in range(self._size - 1):
             total += int(np.count_nonzero(self.adjacency_row(i, i + 1)))
         return total
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionMismatch, InvalidArgs
 from .gf import FieldSpec
@@ -29,13 +29,14 @@ class Subspace:
     Construct through :func:`rref` unless the rows are already canonical.
     """
 
-    __slots__ = ("field", "n", "rows", "_hash")
+    __slots__ = ("field", "n", "rows", "_hash", "_packed")
 
     def __init__(self, field: FieldSpec, n: int, rows: Tuple[Row, ...]):
         self.field = field
         self.n = n
         self.rows = rows
         self._hash = None
+        self._packed = None  # GF(2) rows as ints, filled by join_rank
 
     @property
     def rank(self) -> int:
@@ -154,6 +155,34 @@ def rank_of_rows(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> int
     if field.q == 2:
         return len(_rref_gf2_packed([_pack2(r) for r in rows], n))
     return len(_rref_generic(list(rows), n, field))
+
+
+def join_rank(a: Subspace, b: Subspace) -> int:
+    """rank(a + b) by row reduction of b's basis against a's.
+
+    Over GF(2) each subspace packs its rows once and keeps them.  a's rows are
+    in RREF, so each of b's rows is reduced against them in a single pass (a
+    pivot column of a is zero in a's other rows); the rank of the reduced
+    rows then comes from a small basis with distinct leading bits.
+    """
+    _check_same_space(a, b)
+    if a.field.q != 2:
+        return len(_rref_generic(list(a.rows) + list(b.rows), a.n, a.field))
+    for s in (a, b):
+        if s._packed is None:
+            s._packed = [_pack2(r) for r in s.rows]
+    pivots = [(r & -r, r) for r in a._packed]
+    basis: List[int] = []
+    for x in b._packed:
+        for bit, r in pivots:
+            if x & bit:
+                x ^= r
+        for y in basis:
+            x = min(x, x ^ y)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return len(pivots) + len(basis)
 
 
 def zero_subspace(n: int, field: FieldSpec) -> Subspace:
@@ -282,22 +311,20 @@ def _extend_rref(rows: Tuple[Row, ...], w: Sequence[int], fld: FieldSpec) -> Tup
         if c:
             row = tuple(sub(x, mul(c, y)) for x, y in zip(row, w))
         out.append(row)
-    pos = sum(1 for row in rows if _pivot_col(row) < lead)
+    # rows whose pivot comes before lead are the rows nonzero before lead
+    pos = sum(1 for row in rows if any(row[:lead]))
     out.insert(pos, tuple(w))
     return tuple(out)
 
 
-def enumerate_superspaces(a: Subspace, r: int) -> Iterator[Subspace]:
-    """All rank-r subspaces containing a, via the quotient space GF(q)^(n-s)."""
-    fld, n, s = a.field, a.n, a.rank
-    if not s <= r <= n:
-        raise InvalidArgs(f"need rank(a) <= r <= n, got r={r}")
-    if r == s:
-        yield a
-        return
+def superspaces(a: Subspace, quotient: Iterable[Sequence[Row]]) -> List[Subspace]:
+    """a joined with the lift of each canonical basis of GF(q)^n / a.
+
+    Quotient coordinates are the non-pivot columns of a, in increasing order.
+    """
+    fld, n = a.field, a.n
     pivot_set = {_pivot_col(row) for row in a.rows}
     free_cols = [c for c in range(n) if c not in pivot_set]
-    m = len(free_cols)
 
     def lift(qrow):
         v = [0] * n
@@ -305,13 +332,33 @@ def enumerate_superspaces(a: Subspace, r: int) -> Iterator[Subspace]:
             v[c] = x
         return v
 
-    if r == s + 1:
-        for pt in all_points(m, fld):
-            yield Subspace(fld, n, _extend_rref(a.rows, lift(pt), fld))
+    out = []
+    for qrows in quotient:
+        if len(qrows) == 1:
+            out.append(Subspace(fld, n, _extend_rref(a.rows, lift(qrows[0]), fld)))
+        else:
+            rows = [lift(qrow) for qrow in qrows] + [list(row) for row in a.rows]
+            out.append(Subspace(fld, n, _rref_rows(rows, n, fld)))
+    return out
+
+
+def enumerate_superspaces(a: Subspace, r: int) -> Iterator[Subspace]:
+    """All rank-r subspaces containing a, via the quotient space GF(q)^(n-s).
+
+    Order: for r = s + 1 the quotient points in all_points order, otherwise
+    the quotient subspaces in enumerate_subspaces order.
+    """
+    fld, n, s = a.field, a.n, a.rank
+    if not s <= r <= n:
+        raise InvalidArgs(f"need rank(a) <= r <= n, got r={r}")
+    if r == s:
+        yield a
         return
-    for t in enumerate_subspaces(m, r - s, fld):
-        rows = [lift(qrow) for qrow in t.rows] + [list(row) for row in a.rows]
-        yield Subspace(fld, n, _rref_rows(rows, n, fld))
+    if r == s + 1:
+        quotient = [(pt,) for pt in all_points(n - s, fld)]
+    else:
+        quotient = [t.rows for t in enumerate_subspaces(n - s, r - s, fld)]
+    yield from superspaces(a, quotient)
 
 
 def subspaces_within(a: Subspace, r: int) -> Iterator[Subspace]:

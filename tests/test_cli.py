@@ -213,3 +213,32 @@ def test_cover_verify_bad_json_exits_1_without_traceback(corrupt):
     assert done.returncode == 1
     assert "qkneser: error:" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def _assert_refused(done):
+    assert done.returncode == 1
+    assert "qkneser: error:" in done.stderr and "exceed the cap" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cover_verify_refuses_oversized_graph():
+    build = subprocess.run(
+        [sys.executable, "-m", "qkneser.cli", "cover", "build", "--d", "4", "--q", "2"],
+        capture_output=True, text=True, check=True,
+    )
+    _assert_refused(subprocess.run(
+        [sys.executable, "-m", "qkneser.cli", "cover", "verify"],
+        input=build.stdout, capture_output=True, text=True,
+    ))
+
+
+def test_indset_check_refuses_oversized_graph(f2):
+    e = unit_rows(5)
+    desc = indsets.descriptor_to_json(
+        indsets.point_line(pg.rref([e[0]], 5, f2), pg.rref([e[0], e[1]], 5, f2))
+    )
+    desc["q"] = 7
+    _assert_refused(subprocess.run(
+        [sys.executable, "-m", "qkneser.cli", "indset", "check"],
+        input=json.dumps(desc), capture_output=True, text=True,
+    ))

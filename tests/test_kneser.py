@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from qkneser import cover, indsets, kneser, pg, qcalc
-from qkneser.errors import DimensionMismatch, InvalidType, TooLarge
+from qkneser import cover, gf, indsets, kneser, pg, qcalc
+from qkneser.errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 
 from conftest import unit_rows
 
@@ -65,7 +65,7 @@ def test_general_position_fast_matches_hand_examples(hand_flags):
 
 def test_fast_equals_slow_on_sampled_pairs(u22):
     rng = random.Random(9)
-    flags = u22.flags
+    flags = list(u22)
     for _ in range(3000):
         a, b = rng.randrange(len(flags)), rng.randrange(len(flags))
         fa, fb = flags[a], flags[b]
@@ -75,7 +75,7 @@ def test_fast_equals_slow_on_sampled_pairs(u22):
 
 def test_adjacency_invariant_under_linear_maps(f2, u22):
     rng = random.Random(4)
-    flags = u22.flags
+    flags = list(u22)
 
     def random_gl(n):
         while True:
@@ -117,9 +117,63 @@ def test_flags_from_different_graphs_raise(f2, f3):
 def test_universe_index_roundtrip_and_determinism(f2):
     u_a = kneser.FlagUniverse(5, (2, 3), f2)
     u_b = kneser.FlagUniverse(5, (2, 3), f2)
-    assert [f.sort_key() for f in u_a.flags] == [f.sort_key() for f in u_b.flags]
+    assert [f.sort_key() for f in u_a] == [f.sort_key() for f in u_b]
     for i in (0, 1, 500, len(u_a) - 1):
         assert u_a.id_of(u_a.flag_of(i)) == i
+
+
+@pytest.mark.parametrize(
+    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2)]
+)
+def test_universe_ids_follow_enumerate_flags(n, J, q):
+    field = gf.make_field(q)
+    u = kneser.FlagUniverse(n, J, field)
+    assert [u.flag_of(i) for i in range(len(u))] == list(kneser.enumerate_flags(n, J, field))
+
+
+def test_id_of_inverts_flag_of(u23, f2):
+    assert all(u23.id_of(u23.flag_of(i)) == i for i in range(len(u23)))
+    other_q = next(kneser.enumerate_flags(5, (2, 3), f2))
+    with pytest.raises(InvalidArgs):
+        u23.id_of(other_q)
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_table_masks_match_point_masks(name, request):
+    universe = request.getfixturevalue(name)
+    for pos, table in enumerate(universe.tables):
+        ints = universe.flag_int_masks(pos)
+        first = {}
+        for i, t in enumerate(universe.member_ids[pos].tolist()):
+            first.setdefault(t, i)
+        assert [ints[first[t]] for t in range(len(table))] == [
+            kneser.subspace_point_mask(s) for s in table
+        ]
+
+
+def test_universe_build_makes_no_flags(f3, monkeypatch):
+    made = []
+    init = kneser.Flag.__init__
+
+    def counting(self, chain):
+        made.append(1)
+        init(self, chain)
+
+    monkeypatch.setattr(kneser.Flag, "__init__", counting)
+    u = kneser.FlagUniverse(5, (2, 3), f3)
+    assert len(u) == 15730 and not made
+    u.flag_of(7)
+    assert len(made) == 1
+
+
+def test_universe_refuses_large_graphs_before_building(f2, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("tables built before the flag-count check")
+
+    monkeypatch.setattr(pg, "enumerate_subspaces", no_tables)
+    with pytest.raises(TooLarge):
+        kneser.FlagUniverse(9, (4, 5), f2)
+    assert qcalc.flag_count(2, 5) <= kneser.MAX_FLAGS < qcalc.flag_count(2, 7)
 
 
 def test_neighbors_degree_constant(u22):
