@@ -291,7 +291,7 @@ def _cmd_indset(args) -> int:
         else "unstructured"
     )
     if args.maximal:
-        out["maximal"] = indsets.is_maximal(split.all, universe, threads=threads)
+        out["maximal"] = indsets.is_maximal(split.all, universe)
     _emit(out)
     return EXIT_OK
 

@@ -5,7 +5,17 @@ gathers evidence.  Every sample greedily completes a uniformly random seed
 flag to a maximal independent set, tests it for point-pencil and dual
 point-pencil containment, and buckets it against the size threshold
 rho * q^(d^2+d-2).  Sets above the threshold without either pencil are
-recorded with their seed so they can be re-examined by hand.
+recorded with their seed so they can be re-examined by hand.  The output
+also carries g0 and e0, the closed-form sizes of the known families, so the
+sampled sizes can be read against them.
+
+The greedy walks a random order of all flags (a stable argsort of random
+64-bit keys) in chunks.  FlagUniverse.member_bits keeps one bit per member
+in a row per lower and per upper table entry, and a flag is adjacent to some
+member iff the AND of its two rows is nonzero; so a whole chunk is tested
+against the current members at once.  The few flags that pass are tested
+again, in order, as each of them joins, which gives exactly the set of the
+one-flag-at-a-time greedy on the same order.
 """
 
 from __future__ import annotations
@@ -16,10 +26,13 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from . import indsets
+from . import indsets, qcalc
 from .errors import NotIndependent, TooLarge
 from .gf import make_field
 from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse
+
+# candidates tested together against the members of a greedy completion
+_CHUNK = 2048
 
 
 @dataclass
@@ -32,6 +45,8 @@ class SampleStats:
     master_seed: int
     rho_candidate: int
     threshold: int
+    g0: int
+    e0: int
     size_histogram: Dict[int, int] = field(default_factory=dict)
     with_point_pencil: int = 0
     with_dual_point_pencil: int = 0
@@ -48,6 +63,8 @@ class SampleStats:
             "rho_candidate": self.rho_candidate,
             "threshold": self.threshold,
             "size_histogram": {str(k): v for k, v in sorted(self.size_histogram.items())},
+            "g0": self.g0,
+            "e0": self.e0,
             "with_point_pencil": self.with_point_pencil,
             "with_dual_point_pencil": self.with_dual_point_pencil,
             "trichotomy_small": self.trichotomy_small,
@@ -57,28 +74,41 @@ class SampleStats:
         }
 
 
+def _random_order(rng: random.Random, n: int) -> np.ndarray:
+    """A uniformly random order of 0..n-1: the stable argsort of 8n random bytes
+    read as little-endian 64-bit keys.
+
+    Unless two keys tie (a 2^-64 chance per pair), the faster default sort
+    gives the same order, so the stable sort runs only on a tie.
+    """
+    keys = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+    return order
+
+
 def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: FlagUniverse) -> List[int]:
     ids = sorted(set(int(i) for i in seed_ids))
     if ids:
         hit = universe.check_pairwise_independent(ids)
         if hit is not None:
             raise NotIndependent(f"seed set contains the adjacent pair {hit}")
-    lo = universe.flag_int_masks(0)
-    hi = universe.flag_int_masks(1)
+    order = _random_order(rng, len(universe))
+    bits = universe.member_bits(ids)
+    in_set = np.zeros(len(universe), dtype=bool)
+    in_set[ids] = True
     current = list(ids)
-    order = list(range(len(universe)))
-    rng.shuffle(order)
-    in_set = set(current)
-    for cand in order:
-        if cand in in_set:
-            continue
-        cl, ch = lo[cand], hi[cand]
-        for m in current:
-            if (cl & hi[m]) == 0 and (ch & lo[m]) == 0:
-                break
-        else:
-            current.append(cand)
-            in_set.add(cand)
+    for c0 in range(0, order.size, _CHUNK):
+        chunk = order[c0 : c0 + _CHUNK]
+        free = chunk[~in_set[chunk] & ~bits.blocked(chunk)]
+        # free[0] meets no member; once it joins, the rest are tested again
+        while free.size:
+            bits.add(free[:1])
+            current.append(int(free[0]))
+            rest = free[1:]
+            free = rest[~bits.blocked(rest)]
     return sorted(current)
 
 
@@ -109,13 +139,13 @@ def conjecture_probe(
     """Sample maximal independent sets and bucket them by the trichotomy."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    known = qcalc.size_constants(d, q, rho_candidate)
     fld = make_field(q)
     if universe is None:
         universe = FlagUniverse(2 * d + 1, (d, d + 1), fld)
-    threshold = rho_candidate * q ** (d * d + d - 2)
     stats = SampleStats(
         d=d, q=q, samples=samples, master_seed=master_seed,
-        rho_candidate=rho_candidate, threshold=threshold,
+        rho_candidate=rho_candidate, threshold=known.e1, g0=known.g0, e0=known.e0,
     )
     for i in range(samples):
         rng = random.Random(master_seed * 1_000_003 + i)
@@ -129,7 +159,7 @@ def conjecture_probe(
             stats.with_point_pencil += 1
         elif _contains_dual_point_pencil(in_set, universe):
             stats.with_dual_point_pencil += 1
-        elif size <= threshold:
+        elif size <= stats.threshold:
             stats.trichotomy_small += 1
         else:
             stats.unstructured_large.append((size, master_seed * 1_000_003 + i))

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import pg, qcalc
-from ._parallel import run_blocks
+from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import DimensionMismatch, InvalidDescriptor
 from .gf import FieldSpec, make_field
 from .kneser import (
@@ -32,6 +32,9 @@ from .kneser import (
     general_position_fast,
     subspace_point_mask,
 )
+
+# flags per step of the maximality scan
+_SCAN_CHUNK = 8192
 
 POINT_VARIANTS = ("point_pencil", "point_line", "point_hyperplane", "point_family")
 DUAL_VARIANTS = ("dual_point_pencil", "hyperplane_family")
@@ -343,39 +346,33 @@ def is_independent(
     return find_adjacent_pair(flags, universe=universe, threads=threads) is None
 
 
-def find_extension(
-    flags: Iterable[Flag], universe: FlagUniverse, threads: int = 1
-) -> Optional[Flag]:
-    """First flag (in enumeration order) outside the set that extends it."""
-    ids = sorted(universe.id_of(f) for f in set(flags))
+def find_extension(flags: Iterable[Flag], universe: FlagUniverse) -> Optional[Flag]:
+    """First flag (in id order) outside the set that extends it.
+
+    For type {d, d+1} in rank 2d+1 the set's member bits (FlagUniverse.
+    member_bits) test every flag, a chunk of ids at a time.  Other types
+    test one flag at a time with adjacent_to_any.
+    """
+    ids = np.array(sorted(universe.id_of(f) for f in set(flags)), dtype=np.int64)
     in_set = np.zeros(len(universe), dtype=bool)
-    ids_arr = np.array(ids, dtype=np.int64)
-    if ids_arr.size:
-        in_set[ids_arr] = True
-    if not ids:
-        return universe.flag_of(0) if len(universe) else None
-    sub = universe._gather(ids_arr)
-    outside = np.nonzero(~in_set)[0]
-
-    def scan(block):
-        lo, hi = block
-        for i in outside[lo:hi]:
-            if not universe.adjacent_to_any(int(i), sub):
-                return int(i)
+    in_set[ids] = True
+    if universe._kneser_fast:
+        bits = universe.member_bits(ids)
+        for c0 in range(0, len(universe), _SCAN_CHUNK):
+            chunk = np.arange(c0, min(c0 + _SCAN_CHUNK, len(universe)))
+            free = np.flatnonzero(~in_set[chunk] & ~bits.blocked(chunk))
+            if free.size:
+                return universe.flag_of(c0 + int(free[0]))
         return None
-
-    if threads <= 1:
-        found = scan((0, outside.size))
-    else:
-        bounds = np.linspace(0, outside.size, threads * 4 + 1, dtype=int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-        hits = [r for r in run_blocks(scan, blocks, threads) if r is not None]
-        found = min(hits) if hits else None
-    return universe.flag_of(found) if found is not None else None
+    sub = universe._gather(ids)
+    for i in np.flatnonzero(~in_set).tolist():
+        if not universe.adjacent_to_any(i, sub):
+            return universe.flag_of(i)
+    return None
 
 
-def is_maximal(flags: Iterable[Flag], universe: FlagUniverse, threads: int = 1) -> bool:
-    return find_extension(flags, universe, threads=threads) is None
+def is_maximal(flags: Iterable[Flag], universe: FlagUniverse) -> bool:
+    return find_extension(flags, universe) is None
 
 
 # ---------------------------------------------------------------------------

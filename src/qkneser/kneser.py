@@ -22,6 +22,13 @@ lower members share a point, or whose upper members lie in one hyperplane,
 are never adjacent) and then tests only the pairs across groups, with one
 tiled block kernel whose blocks run through run_blocks.  Other types test
 every pair with a scalar row loop.
+
+MemberBits (FlagUniverse.member_bits) tests flags against a growing set, for
+type {d, d+1} in rank 2d+1.  Each member sets one bit in the row of every
+lower table entry disjoint from its upper member, and in the row of every
+upper table entry disjoint from its lower member, so a flag is adjacent to
+some member iff the AND of its two rows is nonzero.  The greedy completion
+in explore and the maximality scan in indsets.find_extension both use it.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ _BUILD_CHUNK = 256
 # pairs per pair-scan block: a few blocks per star group for run_blocks to
 # share out, each long enough that its per-call cost does not show
 _BLOCK_PAIRS = 1 << 21
+
+# members per step of MemberBits.add; bounds its scratch arrays
+_MEMBER_CHUNK = 4096
 
 
 class Flag:
@@ -231,6 +241,11 @@ def _pack_bits(incidence: np.ndarray) -> np.ndarray:
     return np.packbits(incidence, axis=-1, bitorder="little").view("<u8").astype(_WORD)
 
 
+def _unpack_bits(words: np.ndarray) -> np.ndarray:
+    """The bits of uint64 words as 0/1 bytes, word by word from the low bit."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+
+
 def _number_by_first_occurrence(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(ids, first): equal rows share an id, ids count up in order of first
     occurrence, and first[i] is the index of the first row with id i."""
@@ -314,6 +329,75 @@ def _member_words(
     return lo_words, up_words, quotient
 
 
+class MemberBits:
+    """Adjacency to a growing member set, tested on the two member tables.
+
+    For type {d, d+1} in rank 2d+1, flags a and b are adjacent iff lo(a) is
+    disjoint from hi(b) and lo(b) is disjoint from hi(a).  Member k sets bit
+    k of lower[t] for every lower table entry t disjoint from its upper
+    member, and bit k of upper[u] for every upper table entry u disjoint
+    from its lower member.  Flag c is then adjacent to some member iff
+    lower[lo_tid(c)] & upper[hi_tid(c)] has a set bit.  The entries that
+    meet a member's entry are the OR of the entries through its points
+    (FlagUniverse.entries_through_points), so a member costs its point
+    count times one bit row per table.
+    """
+
+    def __init__(self, universe: "FlagUniverse"):
+        self._tids = universe.member_ids
+        self._words = universe._table_words
+        self._through = universe.entries_through_points()
+        self._sizes = [len(table) for table in universe.tables]
+        self.lower, self.upper = (np.zeros((n, 0), dtype=_WORD) for n in self._sizes)
+        self.size = 0
+
+    def _apart(self, pos: int, rows: np.ndarray) -> np.ndarray:
+        """apart[r, t]: entry t of table pos shares no point with mask rows[r].
+
+        The rows are masks of one rank, so they have equally many points.
+        """
+        out = np.empty((rows.shape[0], self._sizes[pos]), dtype=bool)
+        for r0 in range(0, rows.shape[0], _WORD_BITS):
+            r = rows[r0 : r0 + _WORD_BITS]
+            points = np.nonzero(_unpack_bits(r))[1].reshape(r.shape[0], -1)
+            meet = np.bitwise_or.reduce(self._through[pos][points], axis=1)
+            meet = np.unpackbits(meet, axis=1, count=self._sizes[pos], bitorder="little")
+            np.equal(meet, 0, out=out[r0 : r0 + r.shape[0]])
+        return out
+
+    def add(self, ids: Sequence[int]) -> None:
+        """Make the flags ids members; their bits follow the given order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        extra = (self.size + ids.size + _WORD_BITS - 1) // _WORD_BITS - self.lower.shape[1]
+        if extra > 0:
+            # grown to fit, not doubled: the old and the new table are alive
+            # together, and a set of e0 members at (2,4) already takes 3 MB
+            self.lower = np.pad(self.lower, ((0, 0), (0, extra)))
+            self.upper = np.pad(self.upper, ((0, 0), (0, extra)))
+        for c0 in range(0, ids.size, _MEMBER_CHUNK):
+            chunk = ids[c0 : c0 + _MEMBER_CHUNK]
+            for pos, bits in enumerate((self.lower, self.upper)):
+                # members that share an opposite entry share its row; a lone
+                # member, as the greedy adds them, skips the sort
+                opposite = self._tids[1 - pos][chunk]
+                uniq, inv = np.unique(opposite, return_inverse=True) if chunk.size > 1 else (opposite, [0])
+                apart = self._apart(pos, self._words[1 - pos][uniq])
+                k = 0
+                while k < chunk.size:
+                    # the next members whose bits share word w
+                    w, b = divmod(self.size + k, _WORD_BITS)
+                    run = apart[inv[k : k + _WORD_BITS - b]]
+                    shifts = np.arange(b, b + run.shape[0], dtype=_WORD)[:, None]
+                    bits[:, w] |= np.bitwise_or.reduce(run.astype(_WORD) << shifts, axis=0)
+                    k += run.shape[0]
+            self.size += chunk.size
+
+    def blocked(self, ids: np.ndarray) -> np.ndarray:
+        """For each flag of ids, whether it is adjacent to some member."""
+        both = self.lower[self._tids[0][ids]] & self.upper[self._tids[1][ids]]
+        return np.bitwise_or.reduce(both, axis=1) != 0
+
+
 @dataclass(frozen=True)
 class StarPlan:
     """The pairs a star-pruned scan tests, from FlagUniverse.star_plan.
@@ -378,7 +462,7 @@ class FlagUniverse:
             for words, ids in zip(self._table_words, self.member_ids)
         ]
         self._dual_top = None
-        self._int_masks: List[Optional[List[int]]] = [None] * len(self.types)
+        self._through = None
 
         # popcount -> rank lookup for join-rank tests
         lut = np.full(self.num_points + 1, -1, dtype=np.int64)
@@ -419,15 +503,6 @@ class FlagUniverse:
 
     def table_id_of(self, pos: int, s: pg.Subspace) -> Optional[int]:
         return self._table_ids[pos].get(s)
-
-    def flag_int_masks(self, pos: int) -> List[int]:
-        """Per-flag point masks of one chain position, as plain ints (cached)."""
-        cached = self._int_masks[pos]
-        if cached is None:
-            words = self._table_words[pos].astype("<u8")
-            table = [int.from_bytes(row.tobytes(), "little") for row in words]
-            cached = self._int_masks[pos] = [table[t] for t in self.member_ids[pos].tolist()]
-        return cached
 
     def point_bit(self, point: pg.Subspace) -> int:
         if point.rank != 1:
@@ -498,6 +573,19 @@ class FlagUniverse:
             self._dual_top = [dual_words[:, w][ids] for w in range(self.n_words)]
         return self._dual_top
 
+    def entries_through_points(self) -> List[np.ndarray]:
+        """Per table, packed bits of the entries through each point (built lazily).
+
+        Row p of table pos holds bit t (little-endian within each byte) iff
+        entry t contains point p.
+        """
+        if self._through is None:
+            self._through = [
+                np.packbits(_unpack_bits(words)[:, : self.num_points].T, axis=1, bitorder="little")
+                for words in self._table_words
+            ]
+        return self._through
+
     def dual_top_has_point(self, point_bit: int) -> np.ndarray:
         w, b = divmod(point_bit, _WORD_BITS)
         return (self.dual_top_cols[w] >> _WORD(b)) & _WORD(1) != 0
@@ -567,7 +655,7 @@ class FlagUniverse:
         groups: List[np.ndarray] = []
         if self._kneser_fast and m > 1:
             words = np.stack([col[ids] for col in self._cols[0] + self.dual_top_cols], axis=1)
-            incidence = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            incidence = _unpack_bits(words)
             counts = incidence.sum(axis=0, dtype=np.int64)
             while True:
                 point = int(np.argmax(counts))
@@ -707,17 +795,20 @@ class FlagUniverse:
                 return a, a + 1 + int(np.argmax(adj))
         return None
 
+    def member_bits(self, ids: Sequence[int] = ()) -> MemberBits:
+        """The member-bit tables of the flags ids (type {d, d+1} in rank 2d+1)."""
+        if not self._kneser_fast:
+            raise InvalidType(f"member bits need type {{d, d+1}} in rank 2d+1, got {self.types}")
+        bits = MemberBits(self)
+        bits.add(ids)
+        return bits
+
     def adjacent_to_any(self, i: int, sub_cols: List[List[np.ndarray]]) -> bool:
-        """True iff flag i is adjacent to at least one flag of the gathered set."""
-        if self._kneser_fast:
-            lo, hi = self._cols
-            slo, shi = sub_cols
-            z1 = lo[0][i] & shi[0]
-            z2 = hi[0][i] & slo[0]
-            for w in range(1, self.n_words):
-                z1 = z1 | (lo[w][i] & shi[w])
-                z2 = z2 | (hi[w][i] & slo[w])
-            return bool(((z1 == 0) & (z2 == 0)).any())
+        """True iff flag i is adjacent to at least one flag of the gathered set.
+
+        It tests the general-position rule for every member pair; for type
+        {d, d+1} in rank 2d+1, MemberBits tests a whole set at once.
+        """
         adj = None
         for pa, ra in zip(range(len(self.types)), self.types):
             for pb, rb in zip(range(len(self.types)), self.types):

@@ -1,9 +1,57 @@
+import random
+import subprocess
+import sys
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from qkneser import explore, indsets, kneser, pg, qcalc
-from qkneser.errors import NotIndependent, TooLarge
+from qkneser import explore, gf, indsets, kneser, pg, qcalc
+from qkneser.errors import InvalidArgs, NotIndependent, TooLarge
 
 from conftest import unit_rows
+
+
+@pytest.fixture(scope="module")
+def u24():
+    return kneser.FlagUniverse(5, (2, 3), gf.make_field(4))
+
+
+@lru_cache(maxsize=None)
+def _flag_int_masks(universe, pos):
+    table = [int.from_bytes(row.tobytes(), "little") for row in universe._table_words[pos].astype("<u8")]
+    return [table[t] for t in universe.member_ids[pos].tolist()]
+
+
+def reference_greedy(seed_ids, order, universe):
+    """The one-flag-at-a-time greedy: each candidate in order against every member."""
+    lo, hi = _flag_int_masks(universe, 0), _flag_int_masks(universe, 1)
+    current = sorted(set(int(i) for i in seed_ids))
+    in_set = set(current)
+    for cand in order:
+        if cand in in_set:
+            continue
+        cl, ch = lo[cand], hi[cand]
+        for m in current:
+            if (cl & hi[m]) == 0 and (ch & lo[m]) == 0:
+                break
+        else:
+            current.append(cand)
+            in_set.add(cand)
+    return sorted(current)
+
+
+def kernel_and_reference(seed_ids, rng, universe):
+    """The kernel's completion and the reference's on the order the kernel draws."""
+    state = rng.getstate()
+    order = explore._random_order(rng, len(universe)).tolist()
+    rng.setstate(state)
+    return explore._greedy_complete_ids(seed_ids, rng, universe), reference_greedy(seed_ids, order, universe)
+
+
+def pencil_ids(universe, field):
+    p = pg.rref([unit_rows(5)[0]], 5, field)
+    return [universe.id_of(f) for f in indsets.build(indsets.point_pencil(p)).all]
 
 
 def test_greedy_complete_empty_seed_is_maximal(u22):
@@ -130,3 +178,80 @@ def test_greedy_color_degree_random_order(u22):
 def test_greedy_color_cap(u22):
     with pytest.raises(TooLarge):
         explore.greedy_color(2, 2, universe=u22, cap=10)
+
+
+@pytest.mark.parametrize("name,orders", [("u22", 50), ("u23", 10), ("u24", 2)])
+def test_greedy_kernel_matches_reference(name, orders, request):
+    universe = request.getfixturevalue(name)
+    for s in range(orders):
+        # seeded like conjecture_probe: one random flag, then the order
+        rng = random.Random(1_000_003 + s)
+        seed = [rng.randrange(len(universe))]
+        got, expected = kernel_and_reference(seed, rng, universe)
+        assert got == expected, s
+
+
+@pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
+def test_greedy_kernel_matches_reference_from_pencil_and_empty_seed(name, q, request):
+    universe = request.getfixturevalue(name)
+    pencil = pencil_ids(universe, gf.make_field(q))
+    for s in range(3):
+        got, expected = kernel_and_reference(pencil, random.Random(s), universe)
+        assert got == expected
+        assert set(pencil) <= set(got)
+        got, expected = kernel_and_reference([], random.Random(s), universe)
+        assert got == expected
+
+
+@pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
+def test_greedy_kernel_fixed_point_on_point_line_class(name, q, request):
+    universe = request.getfixturevalue(name)
+    e = unit_rows(5)
+    fld = gf.make_field(q)
+    desc = indsets.point_line(pg.rref([e[0]], 5, fld), pg.rref([e[0], e[1]], 5, fld))
+    ids = sorted(universe.id_of(f) for f in indsets.build(desc).all)
+    got, expected = kernel_and_reference(ids, random.Random(4), universe)
+    assert got == expected == ids
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_greedy_kernel_independent_of_chunk_size(chunk, u22, u23, monkeypatch):
+    monkeypatch.setattr(explore, "_CHUNK", chunk)
+    for universe, q in ((u22, 2), (u23, 3)):
+        for seed in ([], pencil_ids(universe, gf.make_field(q))):
+            for s in range(3):
+                got, expected = kernel_and_reference(seed, random.Random(s), universe)
+                assert got == expected
+
+
+class _TiedKeys:
+    """Stands in for random.Random: its keys repeat 5 values, so most are tied."""
+
+    def randbytes(self, size):
+        return np.array([i * 7919 % 5 for i in range(size // 8)], dtype="<u8").tobytes()
+
+
+def test_random_order_is_stable_argsort_of_keys(u22):
+    n = len(u22)
+    for make in (lambda: random.Random(3), _TiedKeys):
+        keys = np.frombuffer(make().randbytes(8 * n), dtype="<u8")
+        assert explore._random_order(make(), n).tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def test_probe_reports_known_family_sizes(u22):
+    out = explore.conjecture_probe(2, 2, 3, master_seed=1, universe=u22).to_json()
+    assert (out["g0"], out["e0"]) == (105, 133)
+    with pytest.raises(InvalidArgs):
+        explore.conjecture_probe(2, 2, 3, rho_candidate=0, universe=u22)
+
+
+def test_probe_does_not_import_numpy_random():
+    # numpy.random adds several MB of resident memory to every probe
+    code = (
+        "import sys\n"
+        "from qkneser import explore\n"
+        "explore.conjecture_probe(2, 2, 3, master_seed=1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

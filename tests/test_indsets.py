@@ -1,6 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
-from qkneser import gf, indsets, kneser, pg, qcalc
+from qkneser import explore, gf, indsets, kneser, pg, qcalc
 from qkneser.errors import InvalidDescriptor
 from qkneser.indsets import UNSTRUCTURED, IndSetDescriptor
 
@@ -126,6 +129,51 @@ def test_is_maximal_22(f2, u22):
 def test_is_maximal_empty_set(u22):
     assert not indsets.is_maximal([], u22)
     assert indsets.find_extension([], u22) == u22.flag_of(0)
+
+
+def reference_extension(flags, universe):
+    """First flag outside the set that extends it, tested one flag at a time."""
+    ids = sorted(universe.id_of(f) for f in set(flags))
+    in_set = np.zeros(len(universe), dtype=bool)
+    in_set[ids] = True
+    sub = universe._gather(np.array(ids, dtype=np.int64))
+    for i in np.flatnonzero(~in_set).tolist():
+        if not universe.adjacent_to_any(i, sub):
+            return universe.flag_of(i)
+    return None
+
+
+@pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
+def test_find_extension_matches_reference_on_known_sets(name, q, request):
+    universe = request.getfixturevalue(name)
+    p, ell, hyp = standard_objects(gf.make_field(q), 2)
+    pencil = indsets.build(indsets.point_pencil(p)).all
+    assert indsets.find_extension([], universe) == reference_extension([], universe) == universe.flag_of(0)
+    witness = indsets.find_extension(pencil, universe)
+    assert witness is not None and witness == reference_extension(pencil, universe)
+    for desc in (indsets.point_line(p, ell), indsets.point_hyperplane(p, hyp)):
+        flags = indsets.build(desc).all
+        assert indsets.find_extension(flags, universe) is None
+        assert reference_extension(flags, universe) is None
+
+
+@pytest.mark.parametrize("name,sets", [("u22", 20), ("u23", 6)])
+def test_find_extension_matches_reference_on_random_independent_sets(name, sets, request):
+    universe = request.getfixturevalue(name)
+    rng = random.Random(17)
+    for s in range(sets):
+        full = explore._greedy_complete_ids([], random.Random(s), universe)
+        # any subset of an independent set is independent
+        part = rng.sample(full, rng.choice([1, 2, len(full) // 2, len(full) - 1]))
+        flags = [universe.flag_of(i) for i in part]
+        assert indsets.find_extension(flags, universe) == reference_extension(flags, universe)
+
+
+def test_find_extension_general_type(f2):
+    universe = kneser.FlagUniverse(4, (1, 2), f2)
+    assert indsets.find_extension([], universe) == universe.flag_of(0)
+    first = indsets.find_extension([universe.flag_of(0)], universe)
+    assert first is not None and first == reference_extension([universe.flag_of(0)], universe)
 
 
 def test_classify_round_trips(f2, u22):

@@ -142,11 +142,8 @@ def test_id_of_inverts_flag_of(u23, f2):
 def test_table_masks_match_point_masks(name, request):
     universe = request.getfixturevalue(name)
     for pos, table in enumerate(universe.tables):
-        ints = universe.flag_int_masks(pos)
-        first = {}
-        for i, t in enumerate(universe.member_ids[pos].tolist()):
-            first.setdefault(t, i)
-        assert [ints[first[t]] for t in range(len(table))] == [
+        words = universe._table_words[pos].astype("<u8")
+        assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
             kneser.subspace_point_mask(s) for s in table
         ]
 
@@ -365,3 +362,36 @@ def test_flag_count_matches_closed_form(u22, u23):
 def test_popcount_helper():
     arr = np.array([0, 1, 3, 2**63, 2**64 - 1], dtype=np.uint64)
     assert list(kneser._popcount(arr)) == [0, 1, 2, 1, 64]
+
+
+def test_entries_through_points_match_point_masks(u22):
+    for pos, rows in enumerate(u22.entries_through_points()):
+        through = np.unpackbits(rows, axis=1, count=len(u22.tables[pos]), bitorder="little")
+        masks = [kneser.subspace_point_mask(s) for s in u22.tables[pos]]
+        expected = [[(m >> p) & 1 for m in masks] for p in range(u22.num_points)]
+        assert through.tolist() == expected
+
+
+@pytest.mark.parametrize("chunk", [kneser._MEMBER_CHUNK, 5])
+def test_member_bits_blocked_matches_adjacency(u22, chunk, monkeypatch):
+    monkeypatch.setattr(kneser, "_MEMBER_CHUNK", chunk)
+    adjacency = np.array([u22.adjacency_row(i) for i in range(len(u22))])
+    rng = random.Random(8)
+    everyone = np.arange(len(u22))
+    # batches of 3, 70 and 1 cross word boundaries at odd offsets; the last
+    # batch repeats table entries, which share rows
+    batches = [rng.sample(range(len(u22)), k) for k in (3, 70, 1, 130)]
+    bits = u22.member_bits()
+    members = []
+    assert not bits.blocked(everyone).any()
+    for batch in batches:
+        bits.add(batch)
+        members += batch
+        assert bits.size == len(members)
+        assert bits.blocked(everyone).tolist() == adjacency[:, members].any(axis=1).tolist()
+    assert u22.member_bits(members).blocked(everyone).tolist() == bits.blocked(everyone).tolist()
+
+
+def test_member_bits_need_kneser_type(f2):
+    with pytest.raises(InvalidType):
+        kneser.FlagUniverse(4, (1, 2), f2).member_bits()
