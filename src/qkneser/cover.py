@@ -150,7 +150,9 @@ class VerifyReport:
     """Outcome of the exhaustive certificate check.
 
     Each class_sizes entry also holds the pair_tests and pairs_pruned of the
-    class's star-pruned scan; they sum to C(|class|, 2).
+    class's star-pruned scan, which sum to C(|class|, 2), and star_groups,
+    the sizes of its star groups: the pruned pairs are those that a group's
+    shared point proves non-adjacent.
     """
 
     total_flags: int
@@ -250,7 +252,11 @@ def verify_cover(
     for i in range(len(cert.classes)):
         ids = np.nonzero(memberships[i])[0]
         plan = universe.star_plan(ids)
-        class_sizes[i].update(pair_tests=plan.pair_tests, pairs_pruned=plan.pairs_pruned)
+        class_sizes[i].update(
+            pair_tests=plan.pair_tests,
+            pairs_pruned=plan.pairs_pruned,
+            star_groups=list(plan.group_sizes),
+        )
         hit = universe.check_pairwise_independent(ids, threads=threads, plan=plan)
         if hit is not None:
             bad_classes.append((i, (universe.flag_of(hit[0]), universe.flag_of(hit[1]))))

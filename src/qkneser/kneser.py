@@ -17,11 +17,14 @@ upper masks form the upper table; flag_of builds a Flag only when asked.
 A closed-form flag count above MAX_FLAGS is refused before anything is built.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
-{d, d+1} in rank 2d+1 it first groups the flags into stars (flags whose
-lower members share a point, or whose upper members lie in one hyperplane,
-are never adjacent) and then tests only the pairs across groups, with one
-tiled block kernel whose blocks run through run_blocks.  Other types test
-every pair with a scalar row loop.
+{d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
+lower members pi share a point P, or whose upper members tau lie in one
+hyperplane H.  A star's flags are then tested only against the later flags
+that its point does not prove non-adjacent: those with P outside tau, or
+with pi outside H.  One tiled block kernel runs the remaining pairs, with
+its blocks shared out by run_blocks.  Other types test every pair with a
+scalar row loop, on the one general-position rule that adjacency_row and
+adjacent_to_any also use.
 
 MemberBits (FlagUniverse.member_bits) tests flags against a growing set, for
 type {d, d+1} in rank 2d+1.  Each member sets one bit in the row of every
@@ -403,13 +406,16 @@ class StarPlan:
     """The pairs a star-pruned scan tests, from FlagUniverse.star_plan.
 
     order lists caller positions: each star group in turn, then the
-    ungrouped rest.  A block (r0, r1, c0) pairs rows r0..r1-1 of that order
-    with the columns from c0 on that come after the row.
+    ungrouped rest.  A block (r0, r1, cols) pairs rows r0..r1-1 of that
+    order with the plan positions in cols (ascending) that come after the
+    row.  The blocks of one group share one cols array: the later positions
+    its shared point does not prove non-adjacent.  The rest is a triangle,
+    its rows against every later position.
     """
 
     order: np.ndarray
     group_sizes: Tuple[int, ...]
-    blocks: Tuple[Tuple[int, int, int], ...]
+    blocks: Tuple[Tuple[int, int, np.ndarray], ...]
     pair_tests: int
     pairs_pruned: int
 
@@ -462,6 +468,7 @@ class FlagUniverse:
             for words, ids in zip(self._table_words, self.member_ids)
         ]
         self._dual_top = None
+        self._hyperplanes = None
         self._through = None
 
         # popcount -> rank lookup for join-rank tests
@@ -552,19 +559,9 @@ class FlagUniverse:
         products of points.
         """
         if self._dual_top is None:
-            fld = self.field
-            add, mul = _field_arrays(fld)
-            pts = np.array(pg.all_points(self.n, fld), dtype=np.uint8)
-            dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
-            for k in range(self.n):
-                dot = add[dot, mul[pts[:, k, None], pts[None, :, k]]]
-            on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
-            on_hyperplane[:, : len(pts)] = dot == 0
-            hyperplanes = np.packbits(on_hyperplane, axis=1, bitorder="little")
-            hyperplanes = hyperplanes.view("<u8").astype(_WORD)
-
+            hyperplanes = self._hyperplane_words()
             pos = len(self.types) - 1
-            index = pg.point_index(self.n, fld)
+            index = pg.point_index(self.n, self.field)
             basis = np.array([[index[r] for r in s.rows] for s in self.tables[pos]])
             dual_words = hyperplanes[basis[:, 0]]
             for j in range(1, basis.shape[1]):
@@ -572,6 +569,19 @@ class FlagUniverse:
             ids = self.member_ids[pos]
             self._dual_top = [dual_words[:, w][ids] for w in range(self.n_words)]
         return self._dual_top
+
+    def _hyperplane_words(self) -> np.ndarray:
+        """Row x holds the mask words of the hyperplane x^perp (built lazily)."""
+        if self._hyperplanes is None:
+            add, mul = _field_arrays(self.field)
+            pts = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)
+            dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
+            for k in range(self.n):
+                dot = add[dot, mul[pts[:, k, None], pts[None, :, k]]]
+            on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
+            on_hyperplane[:, : len(pts)] = dot == 0
+            self._hyperplanes = _pack_bits(on_hyperplane)
+        return self._hyperplanes
 
     def entries_through_points(self) -> List[np.ndarray]:
         """Per table, packed bits of the entries through each point (built lazily).
@@ -598,14 +608,19 @@ class FlagUniverse:
             acc = acc | (cols_a[w][i] & cols_b[w][sl])
         return acc == 0
 
-    def _pair_ok(self, cols_a, rank_a: int, i: int, cols_b, rank_b: int, sl) -> np.ndarray:
-        """General-position condition for one member pair: meet 0 or join full."""
-        acc = cols_a[0][i] & cols_b[0][sl]
-        for w in range(1, self.n_words):
-            acc = acc | (cols_a[w][i] & cols_b[w][sl])
-        pc = _popcount(acc)
-        meet_rank = self._rank_of_popcount[pc]
-        return (pc == 0) | (rank_a + rank_b - meet_rank == self.n)
+    def _general_row(self, cols_a, i: int, cols_b, sl) -> np.ndarray:
+        """General position of flag i of cols_a against the flags sl of cols_b:
+        every member pair meets trivially or spans the whole space."""
+        row = None
+        for ra, a in zip(self.types, cols_a):
+            for rb, b in zip(self.types, cols_b):
+                acc = a[0][i] & b[0][sl]
+                for w in range(1, self.n_words):
+                    acc = acc | (a[w][i] & b[w][sl])
+                pc = _popcount(acc)
+                ok = (pc == 0) | (ra + rb - self._rank_of_popcount[pc] == self.n)
+                row = ok if row is None else (row & ok)
+        return row
 
     def adjacency_row(self, i: int, start: int = 0) -> np.ndarray:
         """Boolean adjacency of flag i against flags start..N-1 (self excluded)."""
@@ -614,11 +629,7 @@ class FlagUniverse:
             lo, hi = self._cols
             row = self._meet_zero(lo, i, hi, sl) & self._meet_zero(hi, i, lo, sl)
         else:
-            row = None
-            for pa, ra in zip(range(len(self.types)), self.types):
-                for pb, rb in zip(range(len(self.types)), self.types):
-                    ok = self._pair_ok(self._cols[pa], ra, i, self._cols[pb], rb, sl)
-                    row = ok if row is None else (row & ok)
+            row = self._general_row(self._cols, i, self._cols, sl)
         if start <= i:
             row[i - start] = False
         return row
@@ -640,52 +651,63 @@ class FlagUniverse:
     def star_plan(self, ids: Sequence[int]) -> StarPlan:
         """Star groups of an id list and the blocks that check_pairwise_independent scans.
 
-        Two flags whose lower members share a point are never adjacent (that
-        point lies in pi_a and in tau_b), and neither are two flags whose upper
-        members lie in one hyperplane H (then pi_a + tau_b lies in H, so
-        pi_a and tau_b meet).  The second case is a shared point H^perp of the
-        duals of the upper members.  Greedily, the point shared by the most
-        flags not yet grouped makes those flags a group, until no point is
-        shared by two of them.  The groups come from the flags' own masks, so
-        the plan is sound for any id list.  Other types get no groups.
+        Flags a and b are never adjacent when pi_a and tau_b share a point.
+        Greedily, the point shared by the most flags not yet grouped makes
+        those flags a group, until no point is shared by two of them.  The
+        point is either a point P of every lower member pi (a pi-star) or the
+        dual point H^perp of a hyperplane H holding every upper member tau
+        (an H-star).  A pi-star's rows are tested only against the later
+        flags b with P not in tau_b, and an H-star's rows only against the
+        later b with pi_b not in H: otherwise P lies in pi_a and tau_b, or
+        pi_b + tau_a lies in H, so it is not the whole space and pi_b meets
+        tau_a.  As pi_b lies in tau_b, the pairs inside a group are skipped
+        too.  Groups and columns come from the flags' own masks, so the plan
+        is sound for any id list.  Other types get no groups.
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
         free = np.ones(m, dtype=bool)
         groups: List[np.ndarray] = []
+        points: List[int] = []
         if self._kneser_fast and m > 1:
             words = np.stack([col[ids] for col in self._cols[0] + self.dual_top_cols], axis=1)
             incidence = _unpack_bits(words)
-            counts = incidence.sum(axis=0, dtype=np.int64)
+            # int32 sums run about twice as fast as int64 ones
+            counts = incidence.sum(axis=0, dtype=np.int32)
             while True:
                 point = int(np.argmax(counts))
                 if counts[point] < 2:
                     break
                 members = np.nonzero(free & (incidence[:, point] != 0))[0]
                 groups.append(members)
+                points.append(point)
                 free[members] = False
-                counts -= incidence[members].sum(axis=0, dtype=np.int64)
+                if members.size <= np.count_nonzero(free):
+                    counts -= incidence[members].sum(axis=0, dtype=np.int32)
+                else:
+                    # fewer flags are left than were grouped: count them afresh
+                    counts = incidence[free].sum(axis=0, dtype=np.int32)
         rest = np.nonzero(free)[0]
         order = np.concatenate(groups + [rest])
 
-        blocks: List[Tuple[int, int, int]] = []
+        blocks: List[Tuple[int, int, np.ndarray]] = []
         pair_tests = 0
         start = 0
-        for g in groups:
-            # the rows of a group against every later position
+        for g, point in zip(groups, points):
             stop = start + g.size
-            cols = m - stop
-            pair_tests += g.size * cols
-            if cols:
-                step = max(1, _BLOCK_PAIRS // cols)
-                blocks += [(r, min(r + step, stop), stop) for r in range(start, stop, step)]
+            cols = stop + np.flatnonzero(self._star_columns(point, ids[order[stop:]]))
+            pair_tests += g.size * cols.size
+            if cols.size:
+                step = max(1, _BLOCK_PAIRS // cols.size)
+                blocks += [(r, min(r + step, stop), cols) for r in range(start, stop, step)]
             start = stop
         pair_tests += comb(m - start, 2)
         # the ungrouped rest: one triangle, each row against the rows after it
+        tail = np.arange(start + 1, m)
         r = start
         while r < m - 1:
             step = max(1, _BLOCK_PAIRS // (m - 1 - r))
-            blocks.append((r, min(r + step, m - 1), r + 1))
+            blocks.append((r, min(r + step, m - 1), tail[r - start :]))
             r += step
         return StarPlan(
             order=order,
@@ -695,6 +717,24 @@ class FlagUniverse:
             pairs_pruned=comb(m, 2) - pair_tests,
         )
 
+    def _star_columns(self, point: int, ids: np.ndarray) -> np.ndarray:
+        """Which flags of ids the rows of a star at point must still be tested against.
+
+        point indexes star_plan's incidence: below n_words * 64 it is the
+        point P of a pi-star, which prunes the flags whose tau holds P; from
+        there on it is the dual point of the hyperplane H of an H-star, which
+        prunes the flags whose pi lies in H.
+        """
+        width = self.n_words * _WORD_BITS
+        if point < width:
+            w, b = divmod(point, _WORD_BITS)
+            return (self._cols[1][w][ids] >> _WORD(b)) & _WORD(1) == 0
+        outside = ~self._hyperplane_words()[point - width]
+        scan = np.zeros(ids.size, dtype=bool)
+        for w in range(self.n_words):
+            scan |= (self._cols[0][w][ids] & outside[w]) != 0
+        return scan
+
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
     ) -> Optional[Tuple[int, int]]:
@@ -702,13 +742,13 @@ class FlagUniverse:
 
         "First" means smallest position pair in the given order, so callers
         that pass canonically sorted ids get reproducible witnesses.  For type
-        {d, d+1} in rank 2d+1 the scan tests the pairs of star_plan(ids) (or
-        of the given plan, which must come from these ids) and skips the pairs
-        inside a star group, which are provably not adjacent.  Its blocks run
-        through run_blocks; each reports its smallest adjacent (min, max)
-        caller position pair, and the smallest over all blocks is the
-        row-major first pair whatever the thread count.  Other types test
-        every pair.
+        {d, d+1} in rank 2d+1 the scan tests only the pairs of star_plan(ids)
+        (or of the given plan, which must come from these ids); the pairs it
+        skips are provably not adjacent, so the witness is the same as that
+        of a scan of every pair.  Its blocks run through run_blocks; each
+        reports its smallest adjacent (min, max) caller position pair, and
+        the smallest over all blocks is the row-major first pair whatever the
+        thread count.  Other types test every pair.
         """
         ids = np.asarray(list(ids), dtype=np.int64)
         m = int(ids.size)
@@ -734,41 +774,42 @@ class FlagUniverse:
         return int(ids[found[0]]), int(ids[found[1]])
 
     def _tiled_pair_scan(
-        self, sub, order: np.ndarray, block: Tuple[int, int, int], brow: int = 64, bcol: int = 2048
+        self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray], brow: int = 64, bcol: int = 2048
     ) -> Optional[Tuple[int, int]]:
-        """Rows r0..r1-1 against the columns c0..m-1 after them, in tiles.
+        """Rows r0..r1-1 against the plan positions cols after them, in tiles.
 
-        sub holds the gathered masks in plan order; order maps a plan row
-        back to its caller position.  Returns the smallest (min, max) caller
-        position pair among the adjacent ones, or None.
+        sub holds the gathered masks in plan order; order maps a plan
+        position back to its caller position.  Returns the smallest (min,
+        max) caller position pair among the adjacent ones, or None.
         """
         lo, hi = sub
-        m = int(order.size)
-        r0, r1, c0 = block
+        r0, r1, cols = block
         best = None
-        for rs in range(r0, r1, brow):
-            re = min(rs + brow, r1)
-            for cs in range(max(c0, rs + 1), m, bcol):
-                ce = min(cs + bcol, m)
+        for cs in range(0, cols.size, bcol):
+            c = cols[cs : cs + bcol]
+            lo_c, hi_c = [word[c] for word in lo], [word[c] for word in hi]
+            # rows from the last column on have no column after them
+            for rs in range(r0, min(r1, int(c[-1])), brow):
+                re = min(rs + brow, r1)
                 # nonzero where the pair meets: pi_a & tau_b or tau_a & pi_b, any word
-                z = lo[0][rs:re, None] & hi[0][None, cs:ce]
+                z = lo[0][rs:re, None] & hi_c[0][None, :]
                 t = np.empty_like(z)
                 for w in range(self.n_words):
                     if w:
-                        np.bitwise_and(lo[w][rs:re, None], hi[w][None, cs:ce], out=t)
+                        np.bitwise_and(lo[w][rs:re, None], hi_c[w][None, :], out=t)
                         z |= t
-                    np.bitwise_and(hi[w][rs:re, None], lo[w][None, cs:ce], out=t)
+                    np.bitwise_and(hi[w][rs:re, None], lo_c[w][None, :], out=t)
                     z |= t
-                if cs < re:
-                    # this tile straddles the diagonal; keep only column > row
-                    z[np.tri(re - rs, ce - cs, rs - cs, dtype=bool)] = 1
+                if c[0] < re:
+                    # some columns are not after some rows; keep only column > row
+                    z[c[None, :] <= np.arange(rs, re)[:, None]] = 1
                 if np.count_nonzero(z) == z.size:
                     continue
-                r, c = np.nonzero(z == 0)
-                a, b = order[r + rs], order[c + cs]
+                r, k = np.nonzero(z == 0)
+                a, b = order[r + rs], order[c[k]]
                 first, second = np.minimum(a, b), np.maximum(a, b)
-                k = int(np.lexsort((second, first))[0])
-                cand = (int(first[k]), int(second[k]))
+                j = int(np.lexsort((second, first))[0])
+                cand = (int(first[j]), int(second[j]))
                 if best is None or cand < best:
                     best = cand
         return best
@@ -780,18 +821,8 @@ class FlagUniverse:
     def _scalar_pair_scan(self, sub, m: int) -> Optional[Tuple[int, int]]:
         # general-type fallback; only small universes take this path
         for a in range(m - 1):
-            sl = slice(a + 1, m)
-            adj = None
-            for pa, ra in zip(range(len(self.types)), self.types):
-                for pb, rb in zip(range(len(self.types)), self.types):
-                    acc = sub[pa][0][a] & sub[pb][0][sl]
-                    for w in range(1, self.n_words):
-                        acc = acc | (sub[pa][w][a] & sub[pb][w][sl])
-                    pc = _popcount(acc)
-                    meet_rank = self._rank_of_popcount[pc]
-                    ok = (pc == 0) | (ra + rb - meet_rank == self.n)
-                    adj = ok if adj is None else (adj & ok)
-            if adj.size and adj.any():
+            adj = self._general_row(sub, a, sub, slice(a + 1, m))
+            if adj.any():
                 return a, a + 1 + int(np.argmax(adj))
         return None
 
@@ -809,17 +840,7 @@ class FlagUniverse:
         It tests the general-position rule for every member pair; for type
         {d, d+1} in rank 2d+1, MemberBits tests a whole set at once.
         """
-        adj = None
-        for pa, ra in zip(range(len(self.types)), self.types):
-            for pb, rb in zip(range(len(self.types)), self.types):
-                acc = self._cols[pa][0][i] & sub_cols[pb][0]
-                for w in range(1, self.n_words):
-                    acc = acc | (self._cols[pa][w][i] & sub_cols[pb][w])
-                pc = _popcount(acc)
-                meet_rank = self._rank_of_popcount[pc]
-                ok = (pc == 0) | (ra + rb - meet_rank == self.n)
-                adj = ok if adj is None else (adj & ok)
-        return bool(adj.any())
+        return bool(self._general_row(self._cols, i, sub_cols, slice(None)).any())
 
 
 def neighbors(f: Flag, universe: FlagUniverse) -> Iterator[int]:

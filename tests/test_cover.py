@@ -74,7 +74,37 @@ def test_pinned_32_star_plans(u32):
         plan = u32.star_plan(np.nonzero(generic | special)[0])
         assert plan.group_sizes == (9765, 620, 620)
         tests += plan.pair_tests
-    assert tests == 362_297_000
+    # the groups' shared points prove every pair; the star groups alone left 362,297,000
+    assert tests == 0
+
+
+def test_verify_report_star_groups(u22):
+    cert = cover.build_cover(2, 2)
+    data = cover.verify_cover(cert, universe=u22).to_json()
+    for desc, entry in zip(cert.classes, data["class_sizes"]):
+        generic, special = indsets.descriptor_masks(desc, u22)
+        plan = u22.star_plan(np.nonzero(generic | special)[0])
+        assert entry["star_groups"] == list(plan.group_sizes) == [105, 14, 14]
+        assert entry["pair_tests"] == 0
+    json.dumps(data)
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_dualized_cover_needs_no_pair_tests(name, request):
+    # the polarity turns the pinned classes' point stars into hyperplane stars
+    universe = request.getfixturevalue(name)
+    cert = cover.dualize_cover(cover.build_cover(2, universe.field.q))
+    data = cover.verify_cover(cert, universe=universe).to_json()
+    assert data["valid"] and data["pair_tests"] == 0
+
+
+def test_verify_cover_24_needs_no_pair_tests():
+    report = cover.verify_cover(cover.build_cover(2, 4))
+    data = report.to_json()
+    assert report.valid and report.total_flags == qcalc.flag_count(2, 4)
+    assert data["pair_tests"] == 0
+    assert data["pairs_pruned"] == sum(comb(e["total"], 2) for e in data["class_sizes"])
+    assert all(e["star_groups"] == [1785, 84, 84, 84, 84] for e in data["class_sizes"])
 
 
 def test_verify_cover_23(u23):

@@ -1,5 +1,7 @@
 import io
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -268,6 +270,48 @@ def test_star_rule_sound_against_adjacency_rows(u23):
     assert pruned > 0
 
 
+def column_rule_rows(universe):
+    """(a, pruned) for every flag a: the flags that a star at any of a's star
+    points prunes as columns of the row a, by the column rule of star_plan."""
+    everyone = np.arange(len(universe))
+    words = np.stack(universe._cols[0] + universe.dual_top_cols, axis=1)
+    incidence = kneser._unpack_bits(words).astype(bool)
+    points = np.flatnonzero(incidence.any(axis=0))
+    pruned = np.array([~universe._star_columns(int(p), everyone) for p in points])
+    for a in range(len(universe)):
+        yield a, pruned[incidence[a, points]].any(axis=0)
+
+
+def test_column_rule_sound_against_definition(u22):
+    flags = list(u22)
+    pairs = set()
+    for a, rule in column_rule_rows(u22):
+        pairs.update((min(a, b), max(a, b)) for b in np.flatnonzero(rule).tolist() if b != a)
+    assert pairs
+    for a, b in pairs:
+        assert not kneser.general_position(flags[a], flags[b])
+
+
+def test_column_rule_sound_against_adjacency_rows(u23):
+    pruned = 0
+    for a, rule in column_rule_rows(u23):
+        assert not (rule & u23.adjacency_row(a)).any()
+        pruned += int(np.count_nonzero(rule))
+    assert pruned > 0
+
+
+def surviving_extras(universe, members, candidates):
+    """Flags of candidates that, added to members, some star group still tests."""
+    out = []
+    for x in candidates:
+        plan = universe.star_plan(members + [x])
+        pos = int(np.flatnonzero(plan.order == len(members))[0])
+        grouped = sum(plan.group_sizes)
+        if any(pos in cols for r0, _r1, cols in plan.blocks if r0 < grouped):
+            out.append(x)
+    return out
+
+
 @pytest.mark.parametrize("name", ["u22", "u23"])
 def test_star_scan_matches_reference(name, request):
     universe = request.getfixturevalue(name)
@@ -286,11 +330,55 @@ def test_star_scan_matches_reference(name, request):
         for ids in (list(members), invalid):
             rng.shuffle(ids)
             cases.append(ids)
+    # an extra flag that the column filter keeps is tested against a group
+    for members in classes[:4]:
+        extras = surviving_extras(universe, members, rng.sample(range(len(universe)), 40))[:3]
+        assert extras
+        for x in extras:
+            invalid = members + [x]
+            cases.append(invalid)
+            cases.append(rng.sample(invalid, len(invalid)))
     witnesses = [reference_pair_scan(universe, ids) for ids in cases]
     assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
     for ids, expected in zip(cases, witnesses):
         for threads in (1, 4):
             assert universe.check_pairwise_independent(ids, threads=threads) == expected
+
+
+@pytest.mark.parametrize("tiles", [(64, 2048), (7, 11)])
+def test_tiled_scan_blocks_match_reference(u22, tiles):
+    """A block (r0, r1, cols) reports the smallest adjacent caller pair among
+    its rows r against its columns c > r; so does the block cut down to its
+    rows from r on, whose first pairs are row r's."""
+    adjacency = np.array([u22.adjacency_row(i) for i in range(len(u22))])
+    rng = random.Random(23)
+    desc = cover.build_cover(2, 2).classes[0]
+    members = np.nonzero(np.logical_or(*indsets.descriptor_masks(desc, u22)))[0].tolist()
+    cases = []
+    for ids in (rng.sample(range(len(u22)), 300), members + rng.sample(range(len(u22)), 40)):
+        plan = u22.star_plan(ids)
+        cases.append((np.array(ids)[plan.order], plan.order, plan.blocks))
+    # plan positions in caller order: a triangle, and columns that overlap the rows
+    ids = np.array(rng.sample(range(len(u22)), 120))
+    order = np.arange(ids.size)
+    overlap = np.array(sorted(rng.sample(range(ids.size), 50)))
+    cases.append((ids, order, [(0, 119, np.arange(1, 120)), (20, 90, overlap)]))
+    adjacent_blocks = 0
+    for placed, order, blocks in cases:
+        sub = u22._gather(placed)
+        order_list = order.tolist()
+        for r0, r1, cols in blocks:
+            pairs = [
+                (r, (min(order_list[r], order_list[c]), max(order_list[r], order_list[c])))
+                for r in range(r0, r1)
+                for c in cols.tolist()
+                if c > r and adjacency[placed[r], placed[c]]
+            ]
+            adjacent_blocks += bool(pairs)
+            for start in range(r0, r1):
+                expected = min((p for r, p in pairs if r >= start), default=None)
+                assert u22._tiled_pair_scan(sub, order, (start, r1, cols), *tiles) == expected
+    assert adjacent_blocks >= 2
 
 
 def test_star_plan_counts_every_pair(u22):
@@ -300,9 +388,34 @@ def test_star_plan_counts_every_pair(u22):
         plan = u22.star_plan(ids)
         assert sorted(plan.order.tolist()) == list(range(size))
         assert plan.pair_tests + plan.pairs_pruned == size * (size - 1) // 2
-        # a block pairs each of its rows with the columns from c0 on after it
-        tested = sum(size - max(c0, r + 1) for r0, r1, c0 in plan.blocks for r in range(r0, r1))
-        assert tested == plan.pair_tests
+        # a block pairs each of its rows with the positions of cols after it
+        tested = [
+            (r, c) for r0, r1, cols in plan.blocks for r in range(r0, r1) for c in cols.tolist() if c > r
+        ]
+        assert len(tested) == len(set(tested)) == plan.pair_tests
+        # every untested pair has its row in a group, and a point shared by
+        # that group proves it non-adjacent: a point of every pi in the
+        # column's tau, or the dual point of a hyperplane holding every tau
+        # and the column's pi
+        flags = [u22.flag_of(ids[k]) for k in plan.order.tolist()]
+        tested = set(tested)
+        start = 0
+        for g in plan.group_sizes:
+            group = flags[start : start + g]
+            shared_lo = reduce(operator.and_, (kneser.subspace_point_mask(f.chain[0]) for f in group))
+            shared_dual = reduce(
+                operator.and_, (kneser.subspace_point_mask(pg.dual(f.chain[1])) for f in group)
+            )
+            assert shared_lo or shared_dual
+            for c in range(start, size):
+                tau, pi_dual = flags[c].chain[1], pg.dual(flags[c].chain[0])
+                proved = shared_lo & kneser.subspace_point_mask(tau) or (
+                    shared_dual & kneser.subspace_point_mask(pi_dual)
+                )
+                for r in range(start, min(start + g, c)):
+                    assert (r, c) in tested or proved
+            start += g
+        assert all((r, c) in tested for r in range(start, size) for c in range(r + 1, size))
 
 
 def test_export_dimacs_fano(f2):
