@@ -284,7 +284,7 @@ def _cmd_indset(args) -> int:
         })
         return EXIT_OK
     out = {"variant": desc.variant, "total": len(split), "independent": independent}
-    result = indsets.classify(split.all, universe)
+    result = indsets.classify(indsets.id_mask(split.all, universe), universe)
     out["classified"] = (
         indsets.descriptor_to_json(result)
         if isinstance(result, indsets.IndSetDescriptor)
@@ -312,6 +312,11 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    # checked before the universe is built, which can take seconds
+    if args.samples < 1:
+        return _fail(f"--samples must be at least 1, got {args.samples}")
+    if args.rho < 1:
+        return _fail(f"--rho must be at least 1, got {args.rho}")
     fld = gf.make_field(args.q)
     universe = kneser.FlagUniverse(2 * args.d + 1, (args.d, args.d + 1), fld)
     stats = explore.conjecture_probe(

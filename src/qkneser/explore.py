@@ -12,10 +12,13 @@ sampled sizes can be read against them.
 The greedy walks a random order of all flags (a stable argsort of random
 64-bit keys) in chunks.  FlagUniverse.member_bits keeps one bit per member
 in a row per lower and per upper table entry, and a flag is adjacent to some
-member iff the AND of its two rows is nonzero; so a whole chunk is tested
-against the current members at once.  The few flags that pass are tested
-again, in order, as each of them joins, which gives exactly the set of the
-one-flag-at-a-time greedy on the same order.
+member iff the AND of its two rows is nonzero; so one blocked call tests a
+whole chunk against the current members.  The flags that pass are picked on
+their own mask words: keep the first, drop every later one adjacent to it,
+and repeat.  The picked flags join the members in one add.  This gives
+exactly the set of the one-flag-at-a-time greedy on the same order.  The
+pencil tests of a sample run once, on the table entries its outside flags
+use, and classify reuses their candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from . import indsets, qcalc
-from .errors import NotIndependent, TooLarge
+from .errors import InvalidArgs, NotIndependent, TooLarge
 from .gf import make_field
 from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse
 
@@ -103,13 +106,28 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
     for c0 in range(0, order.size, _CHUNK):
         chunk = order[c0 : c0 + _CHUNK]
         free = chunk[~in_set[chunk] & ~bits.blocked(chunk)]
-        # free[0] meets no member; once it joins, the rest are tested again
-        while free.size:
-            bits.add(free[:1])
-            current.append(int(free[0]))
-            rest = free[1:]
-            free = rest[~bits.blocked(rest)]
+        if free.size:
+            picked = _pick_apart(free, universe)
+            bits.add(picked)
+            current += picked.tolist()
     return sorted(current)
+
+
+def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
+    """The flags that the one-flag-at-a-time greedy takes from free, in order.
+
+    Keep free[0], drop every later flag adjacent to it, and repeat; flags a
+    and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).
+    """
+    lo, hi = (words[tids[free]] for words, tids in zip(universe._table_words, universe.member_ids))
+    keep = []
+    alive = np.arange(free.size)
+    while alive.size:
+        k, rest = alive[0], alive[1:]
+        keep.append(k)
+        meets = ((lo[rest] & hi[k]) | (hi[rest] & lo[k])).any(axis=1)
+        alive = rest[meets]
+    return free[keep]
 
 
 def greedy_complete(seed_set: Iterable[Flag], rng_seed: int, universe: FlagUniverse) -> Set[Flag]:
@@ -118,14 +136,6 @@ def greedy_complete(seed_set: Iterable[Flag], rng_seed: int, universe: FlagUnive
     rng = random.Random(rng_seed)
     ids = _greedy_complete_ids(seed_ids, rng, universe)
     return {universe.flag_of(i) for i in ids}
-
-
-def _contains_point_pencil(in_set: np.ndarray, universe: FlagUniverse) -> bool:
-    return bool(indsets.pencil_base_candidates(in_set, universe))
-
-
-def _contains_dual_point_pencil(in_set: np.ndarray, universe: FlagUniverse) -> bool:
-    return bool(indsets.dual_pencil_base_candidates(in_set, universe))
 
 
 def conjecture_probe(
@@ -138,7 +148,7 @@ def conjecture_probe(
 ) -> SampleStats:
     """Sample maximal independent sets and bucket them by the trichotomy."""
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidArgs("need at least one sample")
     known = qcalc.size_constants(d, q, rho_candidate)
     fld = make_field(q)
     if universe is None:
@@ -154,16 +164,18 @@ def conjecture_probe(
         size = len(ids)
         stats.size_histogram[size] = stats.size_histogram.get(size, 0) + 1
         in_set = np.zeros(len(universe), dtype=bool)
-        in_set[np.array(ids, dtype=np.int64)] = True
-        if _contains_point_pencil(in_set, universe):
+        in_set[ids] = True
+        points = indsets.pencil_base_candidates(in_set, universe)
+        dual_points = indsets.dual_pencil_base_candidates(in_set, universe)
+        if points:
             stats.with_point_pencil += 1
-        elif _contains_dual_point_pencil(in_set, universe):
+        elif dual_points:
             stats.with_dual_point_pencil += 1
         elif size <= stats.threshold:
             stats.trichotomy_small += 1
         else:
             stats.unstructured_large.append((size, master_seed * 1_000_003 + i))
-        result = indsets.classify((universe.flag_of(j) for j in ids), universe)
+        result = indsets.classify(in_set, universe, (points, dual_points))
         key = result.variant if isinstance(result, indsets.IndSetDescriptor) else "unstructured"
         stats.classified_variants[key] = stats.classified_variants.get(key, 0) + 1
     return stats

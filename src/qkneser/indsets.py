@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
-from .errors import DimensionMismatch, InvalidDescriptor
+from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
 from .kneser import (
     Flag,
@@ -379,22 +379,35 @@ def is_maximal(flags: Iterable[Flag], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
+def _points_off(rows: np.ndarray, tids: np.ndarray, outside: np.ndarray, num_points: int) -> List[int]:
+    """Points on none of the table entries that the outside flags use.
+
+    rows holds one mask row per table entry and tids each flag's entry, so
+    the OR runs over the distinct entries touched, not over the flags.
+    """
+    touched = np.bincount(tids[outside], minlength=rows.shape[0]) != 0
+    covered = np.bitwise_or.reduce(rows[touched], axis=0)
+    bits = np.unpackbits(covered.astype("<u8").view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits[:num_points] == 0).tolist()
+
+
 def pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
-    """Point bits whose full point-pencil lies inside the selected flags."""
-    outside = ~in_set
-    covered = universe.or_reduce_member_masks(0, outside)
-    return [b for b in range(universe.num_points) if not (covered >> b) & 1]
+    """Point bits whose full point-pencil lies inside the selected flags:
+    the points on no lower member of a flag outside the set."""
+    return _points_off(universe._table_words[0], universe.member_ids[0], ~in_set, universe.num_points)
 
 
 def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
-    """Dual-point bits (H^perp) whose full dual pencil lies inside the set."""
-    outside = ~in_set
-    mask = 0
-    for w in range(universe.n_words):
-        col = universe.dual_top_cols[w][outside]
-        word = int(np.bitwise_or.reduce(col)) if col.size else 0
-        mask |= word << (64 * w)
-    return [b for b in range(universe.num_points) if not (mask >> b) & 1]
+    """Dual-point bits (H^perp) whose full dual pencil lies inside the set:
+    the points on the dual of no upper member of a flag outside the set."""
+    return _points_off(universe.dual_top_words, universe.member_ids[-1], ~in_set, universe.num_points)
+
+
+def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:
+    """The boolean id mask of a set of flags, as classify takes it."""
+    mask = np.zeros(len(universe), dtype=bool)
+    mask[np.array([universe.id_of(f) for f in flags], dtype=np.int64)] = True
+    return mask
 
 
 def _point_subspace(universe: FlagUniverse, bit: int) -> pg.Subspace:
@@ -441,56 +454,54 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
     return generic, special
 
 
-def classify(flags: Iterable[Flag], universe: FlagUniverse):
+def classify(
+    in_set: np.ndarray,
+    universe: FlagUniverse,
+    candidates: Optional[Tuple[List[int], List[int]]] = None,
+):
     """Recover a structured descriptor from a set of flags, if possible.
 
-    Guaranteed only for sets produced by build and for maximal independent
-    sets above the e1 threshold; returns UNSTRUCTURED otherwise whenever no
-    base is detected or the special part does not validate.
+    The set is given as its boolean id mask over the universe (see id_mask).
+    candidates, if the caller has them, are its pencil_base_candidates and
+    dual_pencil_base_candidates.  Guaranteed only for sets produced by build
+    and for maximal independent sets above the e1 threshold; returns
+    UNSTRUCTURED otherwise whenever no base is detected or the special part
+    does not validate.
     """
-    flag_set = set(flags)
-    if not flag_set:
+    in_set = np.asarray(in_set)
+    if in_set.dtype != bool or in_set.shape != (len(universe),):
+        raise InvalidArgs(f"classify needs a boolean mask of {len(universe)} flag ids")
+    if not in_set.any():
         return UNSTRUCTURED
-    in_set = np.zeros(len(universe), dtype=bool)
-    for f in flag_set:
-        in_set[universe.id_of(f)] = True
-
-    for bit in pencil_base_candidates(in_set, universe):
+    if candidates is None:
+        candidates = pencil_base_candidates(in_set, universe), dual_pencil_base_candidates(in_set, universe)
+    points, dual_points = candidates
+    for bit in points:
         p = _point_subspace(universe, bit)
-        generic_mask = universe.member_has_point(0, bit)
-        special_ids = np.nonzero(in_set & ~generic_mask)[0]
-        if special_ids.size == 0:
-            if int(np.count_nonzero(generic_mask)) == len(flag_set):
-                return point_pencil(p)
-            continue
-        tops = {universe.flag_of(i).chain[1] for i in special_ids}
-        try:
-            desc = point_family(p, tops)
-        except InvalidDescriptor:
-            continue
-        gen2, spec2 = descriptor_masks(desc, universe)
-        if np.array_equal(gen2 | spec2, in_set):
+        desc = _match_family(in_set, universe, point_family, p, universe.member_has_point(0, bit), 1)
+        if desc is not None:
             return desc
-
-    universe.dual_top_cols  # force dual masks
-    for bit in dual_pencil_base_candidates(in_set, universe):
+    for bit in dual_points:
         h = pg.dual(_point_subspace(universe, bit))
-        generic_mask = universe.dual_top_has_point(bit)
-        special_ids = np.nonzero(in_set & ~generic_mask)[0]
-        if special_ids.size == 0:
-            if int(np.count_nonzero(generic_mask)) == len(flag_set):
-                return dual_point_pencil(h)
-            continue
-        lows = {universe.flag_of(i).chain[0] for i in special_ids}
-        try:
-            desc = hyperplane_family(h, lows)
-        except InvalidDescriptor:
-            continue
-        gen2, spec2 = descriptor_masks(desc, universe)
-        if np.array_equal(gen2 | spec2, in_set):
+        desc = _match_family(in_set, universe, hyperplane_family, h, universe.dual_top_has_point(bit), 0)
+        if desc is not None:
             return desc
-
     return UNSTRUCTURED
+
+
+def _match_family(
+    in_set: np.ndarray, universe: FlagUniverse, make, base: pg.Subspace, generic: np.ndarray, pos: int
+) -> Optional[IndSetDescriptor]:
+    """make(base, members at chain position pos of the set's flags outside
+    generic), if that descriptor describes exactly the set; else None.  With
+    no such flags, make normalizes to the pencil of base."""
+    special = np.flatnonzero(in_set & ~generic)
+    try:
+        desc = make(base, {universe.flag_of(i).chain[pos] for i in special.tolist()})
+    except InvalidDescriptor:
+        return None
+    gen, spec = descriptor_masks(desc, universe)
+    return desc if np.array_equal(gen | spec, in_set) else None
 
 
 def dualize_descriptor(desc: IndSetDescriptor) -> IndSetDescriptor:

@@ -70,6 +70,10 @@ _BLOCK_PAIRS = 1 << 21
 # members per step of MemberBits.add; bounds its scratch arrays
 _MEMBER_CHUNK = 4096
 
+# bit k of a word as a uint64 weight: MemberBits.add inserts a run of members
+# as one weighted sum
+_BIT_WEIGHTS = np.left_shift(_WORD(1), np.arange(_WORD_BITS, dtype=_WORD))
+
 
 class Flag:
     """A nested chain of canonical subspaces, one per rank in its type."""
@@ -343,7 +347,8 @@ class MemberBits:
     lower[lo_tid(c)] & upper[hi_tid(c)] has a set bit.  The entries that
     meet a member's entry are the OR of the entries through its points
     (FlagUniverse.entries_through_points), so a member costs its point
-    count times one bit row per table.
+    count times one bit row per table.  Members are cheapest added in
+    batches: add writes up to 64 members' bits with one weighted sum.
     """
 
     def __init__(self, universe: "FlagUniverse"):
@@ -369,7 +374,12 @@ class MemberBits:
         return out
 
     def add(self, ids: Sequence[int]) -> None:
-        """Make the flags ids members; their bits follow the given order."""
+        """Make the flags ids members; their bits follow the given order.
+
+        Each run of up to 64 new members whose bits share word w goes in as
+        one weighted sum over their apart rows, with weight 2^b for bit b;
+        the bits are distinct, so the sum is their OR.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         extra = (self.size + ids.size + _WORD_BITS - 1) // _WORD_BITS - self.lower.shape[1]
         if extra > 0:
@@ -380,25 +390,25 @@ class MemberBits:
         for c0 in range(0, ids.size, _MEMBER_CHUNK):
             chunk = ids[c0 : c0 + _MEMBER_CHUNK]
             for pos, bits in enumerate((self.lower, self.upper)):
-                # members that share an opposite entry share its row; a lone
-                # member, as the greedy adds them, skips the sort
-                opposite = self._tids[1 - pos][chunk]
-                uniq, inv = np.unique(opposite, return_inverse=True) if chunk.size > 1 else (opposite, [0])
+                # members that share an opposite entry share its row
+                uniq, inv = np.unique(self._tids[1 - pos][chunk], return_inverse=True)
                 apart = self._apart(pos, self._words[1 - pos][uniq])
                 k = 0
                 while k < chunk.size:
-                    # the next members whose bits share word w
+                    # the next members, whose bits share word w; einsum's
+                    # integer loop runs about twice as fast as np.dot here
                     w, b = divmod(self.size + k, _WORD_BITS)
                     run = apart[inv[k : k + _WORD_BITS - b]]
-                    shifts = np.arange(b, b + run.shape[0], dtype=_WORD)[:, None]
-                    bits[:, w] |= np.bitwise_or.reduce(run.astype(_WORD) << shifts, axis=0)
+                    weights = _BIT_WEIGHTS[b : b + run.shape[0]]
+                    bits[:, w] |= np.einsum("i,ij->j", weights, run.view(np.uint8))
                     k += run.shape[0]
             self.size += chunk.size
 
     def blocked(self, ids: np.ndarray) -> np.ndarray:
         """For each flag of ids, whether it is adjacent to some member."""
-        both = self.lower[self._tids[0][ids]] & self.upper[self._tids[1][ids]]
-        return np.bitwise_or.reduce(both, axis=1) != 0
+        both = self.lower[self._tids[0][ids]]
+        both &= self.upper[self._tids[1][ids]]
+        return both.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -467,6 +477,7 @@ class FlagUniverse:
             [words[:, w][ids] for w in range(self.n_words)]
             for words, ids in zip(self._table_words, self.member_ids)
         ]
+        self._dual_top_words = None
         self._dual_top = None
         self._hyperplanes = None
         self._through = None
@@ -540,34 +551,32 @@ class FlagUniverse:
     def member_id_in(self, pos: int, table_ids: Sequence[int]) -> np.ndarray:
         return np.isin(self.member_ids[pos], np.array(list(table_ids), dtype=np.int64))
 
-    def or_reduce_member_masks(self, pos: int, selector: np.ndarray) -> int:
-        """OR of the member masks over the selected flags, as one int."""
-        mask = 0
-        for w in range(self.n_words):
-            col = self._cols[pos][w][selector]
-            word = int(np.bitwise_or.reduce(col)) if col.size else 0
-            mask |= word << (_WORD_BITS * w)
-        return mask
-
     @property
-    def dual_top_cols(self) -> List[np.ndarray]:
-        """Masks of the duals of the top chain member (built lazily).
+    def dual_top_words(self) -> np.ndarray:
+        """Row t holds the mask words of the dual of top table entry t (built lazily).
 
         s^perp is the meet of the hyperplanes x^perp over the basis rows x of
         s, and canonical basis rows are normalized, so they are points: its
         mask is the AND of their hyperplane masks, read off the table of dot
         products of points.
         """
-        if self._dual_top is None:
+        if self._dual_top_words is None:
             hyperplanes = self._hyperplane_words()
-            pos = len(self.types) - 1
             index = pg.point_index(self.n, self.field)
-            basis = np.array([[index[r] for r in s.rows] for s in self.tables[pos]])
+            basis = np.array([[index[r] for r in s.rows] for s in self.tables[-1]])
             dual_words = hyperplanes[basis[:, 0]]
             for j in range(1, basis.shape[1]):
                 dual_words &= hyperplanes[basis[:, j]]
-            ids = self.member_ids[pos]
-            self._dual_top = [dual_words[:, w][ids] for w in range(self.n_words)]
+            self._dual_top_words = dual_words
+        return self._dual_top_words
+
+    @property
+    def dual_top_cols(self) -> List[np.ndarray]:
+        """Per flag, the mask words of the dual of its top member, one column
+        per word (built lazily from dual_top_words)."""
+        if self._dual_top is None:
+            ids = self.member_ids[-1]
+            self._dual_top = [self.dual_top_words[:, w][ids] for w in range(self.n_words)]
         return self._dual_top
 
     def _hyperplane_words(self) -> np.ndarray:
@@ -598,7 +607,8 @@ class FlagUniverse:
 
     def dual_top_has_point(self, point_bit: int) -> np.ndarray:
         w, b = divmod(point_bit, _WORD_BITS)
-        return (self.dual_top_cols[w] >> _WORD(b)) & _WORD(1) != 0
+        has = (self.dual_top_words[:, w] >> _WORD(b)) & _WORD(1) != 0
+        return has[self.member_ids[-1]]
 
     # -- adjacency -----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qkneser import cli, cover, indsets, pg
+from qkneser import cli, cover, indsets, kneser, pg
 
 from conftest import unit_rows
 
@@ -153,6 +153,22 @@ def test_explore_cli_reproducible(capsys):
     code, out1, _ = run_cli(capsys, "explore", "--d", "2", "--q", "2", "--samples", "4", "--seed", "9")
     code, out2, _ = run_cli(capsys, "explore", "--d", "2", "--q", "2", "--samples", "4", "--seed", "9")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "0"), ("--samples", "-3"), ("--rho", "0"), ("--rho", "-1")]
+)
+def test_explore_cli_rejects_bad_counts_before_building(capsys, monkeypatch, flag, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was built")
+
+    monkeypatch.setattr(kneser, "FlagUniverse", refuse)
+    argv = {"--samples": "5", "--rho": "5", flag: value}
+    args = [x for kv in argv.items() for x in kv]
+    code, out, err = run_cli(capsys, "explore", "--d", "2", "--q", "2", *args)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and flag in err and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

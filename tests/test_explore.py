@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_greedy_kernel_fixed_point_on_point_line_class(name, q, request):
     assert got == expected == ids
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, explore._CHUNK])
 def test_greedy_kernel_independent_of_chunk_size(chunk, u22, u23, monkeypatch):
     monkeypatch.setattr(explore, "_CHUNK", chunk)
     for universe, q in ((u22, 2), (u23, 3)):
@@ -255,3 +256,15 @@ def test_probe_does_not_import_numpy_random():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77)])
+def test_explore_output_matches_golden(d, q, samples, seed):
+    # the recorded stdout pins the samples drawn for a given --seed
+    argv = ["explore", "--d", str(d), "--q", str(q), "--samples", str(samples), "--seed", str(seed)]
+    done = subprocess.run([sys.executable, "-m", "qkneser.cli", *argv], capture_output=True, check=True)
+    expected = (GOLDEN / f"explore_d{d}_q{q}_samples{samples}_seed{seed}.json").read_bytes()
+    assert done.stdout == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkneser import explore, gf, indsets, kneser, pg, qcalc
-from qkneser.errors import InvalidDescriptor
+from qkneser.errors import InvalidArgs, InvalidDescriptor
 from qkneser.indsets import UNSTRUCTURED, IndSetDescriptor
 
 from conftest import unit_rows
@@ -179,21 +179,28 @@ def test_find_extension_general_type(f2):
 def test_classify_round_trips(f2, u22):
     for name, desc in all_variant_descriptors(f2, 2).items():
         split = indsets.build(desc)
-        result = indsets.classify(split.all, u22)
+        result = indsets.classify(indsets.id_mask(split.all, u22), u22)
         assert isinstance(result, IndSetDescriptor), name
         assert result == desc, name
 
 
 def test_classify_unstructured(u22):
-    assert indsets.classify([u22.flag_of(3)], u22) is UNSTRUCTURED
-    assert indsets.classify([], u22) is UNSTRUCTURED
+    assert indsets.classify(indsets.id_mask([u22.flag_of(3)], u22), u22) is UNSTRUCTURED
+    assert indsets.classify(indsets.id_mask([], u22), u22) is UNSTRUCTURED
+
+
+def test_classify_rejects_a_non_mask(u22):
+    with pytest.raises(InvalidArgs):
+        indsets.classify([u22.flag_of(3)], u22)
+    with pytest.raises(InvalidArgs):
+        indsets.classify(np.ones(len(u22) - 1, dtype=bool), u22)
 
 
 def test_classify_dualized_point_line(f2, u22):
     p, ell, _ = standard_objects(f2, 2)
     split = indsets.build(indsets.point_line(p, ell))
     dual_set = {kneser.dual_flag(f) for f in split.all}
-    result = indsets.classify(dual_set, u22)
+    result = indsets.classify(indsets.id_mask(dual_set, u22), u22)
     assert isinstance(result, IndSetDescriptor)
     assert result.variant == "hyperplane_family"
     assert result.base == pg.dual(p)
@@ -201,6 +208,41 @@ def test_classify_dualized_point_line(f2, u22):
     direct = indsets.build(result)
     assert direct.all == frozenset(dual_set)
     assert result == indsets.dualize_descriptor(indsets.point_line(p, ell))
+
+
+def per_flag_candidates(in_set, cols, num_points):
+    """Points on no member of an outside flag, from every flag's own mask words."""
+    words = np.stack(cols, axis=1)[~in_set]
+    on = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return [b for b in range(num_points) if not on[:, b].any()]
+
+
+@pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
+def test_pencil_candidates_match_per_flag_scan(name, q, request):
+    universe = request.getfixturevalue(name)
+    field = gf.make_field(q)
+    rng = random.Random(q)
+    points = [pg.Subspace(field, 5, (row,)) for row in rng.sample(pg.all_points(5, field), 3)]
+    sets = []
+    for p in points:
+        other = next(pt for pt in pg.all_points(5, field) if pt != p.rows[0])
+        for desc in (
+            indsets.point_pencil(p),
+            indsets.dual_point_pencil(pg.dual(p)),
+            indsets.point_line(p, pg.rref([list(p.rows[0]), list(other)], 5, field)),
+        ):
+            sets.append(indsets.id_mask(indsets.build(desc).all, universe))
+    for density in (0.0, 0.3, 0.9, 1.0):
+        noise = np.array([rng.random() < density for _ in range(len(universe))])
+        sets += [noise, noise | sets[0], noise | sets[1]]
+    found = 0
+    for in_set in sets:
+        got = indsets.pencil_base_candidates(in_set, universe)
+        assert got == per_flag_candidates(in_set, universe._cols[0], universe.num_points)
+        got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
+        assert got_dual == per_flag_candidates(in_set, universe.dual_top_cols, universe.num_points)
+        found += len(got) + len(got_dual)
+    assert found
 
 
 def test_dualize_descriptor_involution(f2):
@@ -284,5 +326,5 @@ def test_descriptor_json_requires_canonical_bases(f2):
 def test_classify_round_trips_23(f3, u23):
     for name, desc in all_variant_descriptors(f3, 2).items():
         split = indsets.build(desc)
-        result = indsets.classify(split.all, u23)
+        result = indsets.classify(indsets.id_mask(split.all, u23), u23)
         assert result == desc, name

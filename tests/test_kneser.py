@@ -2,6 +2,7 @@ import io
 import operator
 import random
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -485,24 +486,47 @@ def test_entries_through_points_match_point_masks(u22):
         assert through.tolist() == expected
 
 
+def member_rows_reference(universe, members):
+    """Bit k of lower[t] (upper[u]): entry t (u) misses the opposite member of members[k]."""
+    lo_words, hi_words = universe._table_words
+    lo_tids, hi_tids = universe.member_ids
+    lower = ~(lo_words[:, None, :] & hi_words[hi_tids[members]][None]).any(axis=2)
+    upper = ~(hi_words[:, None, :] & lo_words[lo_tids[members]][None]).any(axis=2)
+    return lower, upper
+
+
+def member_rows(bits):
+    return [
+        np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, : bits.size] != 0
+        for rows in (bits.lower, bits.upper)
+    ]
+
+
 @pytest.mark.parametrize("chunk", [kneser._MEMBER_CHUNK, 5])
-def test_member_bits_blocked_matches_adjacency(u22, chunk, monkeypatch):
+def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
     monkeypatch.setattr(kneser, "_MEMBER_CHUNK", chunk)
-    adjacency = np.array([u22.adjacency_row(i) for i in range(len(u22))])
     rng = random.Random(8)
-    everyone = np.arange(len(u22))
-    # batches of 3, 70 and 1 cross word boundaries at odd offsets; the last
-    # batch repeats table entries, which share rows
-    batches = [rng.sample(range(len(u22)), k) for k in (3, 70, 1, 130)]
-    bits = u22.member_bits()
-    members = []
-    assert not bits.blocked(everyone).any()
-    for batch in batches:
-        bits.add(batch)
-        members += batch
-        assert bits.size == len(members)
-        assert bits.blocked(everyone).tolist() == adjacency[:, members].any(axis=1).tolist()
-    assert u22.member_bits(members).blocked(everyone).tolist() == bits.blocked(everyone).tolist()
+    # the batches start and end inside a 64-bit word, on a boundary, and
+    # run across one or two boundaries; later batches repeat table entries,
+    # which share rows
+    for universe, sizes in product((u22, u23), ((3, 70, 1, 130), (1, 63, 64, 65, 130))):
+        everyone = np.arange(len(universe))
+        bits = universe.member_bits()
+        members = []
+        adjacent = np.zeros(len(universe), dtype=bool)
+        assert not bits.blocked(everyone).any()
+        for k in sizes:
+            batch = rng.sample(range(len(universe)), k)
+            bits.add(batch)
+            members += batch
+            for m in batch:
+                adjacent |= universe.adjacency_row(m)
+            assert bits.size == len(members)
+            assert bits.blocked(everyone).tolist() == adjacent.tolist()
+            # each member's bit sits at its own position in both tables
+            for got, expected in zip(member_rows(bits), member_rows_reference(universe, members)):
+                assert np.array_equal(got, expected)
+        assert universe.member_bits(members).blocked(everyone).tolist() == adjacent.tolist()
 
 
 def test_member_bits_need_kneser_type(f2):
