@@ -16,8 +16,10 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__, cover, explore, gf, indsets, kneser, pg, qcalc
-from .errors import QKneserError
+from .errors import InvalidArgs, QKneserError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,7 +205,10 @@ def _parse_type(args) -> tuple:
         return 2 * args.d + 1, (args.d, args.d + 1)
     if args.n is None or args.type is None:
         raise QKneserError("give either --d, or both --n and --type")
-    return args.n, tuple(int(x) for x in args.type.split(","))
+    try:
+        return args.n, tuple(int(x) for x in args.type.split(","))
+    except ValueError:
+        raise InvalidArgs(f"--type must be comma-separated integers, got {args.type!r}") from None
 
 
 def _cmd_calc(args) -> int:
@@ -228,7 +233,11 @@ def _cmd_calc(args) -> int:
         _emit(report.to_json())
         return EXIT_OK if report.ok else EXIT_INVALID
     elif op == "concentration":
-        value = qcalc.concentration_bound(args.q, args.d, Fraction(args.d0), Fraction(args.n0))
+        try:
+            d0, n0 = Fraction(args.d0), Fraction(args.n0)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidArgs(f"--d0 and --n0 must be fractions, got {args.d0!r}, {args.n0!r}") from None
+        value = qcalc.concentration_bound(args.q, args.d, d0, n0)
         _emit({"numerator": value.numerator, "denominator": value.denominator,
                "value": str(value)})
     return EXIT_OK
@@ -236,7 +245,11 @@ def _cmd_calc(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     fld = gf.make_field(args.q)
+    # --dump holds every object in memory, so the closed-form count is capped first
     if args.enum_op == "subspaces":
+        if args.dump:
+            count = qcalc.gauss(args.n, args.r, args.q)
+            kneser.check_cap(count, f"subspaces of rank {args.r} in GF({args.q})^{args.n}")
         subs = pg.enumerate_subspaces(args.n, args.r, fld)
         if args.dump:
             rows = [[list(r) for r in s.rows] for s in subs]
@@ -246,6 +259,8 @@ def _cmd_enumerate(args) -> int:
             _emit({"count": sum(1 for _ in subs)})
         return EXIT_OK
     n, J = _parse_type(args)
+    if args.dump:
+        kneser.check_cap(kneser.flag_count(n, J, args.q), f"flags of type {J} in GF({args.q})^{n}")
     flags = kneser.enumerate_flags(n, J, fld)
     if args.dump:
         dumped = [indsets.flag_to_json(f) for f in flags]
@@ -269,29 +284,32 @@ def _cmd_indset(args) -> int:
     # the universe refuses oversized graphs before the set is built
     universe = kneser.FlagUniverse(desc.n, (desc.d, desc.d + 1), gf.make_field(desc.q))
     threads = getattr(args, "threads", None) or _default_threads()
-    split = indsets.build(desc)
-    independent = indsets.is_independent(split.all, universe=universe, threads=threads)
+    generic, special = indsets.descriptor_masks(desc, universe)
+    member = generic | special
+    ids = np.flatnonzero(member)
+    independent = universe.check_pairwise_independent(ids, threads=threads) is None
+    total = int(ids.size)
     if args.ind_op == "build":
-        ordered = sorted(split.all, key=lambda f: f.sort_key())
         if args.out:
-            _write_json_atomic([indsets.flag_to_json(f) for f in ordered], args.out)
+            flags = sorted((universe.flag_of(int(i)) for i in ids), key=kneser.Flag.sort_key)
+            _write_json_atomic([indsets.flag_to_json(f) for f in flags], args.out)
         _emit({
             "variant": desc.variant,
-            "generic": len(split.generic),
-            "special": len(split.special),
-            "total": len(split),
+            "generic": int(np.count_nonzero(generic)),
+            "special": int(np.count_nonzero(special)),
+            "total": total,
             "independent": independent,
         })
         return EXIT_OK
-    out = {"variant": desc.variant, "total": len(split), "independent": independent}
-    result = indsets.classify(indsets.id_mask(split.all, universe), universe)
+    out = {"variant": desc.variant, "total": total, "independent": independent}
+    result = indsets.classify(member, universe)
     out["classified"] = (
         indsets.descriptor_to_json(result)
         if isinstance(result, indsets.IndSetDescriptor)
         else "unstructured"
     )
     if args.maximal:
-        out["maximal"] = indsets.is_maximal(split.all, universe)
+        out["maximal"] = indsets.is_maximal((universe.flag_of(int(i)) for i in ids), universe)
     _emit(out)
     return EXIT_OK
 

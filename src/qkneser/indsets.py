@@ -25,13 +25,7 @@ from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
-from .kneser import (
-    Flag,
-    FlagUniverse,
-    general_position,
-    general_position_fast,
-    subspace_point_mask,
-)
+from .kneser import Flag, FlagUniverse, general_position, general_position_fast, has_point
 
 # flags per step of the maximality scan
 _SCAN_CHUNK = 8192
@@ -364,9 +358,8 @@ def find_extension(flags: Iterable[Flag], universe: FlagUniverse) -> Optional[Fl
             if free.size:
                 return universe.flag_of(c0 + int(free[0]))
         return None
-    sub = universe._gather(ids)
     for i in np.flatnonzero(~in_set).tolist():
-        if not universe.adjacent_to_any(i, sub):
+        if not universe.adjacent_to_any(i, ids):
             return universe.flag_of(i)
     return None
 
@@ -415,43 +408,45 @@ def _point_subspace(universe: FlagUniverse, bit: int) -> pg.Subspace:
     return pg.Subspace(universe.field, universe.n, (row,))
 
 
+def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
+    """Which table entries (rows of mask words) hold s: those holding each of
+    its basis rows, which are normalized and so are points."""
+    index = pg.point_index(universe.n, universe.field)
+    return np.logical_and.reduce([has_point(words, index[row]) for row in s.rows])
+
+
 def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np.ndarray, np.ndarray]:
     """(generic, special) membership over all universe flags, vectorized.
 
-    Membership is decided by the descriptor predicate (P in pi, line in tau,
-    and so on), never by materializing the flag set.
+    Membership is decided by the descriptor predicate (P in pi, L in tau, P
+    in tau in H, tau in H as H^perp in tau^perp), evaluated once per table
+    entry and read off through member_ids; a family is a set of table ids.
+    The flag set is never materialized.
     """
+    lower, upper = universe._table_words
+    lo_ids, hi_ids = universe.member_ids
     if desc.is_point_based():
-        bit = universe.point_bit(desc.base)
-        generic = universe.member_has_point(0, bit)
+        generic = _entries_holding(lower, universe, desc.base)[lo_ids]
         if desc.variant == "point_line":
-            in_family = universe.member_contains_mask(1, subspace_point_mask(desc.line))
+            in_family = _entries_holding(upper, universe, desc.line)[hi_ids]
         elif desc.variant == "point_hyperplane":
-            in_family = universe.member_has_point(1, bit) & universe.member_within_mask(
-                1, subspace_point_mask(desc.hyperplane)
-            )
-        elif desc.family:
-            tids = [universe.table_id_of(1, s) for s in desc.family]
-            if any(t is None for t in tids):
-                raise InvalidDescriptor("family member is not a subspace of this universe")
-            in_family = universe.member_id_in(1, tids)
+            held = _entries_holding(upper, universe, desc.base)
+            held &= _entries_holding(universe.dual_top_words, universe, pg.dual(desc.hyperplane))
+            in_family = held[hi_ids]
         else:
-            in_family = None
-        special = (in_family & ~generic) if in_family is not None else np.zeros(len(universe), dtype=bool)
-        return generic, special
+            in_family = _family_ids_in(universe, 1, desc.family)
+        return generic, in_family & ~generic
 
-    hmask = subspace_point_mask(desc.base)
-    generic = universe.member_within_mask(1, hmask)
-    fam = desc.family
-    if fam:
-        tids = [universe.table_id_of(0, s) for s in fam]
-        if any(t is None for t in tids):
-            raise InvalidDescriptor("family member is not a subspace of this universe")
-        in_family = universe.member_id_in(0, tids)
-        special = in_family & ~generic
-    else:
-        special = np.zeros(len(universe), dtype=bool)
-    return generic, special
+    generic = _entries_holding(universe.dual_top_words, universe, pg.dual(desc.base))[hi_ids]
+    return generic, _family_ids_in(universe, 0, desc.family) & ~generic
+
+
+def _family_ids_in(universe: FlagUniverse, pos: int, family: Tuple[pg.Subspace, ...]) -> np.ndarray:
+    """Per flag, whether its member at chain position pos is in the family."""
+    tids = [universe.table_id_of(pos, s) for s in family]
+    if None in tids:
+        raise InvalidDescriptor("family member is not a subspace of this universe")
+    return np.isin(universe.member_ids[pos], np.array(tids, dtype=np.int64))
 
 
 def classify(
@@ -478,12 +473,14 @@ def classify(
     points, dual_points = candidates
     for bit in points:
         p = _point_subspace(universe, bit)
-        desc = _match_family(in_set, universe, point_family, p, universe.member_has_point(0, bit), 1)
+        generic = has_point(universe._table_words[0], bit)[universe.member_ids[0]]
+        desc = _match_family(in_set, universe, point_family, p, generic, 1)
         if desc is not None:
             return desc
     for bit in dual_points:
         h = pg.dual(_point_subspace(universe, bit))
-        desc = _match_family(in_set, universe, hyperplane_family, h, universe.dual_top_has_point(bit), 0)
+        generic = has_point(universe.dual_top_words, bit)[universe.member_ids[1]]
+        desc = _match_family(in_set, universe, hyperplane_family, h, generic, 0)
         if desc is not None:
             return desc
     return UNSTRUCTURED

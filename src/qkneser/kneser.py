@@ -4,27 +4,28 @@ Two adjacency tests coexist on purpose.  general_position is the definition:
 every cross pair of flag members meets trivially or spans the whole space,
 decided by matrix-rank computations.  general_position_fast is the
 specialized test for type {d, d+1} in rank 2d+1 (the two "meet of opposite
-members is zero" conditions) and runs on precomputed point-set bitmasks, so
-bulk verification is a stream of word ANDs.  The two are cross-checked
+members is zero" conditions) and runs on point-set bitmasks, so bulk
+verification is a stream of word ANDs.  The two are cross-checked
 exhaustively by the test suite.
 
-FlagUniverse numbers the flags of one graph without holding them.  It
-enumerates the lower-member table once and derives every upper member's
-point mask from the lower member's span vectors with the quotient-point lift
-(the points of lo + <w> are those of lo and the <v + w> for v in lo), using
-GF(q) add/mul tables and a lookup from vector code to point id.  Distinct
-upper masks form the upper table; flag_of builds a Flag only when asked.
-A closed-form flag count above MAX_FLAGS is refused before anything is built.
+FlagUniverse numbers the flags of one graph without holding them: a flag is
+a pair of table ids, into the tables of distinct lower and upper members,
+and point masks are kept once per table entry.  The build enumerates the
+lower table and lifts each lower member to its upper members' masks (the
+points of lo + <w> are those of lo and the <v + w> for v in lo) on GF(q)
+add/mul tables.  A predicate of one member (P in pi, L in tau, ...) is
+evaluated once per table entry and read off for the flags through their
+table ids.  A closed-form flag count above MAX_FLAGS is refused first.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
 lower members pi share a point P, or whose upper members tau lie in one
 hyperplane H.  A star's flags are then tested only against the later flags
 that its point does not prove non-adjacent: those with P outside tau, or
-with pi outside H.  One tiled block kernel runs the remaining pairs, with
-its blocks shared out by run_blocks.  Other types test every pair with a
-scalar row loop, on the one general-position rule that adjacency_row and
-adjacent_to_any also use.
+with pi outside H.  One tiled block kernel runs the remaining pairs on mask
+words gathered from the tables, with its blocks shared out by run_blocks.
+Other types test every pair with a scalar row loop, on the one
+general-position rule that adjacency_row and adjacent_to_any also use.
 
 MemberBits (FlagUniverse.member_bits) tests flags against a growing set, for
 type {d, d+1} in rank 2d+1.  Each member sets one bit in the row of every
@@ -121,6 +122,18 @@ def _validate_type(n: int, J: Sequence[int]) -> Tuple[int, ...]:
     return J
 
 
+def flag_count(n: int, J: Sequence[int], q: int) -> int:
+    """Closed-form number of flags of type J in GF(q)^n."""
+    J = _validate_type(n, J)
+    return qcalc.gauss(n, J[0], q) * qcalc.gauss(n - J[0], J[-1] - J[0], q)
+
+
+def check_cap(count: int, what: str) -> None:
+    """Refuse count objects above MAX_FLAGS, before any of them is built."""
+    if count > MAX_FLAGS:
+        raise TooLarge(f"{count} {what} exceed the cap of {MAX_FLAGS}")
+
+
 def enumerate_flags(n: int, J: Sequence[int], field: FieldSpec) -> Iterator[Flag]:
     """All flags of vectorial type J in GF(q)^n, each exactly once."""
     J = _validate_type(n, J)
@@ -209,11 +222,6 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return _POP8[b].sum(axis=-1, dtype=np.int64)
 
 
-def _mask_words(mask: int, n_words: int) -> Tuple[int, ...]:
-    full = (1 << _WORD_BITS) - 1
-    return tuple((mask >> (_WORD_BITS * w)) & full for w in range(n_words))
-
-
 @lru_cache(maxsize=None)
 def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray]:
     """GF(q) addition and multiplication tables as uint8 arrays."""
@@ -251,6 +259,20 @@ def _pack_bits(incidence: np.ndarray) -> np.ndarray:
 def _unpack_bits(words: np.ndarray) -> np.ndarray:
     """The bits of uint64 words as 0/1 bytes, word by word from the low bit."""
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+
+
+def has_point(words: np.ndarray, bit: int) -> np.ndarray:
+    """For each row of mask words, whether it holds the point with that bit."""
+    w, b = divmod(bit, _WORD_BITS)
+    return (words[:, w] >> _WORD(b)) & _WORD(1) != 0
+
+
+def _meets(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For each row of mask words, whether it shares a point with mask."""
+    acc = words[:, 0] & mask[0]
+    for w in range(1, words.shape[1]):
+        acc |= words[:, w] & mask[w]
+    return acc != 0
 
 
 def _number_by_first_occurrence(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -431,15 +453,15 @@ class StarPlan:
 
 
 class FlagUniverse:
-    """Dense id <-> flag bijection with bit-packed member masks.
+    """Dense id <-> flag bijection over two tables of bit-packed member masks.
 
-    The universe holds the member tables and each flag's member table ids,
-    not the flags: flag i has lower member tables[0][i // K] and upper member
-    tables[1][member_ids[1][i]], where K is the number of uppers over one
-    lower member, and flag_of builds the Flag on demand.  The upper table
-    lists the distinct upper members in order of first occurrence.  Ids follow
-    enumerate_flags, so they are stable across runs; certificates still
-    reference flags by explicit basis matrices, never by id.
+    A flag is its pair of table ids: flag i has members
+    tables[pos][member_ids[pos][i]], where member_ids[0][i] = i // K for K
+    uppers per lower member, and the upper table lists the distinct upper
+    members in order of first occurrence.  _table_words[pos][t] holds the
+    mask words of entry t; member_ids are the only per-flag arrays, and
+    flag_of builds a Flag on demand.  Ids follow enumerate_flags, so they are
+    stable across runs; certificates reference flags by basis matrices.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
@@ -448,12 +470,7 @@ class FlagUniverse:
         self.field = field
         q = field.q
         j1 = self.types[0]
-        gap = self.types[-1] - j1
-        count = qcalc.gauss(n, j1, q) * qcalc.gauss(n - j1, gap, q)
-        if count > MAX_FLAGS:
-            raise TooLarge(
-                f"{count} flags of type {self.types} in GF({q})^{n} exceed the cap of {MAX_FLAGS}"
-            )
+        check_cap(flag_count(n, J, q), f"flags of type {self.types} in GF({q})^{n}")
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
@@ -473,12 +490,7 @@ class FlagUniverse:
                 uppers += pg.superspaces(lows[lo], (quotient[f % self._per_lower] for f in fs))
             self.tables.append(uppers)
         self._table_ids = [{s: t for t, s in enumerate(table)} for table in self.tables]
-        self._cols = [
-            [words[:, w][ids] for w in range(self.n_words)]
-            for words, ids in zip(self._table_words, self.member_ids)
-        ]
         self._dual_top_words = None
-        self._dual_top = None
         self._hyperplanes = None
         self._through = None
 
@@ -517,39 +529,10 @@ class FlagUniverse:
             return Flag((lo,))
         return Flag((lo, self.tables[1][self.member_ids[1][i]]))
 
-    # -- member mask predicates, vectorized over all flags ------------------
+    # -- per-entry tables ----------------------------------------------------
 
     def table_id_of(self, pos: int, s: pg.Subspace) -> Optional[int]:
         return self._table_ids[pos].get(s)
-
-    def point_bit(self, point: pg.Subspace) -> int:
-        if point.rank != 1:
-            raise InvalidArgs("expected a rank-1 subspace")
-        return pg.point_index(self.n, self.field)[point.rows[0]]
-
-    def member_has_point(self, pos: int, point_bit: int) -> np.ndarray:
-        w, b = divmod(point_bit, _WORD_BITS)
-        return (self._cols[pos][w] >> _WORD(b)) & _WORD(1) != 0
-
-    def member_within_mask(self, pos: int, mask: int) -> np.ndarray:
-        words = _mask_words(mask, self.n_words)
-        out = None
-        for w in range(self.n_words):
-            ok = (self._cols[pos][w] & ~_WORD(words[w])) == 0
-            out = ok if out is None else (out & ok)
-        return out
-
-    def member_contains_mask(self, pos: int, mask: int) -> np.ndarray:
-        words = _mask_words(mask, self.n_words)
-        out = None
-        for w in range(self.n_words):
-            mw = _WORD(words[w])
-            ok = (self._cols[pos][w] & mw) == mw
-            out = ok if out is None else (out & ok)
-        return out
-
-    def member_id_in(self, pos: int, table_ids: Sequence[int]) -> np.ndarray:
-        return np.isin(self.member_ids[pos], np.array(list(table_ids), dtype=np.int64))
 
     @property
     def dual_top_words(self) -> np.ndarray:
@@ -569,15 +552,6 @@ class FlagUniverse:
                 dual_words &= hyperplanes[basis[:, j]]
             self._dual_top_words = dual_words
         return self._dual_top_words
-
-    @property
-    def dual_top_cols(self) -> List[np.ndarray]:
-        """Per flag, the mask words of the dual of its top member, one column
-        per word (built lazily from dual_top_words)."""
-        if self._dual_top is None:
-            ids = self.member_ids[-1]
-            self._dual_top = [self.dual_top_words[:, w][ids] for w in range(self.n_words)]
-        return self._dual_top
 
     def _hyperplane_words(self) -> np.ndarray:
         """Row x holds the mask words of the hyperplane x^perp (built lazily)."""
@@ -605,30 +579,21 @@ class FlagUniverse:
             ]
         return self._through
 
-    def dual_top_has_point(self, point_bit: int) -> np.ndarray:
-        w, b = divmod(point_bit, _WORD_BITS)
-        has = (self.dual_top_words[:, w] >> _WORD(b)) & _WORD(1) != 0
-        return has[self.member_ids[-1]]
-
     # -- adjacency -----------------------------------------------------------
 
-    def _meet_zero(self, cols_a, i: int, cols_b, sl) -> np.ndarray:
-        acc = cols_a[0][i] & cols_b[0][sl]
-        for w in range(1, self.n_words):
-            acc = acc | (cols_a[w][i] & cols_b[w][sl])
-        return acc == 0
+    def _flag_words(self, i: int) -> List[np.ndarray]:
+        """The mask words of flag i's members, one row per chain position."""
+        return [words[tids[i]] for words, tids in zip(self._table_words, self.member_ids)]
 
-    def _general_row(self, cols_a, i: int, cols_b, sl) -> np.ndarray:
-        """General position of flag i of cols_a against the flags sl of cols_b:
-        every member pair meets trivially or spans the whole space."""
+    def _general_row(self, words_a: List[np.ndarray], ids_b) -> np.ndarray:
+        """General position of the flag with member masks words_a against the
+        flags ids_b: every member pair meets trivially or spans the whole
+        space, decided once per table entry and read off through member_ids."""
         row = None
-        for ra, a in zip(self.types, cols_a):
-            for rb, b in zip(self.types, cols_b):
-                acc = a[0][i] & b[0][sl]
-                for w in range(1, self.n_words):
-                    acc = acc | (a[w][i] & b[w][sl])
-                pc = _popcount(acc)
-                ok = (pc == 0) | (ra + rb - self._rank_of_popcount[pc] == self.n)
+        for ra, a in zip(self.types, words_a):
+            for rb, table, tids in zip(self.types, self._table_words, self.member_ids):
+                pc = _popcount(table & a).sum(axis=1)
+                ok = ((pc == 0) | (ra + rb - self._rank_of_popcount[pc] == self.n))[tids[ids_b]]
                 row = ok if row is None else (row & ok)
         return row
 
@@ -636,10 +601,12 @@ class FlagUniverse:
         """Boolean adjacency of flag i against flags start..N-1 (self excluded)."""
         sl = slice(start, self._size)
         if self._kneser_fast:
-            lo, hi = self._cols
-            row = self._meet_zero(lo, i, hi, sl) & self._meet_zero(hi, i, lo, sl)
+            # flag j is adjacent iff pi_j misses tau_i and tau_j misses pi_i
+            lo, hi = self._flag_words(i)
+            meet_lo, meet_hi = _meets(self._table_words[0], hi), _meets(self._table_words[1], lo)
+            row = ~(meet_lo[self.member_ids[0][sl]] | meet_hi[self.member_ids[1][sl]])
         else:
-            row = self._general_row(self._cols, i, self._cols, sl)
+            row = self._general_row(self._flag_words(i), sl)
         if start <= i:
             row[i - start] = False
         return row
@@ -655,8 +622,13 @@ class FlagUniverse:
 
     # -- pairwise independence over id subsets -------------------------------
 
-    def _gather(self, ids: np.ndarray) -> List[List[np.ndarray]]:
-        return [[col[ids] for col in cols] for cols in self._cols]
+    def _gather(self, ids: np.ndarray) -> List[np.ndarray]:
+        """Per chain position, the (n_words, m) mask words of the flags ids,
+        word-major, gathered from the tables."""
+        return [
+            np.ascontiguousarray(np.take(words, tids[ids], axis=0).T)
+            for words, tids in zip(self._table_words, self.member_ids)
+        ]
 
     def star_plan(self, ids: Sequence[int]) -> StarPlan:
         """Star groups of an id list and the blocks that check_pairwise_independent scans.
@@ -680,7 +652,10 @@ class FlagUniverse:
         groups: List[np.ndarray] = []
         points: List[int] = []
         if self._kneser_fast and m > 1:
-            words = np.stack([col[ids] for col in self._cols[0] + self.dual_top_cols], axis=1)
+            # np.take gathers short rows several times faster than fancy indexing
+            lo = np.take(self._table_words[0], self.member_ids[0][ids], axis=0)
+            dual_hi = np.take(self.dual_top_words, self.member_ids[1][ids], axis=0)
+            words = np.concatenate((lo, dual_hi), axis=1)
             incidence = _unpack_bits(words)
             # int32 sums run about twice as fast as int64 ones
             counts = incidence.sum(axis=0, dtype=np.int32)
@@ -737,13 +712,9 @@ class FlagUniverse:
         """
         width = self.n_words * _WORD_BITS
         if point < width:
-            w, b = divmod(point, _WORD_BITS)
-            return (self._cols[1][w][ids] >> _WORD(b)) & _WORD(1) == 0
+            return ~has_point(self._table_words[1], point)[self.member_ids[1][ids]]
         outside = ~self._hyperplane_words()[point - width]
-        scan = np.zeros(ids.size, dtype=bool)
-        for w in range(self.n_words):
-            scan |= (self._cols[0][w][ids] & outside[w]) != 0
-        return scan
+        return _meets(self._table_words[0], outside)[self.member_ids[0][ids]]
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
@@ -765,7 +736,7 @@ class FlagUniverse:
         if m < 2:
             return None
         if not self._kneser_fast:
-            found = self._scalar_pair_scan(self._gather(ids), m)
+            found = self._scalar_pair_scan(ids)
         else:
             if plan is None:
                 plan = self.star_plan(ids)
@@ -828,10 +799,10 @@ class FlagUniverse:
     # the star-pruned scan has the one kernel above
     _row_pair_scan = _tiled_pair_scan
 
-    def _scalar_pair_scan(self, sub, m: int) -> Optional[Tuple[int, int]]:
+    def _scalar_pair_scan(self, ids: np.ndarray) -> Optional[Tuple[int, int]]:
         # general-type fallback; only small universes take this path
-        for a in range(m - 1):
-            adj = self._general_row(sub, a, sub, slice(a + 1, m))
+        for a in range(ids.size - 1):
+            adj = self._general_row(self._flag_words(int(ids[a])), ids[a + 1 :])
             if adj.any():
                 return a, a + 1 + int(np.argmax(adj))
         return None
@@ -844,13 +815,13 @@ class FlagUniverse:
         bits.add(ids)
         return bits
 
-    def adjacent_to_any(self, i: int, sub_cols: List[List[np.ndarray]]) -> bool:
-        """True iff flag i is adjacent to at least one flag of the gathered set.
+    def adjacent_to_any(self, i: int, ids: np.ndarray) -> bool:
+        """True iff flag i is adjacent to at least one flag of ids.
 
         It tests the general-position rule for every member pair; for type
         {d, d+1} in rank 2d+1, MemberBits tests a whole set at once.
         """
-        return bool(self._general_row(self._cols, i, sub_cols, slice(None)).any())
+        return bool(self._general_row(self._flag_words(i), ids).any())
 
 
 def neighbors(f: Flag, universe: FlagUniverse) -> Iterator[int]:

@@ -324,11 +324,11 @@ def superspaces(a: Subspace, quotient: Iterable[Sequence[Row]]) -> List[Subspace
     """
     fld, n = a.field, a.n
     pivot_set = {_pivot_col(row) for row in a.rows}
-    free_cols = [c for c in range(n) if c not in pivot_set]
+    free_columns = [c for c in range(n) if c not in pivot_set]
 
     def lift(qrow):
         v = [0] * n
-        for c, x in zip(free_cols, qrow):
+        for c, x in zip(free_columns, qrow):
             v[c] = x
         return v
 

@@ -258,3 +258,43 @@ def test_indset_check_refuses_oversized_graph(f2):
         [sys.executable, "-m", "qkneser.cli", "indset", "check"],
         input=json.dumps(desc), capture_output=True, text=True,
     ))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "flags", "--n", "5", "--type", "2,x", "--q", "2"),
+        ("graph", "export", "--n", "5", "--type", "2,x", "--q", "2", "--out", "{tmp}/g.dimacs"),
+        ("calc", "concentration", "--q", "2", "--d", "2", "--d0", "abc"),
+        ("calc", "concentration", "--q", "2", "--d", "2", "--d0", "1/0"),
+        ("calc", "concentration", "--q", "2", "--d", "2", "--n0", "abc"),
+        ("calc", "concentration", "--q", "2", "--d", "2", "--n0", "1/0"),
+    ],
+)
+def test_malformed_arguments_exit_1_without_traceback(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "qkneser.cli", *argv], capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.count("qkneser: error:") == 1 and "Traceback" not in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "subspaces", "--n", "9", "--r", "4", "--q", "2"),
+        ("enumerate", "flags", "--d", "3", "--q", "3"),
+    ],
+)
+def test_enumerate_dump_refuses_large_counts_before_enumerating(capsys, monkeypatch, tmp_path, argv):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the count check")
+
+    monkeypatch.setattr(pg, "enumerate_subspaces", no_enumeration)
+    dump = tmp_path / "dump.json"
+    code, out, err = run_cli(capsys, *argv, "--dump", str(dump))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "exceed the cap" in err and not dump.exists()

@@ -136,9 +136,8 @@ def reference_extension(flags, universe):
     ids = sorted(universe.id_of(f) for f in set(flags))
     in_set = np.zeros(len(universe), dtype=bool)
     in_set[ids] = True
-    sub = universe._gather(np.array(ids, dtype=np.int64))
     for i in np.flatnonzero(~in_set).tolist():
-        if not universe.adjacent_to_any(i, sub):
+        if not universe.adjacent_to_any(i, np.array(ids, dtype=np.int64)):
             return universe.flag_of(i)
     return None
 
@@ -176,6 +175,17 @@ def test_find_extension_general_type(f2):
     assert first is not None and first == reference_extension([universe.flag_of(0)], universe)
 
 
+@pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
+def test_descriptor_masks_match_build(name, q, request):
+    universe = request.getfixturevalue(name)
+    for variant, desc in all_variant_descriptors(gf.make_field(q), 2).items():
+        for d in (desc, indsets.dualize_descriptor(desc)):
+            split = indsets.build(d)
+            generic, special = indsets.descriptor_masks(d, universe)
+            assert np.array_equal(generic, indsets.id_mask(split.generic, universe)), variant
+            assert np.array_equal(special, indsets.id_mask(split.special, universe)), variant
+
+
 def test_classify_round_trips(f2, u22):
     for name, desc in all_variant_descriptors(f2, 2).items():
         split = indsets.build(desc)
@@ -210,9 +220,9 @@ def test_classify_dualized_point_line(f2, u22):
     assert result == indsets.dualize_descriptor(indsets.point_line(p, ell))
 
 
-def per_flag_candidates(in_set, cols, num_points):
+def per_flag_candidates(in_set, words, num_points):
     """Points on no member of an outside flag, from every flag's own mask words."""
-    words = np.stack(cols, axis=1)[~in_set]
+    words = words[~in_set]
     on = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
     return [b for b in range(num_points) if not on[:, b].any()]
 
@@ -235,12 +245,15 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
     for density in (0.0, 0.3, 0.9, 1.0):
         noise = np.array([rng.random() < density for _ in range(len(universe))])
         sets += [noise, noise | sets[0], noise | sets[1]]
+    # one row of mask words per flag: its lower member, and the dual of its upper member
+    lower = universe._table_words[0][universe.member_ids[0]]
+    dual_upper = universe.dual_top_words[universe.member_ids[1]]
     found = 0
     for in_set in sets:
         got = indsets.pencil_base_candidates(in_set, universe)
-        assert got == per_flag_candidates(in_set, universe._cols[0], universe.num_points)
+        assert got == per_flag_candidates(in_set, lower, universe.num_points)
         got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
-        assert got_dual == per_flag_candidates(in_set, universe.dual_top_cols, universe.num_points)
+        assert got_dual == per_flag_candidates(in_set, dual_upper, universe.num_points)
         found += len(got) + len(got_dual)
     assert found
 

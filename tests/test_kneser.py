@@ -233,30 +233,35 @@ def reference_pair_scan(universe, ids):
     return None
 
 
-def star_pruned(universe, i, start):
+def star_words(universe):
+    """Per flag, the mask words of its lower member and of the dual of its
+    upper member, side by side: the points that star_plan groups by."""
+    lower = universe._table_words[0][universe.member_ids[0]]
+    dual_upper = universe.dual_top_words[universe.member_ids[1]]
+    return np.concatenate((lower, dual_upper), axis=1)
+
+
+def star_pruned(words, i, start):
     """Flags start.. whose lower member shares a point with flag i's, or
-    whose upper member lies in a common hyperplane with flag i's."""
-    sl = slice(start, len(universe))
-    out = np.zeros(len(universe) - start, dtype=bool)
-    for cols in (universe._cols[0], universe.dual_top_cols):
-        for w in range(universe.n_words):
-            out |= (cols[w][i] & cols[w][sl]) != 0
-    return out
+    whose upper member lies in a common hyperplane with flag i's (words:
+    star_words, transposed to one row per word)."""
+    return (words[:, i, None] & words[:, start:]).any(axis=0)
 
 
 @pytest.mark.parametrize("name", ["u22", "u23"])
-def test_dual_top_cols_match_duals(name, request):
+def test_dual_top_words_match_duals(name, request):
     universe = request.getfixturevalue(name)
-    masks = [kneser.subspace_point_mask(pg.dual(s)) for s in universe.tables[1]]
-    for w in range(universe.n_words):
-        table = np.array([(m >> (64 * w)) & (2**64 - 1) for m in masks], dtype=np.uint64)
-        assert np.array_equal(universe.dual_top_cols[w], table[universe.member_ids[1]])
+    words = universe.dual_top_words.astype("<u8")
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
+        kneser.subspace_point_mask(pg.dual(s)) for s in universe.tables[1]
+    ]
 
 
 def test_star_rule_sound_against_definition(u22):
     pruned = 0
+    words = np.ascontiguousarray(star_words(u22).T)
     for i in range(len(u22) - 1):
-        for j in np.nonzero(star_pruned(u22, i, i + 1))[0] + i + 1:
+        for j in np.nonzero(star_pruned(words, i, i + 1))[0] + i + 1:
             assert not kneser.general_position(u22.flag_of(i), u22.flag_of(int(j)))
             pruned += 1
     assert pruned > 0
@@ -264,8 +269,9 @@ def test_star_rule_sound_against_definition(u22):
 
 def test_star_rule_sound_against_adjacency_rows(u23):
     pruned = 0
+    words = np.ascontiguousarray(star_words(u23).T)
     for i in range(len(u23) - 1):
-        rule = star_pruned(u23, i, i + 1)
+        rule = star_pruned(words, i, i + 1)
         assert not (rule & u23.adjacency_row(i, i + 1)).any()
         pruned += int(np.count_nonzero(rule))
     assert pruned > 0
@@ -275,8 +281,7 @@ def column_rule_rows(universe):
     """(a, pruned) for every flag a: the flags that a star at any of a's star
     points prunes as columns of the row a, by the column rule of star_plan."""
     everyone = np.arange(len(universe))
-    words = np.stack(universe._cols[0] + universe.dual_top_cols, axis=1)
-    incidence = kneser._unpack_bits(words).astype(bool)
+    incidence = kneser._unpack_bits(star_words(universe)).astype(bool)
     points = np.flatnonzero(incidence.any(axis=0))
     pruned = np.array([~universe._star_columns(int(p), everyone) for p in points])
     for a in range(len(universe)):
@@ -532,3 +537,61 @@ def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
 def test_member_bits_need_kneser_type(f2):
     with pytest.raises(InvalidType):
         kneser.FlagUniverse(4, (1, 2), f2).member_bits()
+
+
+@pytest.mark.parametrize("n,J", [(4, (1, 2)), (5, (1, 2)), (4, (1, 3))])
+def test_general_type_rows_and_pair_scan_match_definition(f2, n, J):
+    universe = kneser.FlagUniverse(n, J, f2)
+    flags = list(universe)
+    size = len(flags)
+    oracle = np.zeros((size, size), dtype=bool)
+    for i in range(size):
+        for j in range(i + 1, size):
+            oracle[i, j] = oracle[j, i] = kneser.general_position(flags[i], flags[j])
+    for i in range(size):
+        assert np.array_equal(universe.adjacency_row(i), oracle[i])
+        assert np.array_equal(universe.adjacency_row(i, i + 1), oracle[i, i + 1 :])
+
+    def first_pair(ids):
+        for a in range(len(ids) - 1):
+            for b in range(a + 1, len(ids)):
+                if oracle[ids[a], ids[b]]:
+                    return ids[a], ids[b]
+        return None
+
+    # a greedy independent set, alone and with one more flag
+    independent = []
+    for i in range(size):
+        if not oracle[i, independent].any():
+            independent.append(i)
+    assert len(independent) > 2
+    rng = random.Random(n * 10 + J[1])
+    cases = [independent, independent + [rng.choice(range(size))]]
+    cases += [rng.sample(range(size), k) for k in (2, 5, 20, 60) for _ in range(5)]
+    cases.append(rng.sample(independent, len(independent)))
+    assert any(first_pair(ids) is None for ids in cases)
+    assert any(first_pair(ids) is not None for ids in cases)
+    for ids in cases:
+        assert universe.check_pairwise_independent(ids) == first_pair(ids)
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def test_member_ids_are_the_only_per_flag_arrays(u23):
+    # build every lazy cache first
+    u23.dual_top_words, u23._hyperplane_words(), u23.entries_through_points()
+    u23.star_plan(range(0, len(u23), 7))
+    assert [ids.shape for ids in u23.member_ids] == [(len(u23),)] * 2
+    for name, value in vars(u23).items():
+        if name == "member_ids":
+            continue
+        for array in arrays_in(value):
+            assert array.shape[0] != len(u23), name
+        if isinstance(value, list):
+            assert len(value) != len(u23) and all(len(item) != len(u23) for item in value), name
