@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .gf import FieldSpec, make_field
 from .pg import Subspace, dual, enumerate_subspaces, join, meet, rref
-from .kneser import Flag, FlagUniverse, enumerate_flags, general_position, general_position_fast
+from .kneser import Flag, FlagUniverse, enumerate_flags, general_position
 
 __all__ = [
     "FieldSpec",
@@ -19,6 +19,5 @@ __all__ = [
     "FlagUniverse",
     "enumerate_flags",
     "general_position",
-    "general_position_fast",
     "__version__",
 ]

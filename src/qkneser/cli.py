@@ -70,10 +70,13 @@ def _write_json_atomic(obj, path: str) -> None:
 
 
 def _load_json(path):
-    if path in (None, "-"):
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path in (None, "-"):
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # bad syntax or encoding, or an integer too long to read
+        raise InvalidArgs(f"invalid JSON input: {exc}") from None
 
 
 def _out_json(obj, path) -> None:
@@ -248,8 +251,8 @@ def _cmd_enumerate(args) -> int:
     # --dump holds every object in memory, so the closed-form count is capped first
     if args.enum_op == "subspaces":
         if args.dump:
-            count = qcalc.gauss(args.n, args.r, args.q)
-            kneser.check_cap(count, f"subspaces of rank {args.r} in GF({args.q})^{args.n}")
+            what = f"subspaces of rank {args.r} in GF({args.q})^{args.n}"
+            kneser.check_cap(args.q, [(args.n, args.r)], what)
         subs = pg.enumerate_subspaces(args.n, args.r, fld)
         if args.dump:
             rows = [[list(r) for r in s.rows] for s in subs]
@@ -260,7 +263,8 @@ def _cmd_enumerate(args) -> int:
         return EXIT_OK
     n, J = _parse_type(args)
     if args.dump:
-        kneser.check_cap(kneser.flag_count(n, J, args.q), f"flags of type {J} in GF({args.q})^{n}")
+        what = f"flags of type {J} in GF({args.q})^{n}"
+        kneser.check_cap(args.q, kneser.flag_binomials(n, J), what)
     flags = kneser.enumerate_flags(n, J, fld)
     if args.dump:
         dumped = [indsets.flag_to_json(f) for f in flags]
@@ -374,7 +378,7 @@ def main(argv=None) -> int:
         return _fail(f"unknown command {args.command!r}")
     except QKneserError as exc:
         return _fail(str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(str(exc))
 
 

@@ -27,11 +27,12 @@ from .indsets import (
     descriptor_masks,
     descriptor_to_json,
     dualize_descriptor,
+    json_ints,
     point_line,
     point_pencil,
     validate_descriptor,
 )
-from .kneser import Flag, FlagUniverse
+from .kneser import Flag, FlagUniverse, check_cap
 
 MISSING_TRUNCATE = 10
 
@@ -62,13 +63,10 @@ class CoverCertificate:
 
 
 def certificate_from_json(data: Dict) -> CoverCertificate:
-    try:
-        d = int(data["d"])
-        q = int(data["q"])
-        u_rows = data["U"]
-        classes_json = data["classes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedCertificate(f"certificate JSON missing d/q/U/classes: {exc}") from exc
+    d, q = json_ints(data, ("d", "q"), MalformedCertificate)
+    if "U" not in data or "classes" not in data:
+        raise MalformedCertificate("certificate JSON missing U/classes")
+    u_rows, classes_json = data["U"], data["classes"]
     if not isinstance(classes_json, list):
         raise MalformedCertificate("certificate classes must be a list of descriptors")
     fld = make_field(q)
@@ -93,6 +91,7 @@ def build_cover(d: int, q: int) -> CoverCertificate:
     """The pinned covering with theta(d+1, q) - q point-line classes."""
     fld = make_field(q)
     n = 2 * d + 1
+    check_cap(q, [(d + 2, 3)], f"planes of a rank-{d + 2} subspace over GF({q})")
 
     def unit(i: int) -> List[int]:
         row = [0] * n
@@ -222,18 +221,22 @@ def verify_cover(
 
     g0 = qcalc.gauss(2 * cert.d, cert.d + 1, cert.q) * qcalc.theta(cert.d, cert.q)
     covered = np.zeros(len(universe), dtype=bool)
-    memberships: List[np.ndarray] = []
     class_sizes: List[Dict] = []
     size_mismatches: List[int] = []
+    bad_classes = []
     for i, desc in enumerate(cert.classes):
         generic, special = descriptor_masks(desc, universe)
         member = generic | special
         covered |= member
-        memberships.append(member)
+        ids = np.flatnonzero(member)
         n_gen = int(np.count_nonzero(generic))
         n_spec = int(np.count_nonzero(special))
         expected_spec = _expected_special(desc)
-        entry = {
+        ok = n_gen == g0 and (expected_spec is None or n_spec == expected_spec)
+        if not ok:
+            size_mismatches.append(i)
+        plan = universe.star_plan(ids)
+        class_sizes.append({
             "class": i,
             "variant": desc.variant,
             "generic": n_gen,
@@ -241,28 +244,17 @@ def verify_cover(
             "total": n_gen + n_spec,
             "expected_generic": g0,
             "expected_special": expected_spec,
-        }
-        ok = n_gen == g0 and (expected_spec is None or n_spec == expected_spec)
-        entry["sizes_ok"] = ok
-        if not ok:
-            size_mismatches.append(i)
-        class_sizes.append(entry)
-
-    bad_classes = []
-    for i in range(len(cert.classes)):
-        ids = np.nonzero(memberships[i])[0]
-        plan = universe.star_plan(ids)
-        class_sizes[i].update(
-            pair_tests=plan.pair_tests,
-            pairs_pruned=plan.pairs_pruned,
-            star_groups=list(plan.group_sizes),
-        )
+            "sizes_ok": ok,
+            "pair_tests": plan.pair_tests,
+            "pairs_pruned": plan.pairs_pruned,
+            "star_groups": list(plan.group_sizes),
+        })
         hit = universe.check_pairwise_independent(ids, threads=threads, plan=plan)
         if hit is not None:
             bad_classes.append((i, (universe.flag_of(hit[0]), universe.flag_of(hit[1]))))
 
     missing_ids = np.nonzero(~covered)[0]
-    report = VerifyReport(
+    return VerifyReport(
         total_flags=len(universe),
         covered=int(np.count_nonzero(covered)),
         missing=[universe.flag_of(int(i)) for i in missing_ids[:MISSING_TRUNCATE]],
@@ -271,7 +263,6 @@ def verify_cover(
         class_sizes=class_sizes,
         size_mismatches=size_mismatches,
     )
-    return report
 
 
 def dualize_cover(cert: CoverCertificate) -> CoverCertificate:

@@ -32,7 +32,7 @@ import numpy as np
 from . import indsets, qcalc
 from .errors import InvalidArgs, NotIndependent, TooLarge
 from .gf import make_field
-from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse
+from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits
 
 # candidates tested together against the members of a greedy completion
 _CHUNK = 2048
@@ -207,7 +207,9 @@ def greedy_color(
     universe: Optional[FlagUniverse] = None,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> ColoringResult:
-    """Greedy proper coloring; the color count is a raw observation only."""
+    """Greedy proper coloring; the color count is a raw observation only.
+
+    A vertex takes the first color class (one MemberBits each) that holds none of its neighbors."""
     fld = make_field(q)
     if universe is None:
         universe = FlagUniverse(2 * d + 1, (d, d + 1), fld)
@@ -224,12 +226,13 @@ def greedy_color(
     else:
         raise ValueError(f"unknown order {order!r}")
 
+    classes: List[MemberBits] = []
     colors = [-1] * n_vertices
     for v in sequence:
-        row = universe.adjacency_row(v)
-        used = {colors[int(j)] for j in np.nonzero(row)[0] if colors[int(j)] >= 0}
-        c = 0
-        while c in used:
-            c += 1
+        one = np.array([v])
+        c = next((k for k, bits in enumerate(classes) if not bits.blocked(one)[0]), len(classes))
+        if c == len(classes):
+            classes.append(universe.member_bits())
+        classes[c].add(one)
         colors[v] = c
-    return ColoringResult(num_colors=max(colors) + 1, colors=colors, order=order, seed=seed)
+    return ColoringResult(num_colors=len(classes), colors=colors, order=order, seed=seed)

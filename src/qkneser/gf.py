@@ -157,6 +157,9 @@ def make_field(q: int) -> FieldSpec:
     """Return the pinned FieldSpec for a supported prime-power order q."""
     if not isinstance(q, int) or q < 2:
         raise Unsupported(f"field order must be an integer >= 2, got {q!r}")
+    if q > 1 << 20:
+        # refused before the trial division, which a large prime order would stall
+        raise Unsupported(f"GF({q}) is outside the supported orders {SUPPORTED_ORDERS}")
     p = _smallest_prime_factor(q)
     k, rest = 0, q
     while rest % p == 0:

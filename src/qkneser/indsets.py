@@ -25,7 +25,7 @@ from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
-from .kneser import Flag, FlagUniverse, general_position, general_position_fast, has_point
+from .kneser import Flag, FlagUniverse, has_point
 
 # flags per step of the maximality scan
 _SCAN_CHUNK = 8192
@@ -306,32 +306,19 @@ def _sorted_flags(flags: Iterable[Flag]) -> List[Flag]:
     return out
 
 
-def _is_kneser_type(f: Flag) -> bool:
-    t = f.types
-    return len(t) == 2 and t[1] == t[0] + 1 and f.n == 2 * t[0] + 1
-
-
 def find_adjacent_pair(
     flags: Iterable[Flag], universe: Optional[FlagUniverse] = None, threads: int = 1
 ) -> Optional[Tuple[Flag, Flag]]:
-    """First adjacent pair in canonical order, or None if independent."""
+    """First adjacent pair in canonical order, or None if independent; the pairs
+    run in the kernel of the given universe, or of one built for the flags' space."""
     ordered = _sorted_flags(flags)
     if len(ordered) < 2:
         return None
-    if universe is not None:
-        ids = [universe.id_of(f) for f in ordered]
-        hit = universe.check_pairwise_independent(ids, threads=threads)
-        if hit is None:
-            return None
-        return universe.flag_of(hit[0]), universe.flag_of(hit[1])
-    fast = _is_kneser_type(ordered[0])
-    test = general_position_fast if fast else general_position
-    for i in range(len(ordered) - 1):
-        fi = ordered[i]
-        for j in range(i + 1, len(ordered)):
-            if test(fi, ordered[j]):
-                return fi, ordered[j]
-    return None
+    if universe is None:
+        first = ordered[0]
+        universe = FlagUniverse(first.n, first.types, first.chain[0].field)
+    hit = universe.check_pairwise_independent([universe.id_of(f) for f in ordered], threads=threads)
+    return None if hit is None else (universe.flag_of(hit[0]), universe.flag_of(hit[1]))
 
 
 def is_independent(
@@ -550,15 +537,25 @@ def descriptor_to_json(desc: IndSetDescriptor) -> Dict:
     return out
 
 
+def json_ints(data, keys: Tuple[str, ...], error: type) -> List[int]:
+    """data[key] for each key, which must be JSON integers: a missing key, a
+    bool, a float or a string raises error, as does data that is not an object."""
+    if not isinstance(data, dict):
+        raise error(f"expected a JSON object, got {type(data).__name__}")
+    values = []
+    for key in keys:
+        value = data.get(key)
+        if type(value) is not int:
+            raise error(f"{key!r} must be a JSON integer, got {type(value).__name__}")
+        values.append(value)
+    return values
+
+
 def descriptor_from_json(data: Dict) -> IndSetDescriptor:
-    try:
-        variant = data["variant"]
-        d = int(data["d"])
-        q = int(data["q"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDescriptor(f"descriptor JSON missing variant/d/q: {exc}") from exc
+    d, q = json_ints(data, ("d", "q"), InvalidDescriptor)
+    variant = data.get("variant")
     if not isinstance(variant, str):
-        raise InvalidDescriptor(f"descriptor variant must be a string, got {variant!r}")
+        raise InvalidDescriptor(f"descriptor variant must be a string, got {type(variant).__name__}")
     variant = VARIANT_ALIASES.get(variant, variant)
     n = 2 * d + 1
     field = make_field(q)
@@ -567,6 +564,12 @@ def descriptor_from_json(data: Dict) -> IndSetDescriptor:
         if key not in data:
             raise InvalidDescriptor(f"descriptor JSON missing key {key!r}")
         return _rows_from_json(data[key], n, field, key)
+
+    def family(key: str) -> List[pg.Subspace]:
+        bases = data.get(key, [])
+        if not isinstance(bases, list):
+            raise InvalidDescriptor(f"{key}: expected a list of bases")
+        return [_rows_from_json(rows, n, field, key) for rows in bases]
 
     if variant == "point_pencil":
         return point_pencil(sub("P"))
@@ -577,11 +580,9 @@ def descriptor_from_json(data: Dict) -> IndSetDescriptor:
     if variant == "point_hyperplane":
         return point_hyperplane(sub("P"), sub("H"))
     if variant == "point_family":
-        fam = [_rows_from_json(rows, n, field, "U") for rows in data.get("U", [])]
-        return point_family(sub("P"), fam)
+        return point_family(sub("P"), family("U"))
     if variant == "hyperplane_family":
-        fam = [_rows_from_json(rows, n, field, "E") for rows in data.get("E", [])]
-        return hyperplane_family(sub("H"), fam)
+        return hyperplane_family(sub("H"), family("E"))
     raise InvalidDescriptor(f"unknown variant {variant!r}")
 
 

@@ -1,12 +1,12 @@
 """Flags of vectorial type J in GF(q)^n and the general-position graph.
 
-Two adjacency tests coexist on purpose.  general_position is the definition:
-every cross pair of flag members meets trivially or spans the whole space,
-decided by matrix-rank computations.  general_position_fast is the
-specialized test for type {d, d+1} in rank 2d+1 (the two "meet of opposite
-members is zero" conditions) and runs on point-set bitmasks, so bulk
-verification is a stream of word ANDs.  The two are cross-checked
-exhaustively by the test suite.
+general_position is the definition: every cross pair of flag members meets
+trivially or spans the whole space, decided by matrix-rank computations.  It
+is the oracle.  Every bulk test runs on FlagUniverse, whose kernels work on
+point-set bitmasks; for type {d, d+1} in rank 2d+1 they use the fast rule
+(the two "meet of opposite members is zero" conditions), so verification is
+a stream of word ANDs.  The test suite cross-checks the kernels against the
+oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members,
@@ -42,7 +42,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,16 +122,25 @@ def _validate_type(n: int, J: Sequence[int]) -> Tuple[int, ...]:
     return J
 
 
+def flag_binomials(n: int, J: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The Gaussian binomials [a b] whose product counts the flags of type J."""
+    J = _validate_type(n, J)
+    return (n, J[0]), (n - J[0], J[-1] - J[0])
+
+
 def flag_count(n: int, J: Sequence[int], q: int) -> int:
     """Closed-form number of flags of type J in GF(q)^n."""
-    J = _validate_type(n, J)
-    return qcalc.gauss(n, J[0], q) * qcalc.gauss(n - J[0], J[-1] - J[0], q)
+    return prod(qcalc.gauss(a, b, q) for a, b in flag_binomials(n, J))
 
 
-def check_cap(count: int, what: str) -> None:
-    """Refuse count objects above MAX_FLAGS, before any of them is built."""
-    if count > MAX_FLAGS:
-        raise TooLarge(f"{count} {what} exceed the cap of {MAX_FLAGS}")
+def check_cap(q: int, binomials: Sequence[Tuple[int, int]], what: str) -> None:
+    """Refuse a product of Gaussian binomials [a b]_q above MAX_FLAGS before
+    anything is built; as [a b]_q >= q^(b(a-b)), a large exponent alone refuses."""
+    # q^e > MAX_FLAGS once 2^e is, i.e. from e = MAX_FLAGS.bit_length() on; an
+    # invalid [a b] has a negative exponent and is left to gauss to refuse
+    huge = sum(b * (a - b) for a, b in binomials) >= MAX_FLAGS.bit_length()
+    if huge or prod(qcalc.gauss(a, b, q) for a, b in binomials) > MAX_FLAGS:
+        raise TooLarge(f"more than {MAX_FLAGS} {what} exceed the cap")
 
 
 def enumerate_flags(n: int, J: Sequence[int], field: FieldSpec) -> Iterator[Flag]:
@@ -164,16 +173,12 @@ def dual_flag(f: Flag) -> Flag:
     return Flag(tuple(pg.dual(s) for s in reversed(f.chain)))
 
 
-def _check_compatible(f1: Flag, f2: Flag) -> None:
+def general_position(f1: Flag, f2: Flag) -> bool:
+    """Definition-level adjacency test via matrix ranks (the slow oracle)."""
     if f1.n != f2.n or f1.chain[0].field.q != f2.chain[0].field.q:
         raise DimensionMismatch("flags live in different spaces")
     if f1.types != f2.types:
         raise DimensionMismatch(f"flags have different types {f1.types} vs {f2.types}")
-
-
-def general_position(f1: Flag, f2: Flag) -> bool:
-    """Definition-level adjacency test via matrix ranks (the slow oracle)."""
-    _check_compatible(f1, f2)
     n = f1.n
     for u1 in f1.chain:
         for u2 in f2.chain:
@@ -190,22 +195,6 @@ def subspace_point_mask(s: pg.Subspace) -> int:
     for i in pg.subspace_point_ids(s):
         mask |= 1 << i
     return mask
-
-
-def general_position_fast(f1: Flag, f2: Flag) -> bool:
-    """Fast adjacency for type {d, d+1} flags in rank 2d+1."""
-    _check_compatible(f1, f2)
-    _require_kneser_type(f1)
-    m1lo, m1hi = subspace_point_mask(f1.chain[0]), subspace_point_mask(f1.chain[1])
-    m2lo, m2hi = subspace_point_mask(f2.chain[0]), subspace_point_mask(f2.chain[1])
-    return (m1lo & m2hi) == 0 and (m2lo & m1hi) == 0
-
-
-def _require_kneser_type(f: Flag) -> Tuple[int, int]:
-    types = f.types
-    if len(types) != 2 or types[1] != types[0] + 1 or f.n != 2 * types[0] + 1:
-        raise InvalidType(f"expected type {{d, d+1}} in rank 2d+1, got {types} in rank {f.n}")
-    return types
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +459,7 @@ class FlagUniverse:
         self.field = field
         q = field.q
         j1 = self.types[0]
-        check_cap(flag_count(n, J, q), f"flags of type {self.types} in GF({q})^{n}")
+        check_cap(q, flag_binomials(n, J), f"flags of type {self.types} in GF({q})^{n}")
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
@@ -742,6 +731,8 @@ class FlagUniverse:
                 plan = self.star_plan(ids)
             elif plan.order.size != m:
                 raise InvalidArgs(f"plan covers {plan.order.size} ids, got {m}")
+            if not plan.blocks:
+                return None
             order = plan.order
             sub = self._gather(ids[order])
             hits = [
@@ -822,14 +813,6 @@ class FlagUniverse:
         {d, d+1} in rank 2d+1, MemberBits tests a whole set at once.
         """
         return bool(self._general_row(self._flag_words(i), ids).any())
-
-
-def neighbors(f: Flag, universe: FlagUniverse) -> Iterator[int]:
-    """Ids of all flags in general position with f, in id order."""
-    i = universe.id_of(f)
-    row = universe.adjacency_row(i)
-    for j in np.nonzero(row)[0]:
-        yield int(j)
 
 
 def export_dimacs(

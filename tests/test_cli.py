@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from qkneser import cli, cover, indsets, kneser, pg
+from qkneser import cli, cover, indsets, kneser, pg, qcalc
+from qkneser.errors import TooLarge
 
 from conftest import unit_rows
 
@@ -298,3 +299,64 @@ def test_enumerate_dump_refuses_large_counts_before_enumerating(capsys, monkeypa
     code, out, err = run_cli(capsys, *argv, "--dump", str(dump))
     assert code == cli.EXIT_USAGE and out == ""
     assert "exceed the cap" in err and not dump.exists()
+
+
+def _point_pencil_json(d):
+    return {"variant": "point_pencil", "d": d, "q": 2, "P": [[1] + [0] * (2 * d)]}
+
+
+@pytest.mark.parametrize("d", [1000, 10**5])
+@pytest.mark.parametrize("command", ["cover verify", "indset check", "explore", "cover build"])
+def test_large_d_refused_from_the_exponent(capsys, monkeypatch, tmp_path, command, d):
+    gauss = qcalc.gauss
+
+    def small_gauss(a, b, q):
+        assert a < 100, f"exact Gaussian binomial of n = {a} computed"
+        return gauss(a, b, q)
+
+    monkeypatch.setattr(qcalc, "gauss", small_gauss)
+    infile = tmp_path / "in.json"
+    if command == "cover verify":
+        infile.write_text(json.dumps({"d": d, "q": 2, "U": [], "classes": []}))
+    else:
+        infile.write_text(json.dumps(_point_pencil_json(d)))
+    argv = command.split() + (["--d", str(d), "--q", "2"] if command in ("explore", "cover build")
+                              else ["--in", str(infile)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("qkneser: error:") == 1 and f"more than {kneser.MAX_FLAGS}" in err
+
+
+def test_cover_build_cap_counts_planes_of_u():
+    # cover build enumerates the planes of the rank-(d+2) subspace U
+    for d, q, planes in [(6, 2, 97_155), (3, 9, 605_242)]:
+        assert qcalc.gauss(d + 2, 3, q) == planes
+        kneser.check_cap(q, [(d + 2, 3)], "planes")
+    for d, q in [(8, 2), (4, 9)]:
+        with pytest.raises(TooLarge):
+            kneser.check_cap(q, [(d + 2, 3)], "planes")
+
+
+def _json_variants():
+    cert = cover.build_cover(2, 2).to_json()
+    pencil = _point_pencil_json(2)
+    yield "cover verify", json.dumps(dict(cert, d=2.9, q=2.2))
+    yield "cover verify", json.dumps(dict(cert, d=True))
+    yield "cover verify", json.dumps(cert).replace('"d": 2', '"d": 1e400', 1)
+    yield "cover verify", json.dumps(dict(cert, q="2"))
+    yield "indset check", json.dumps(dict(pencil, d=2.9, q=2.2))
+    yield "indset check", json.dumps(pencil).replace('"d": 2', '"d": 1e400', 1)
+    yield "indset check", json.dumps(dict(pencil, variant="point_family", U=5))
+    yield "indset check", json.dumps({"variant": "hyperplane_family", "d": 2, "q": 2,
+                                      "H": unit_rows(5)[:4], "E": 7})
+    yield "indset check", '{"variant": "point_pencil", "d": ' + "1" * 5000 + ', "q": 2}'
+    yield "cover verify", json.dumps(dict(cert, q=10**20 + 39))
+
+
+@pytest.mark.parametrize("command,text", list(_json_variants()))
+def test_malformed_descriptor_json_exits_1(capsys, tmp_path, command, text):
+    infile = tmp_path / "in.json"
+    infile.write_text(text)
+    code, out, err = run_cli(capsys, *command.split(), "--in", str(infile))
+    assert (code, out) == (1, "")
+    assert err.count("qkneser: error:") == 1 and "Traceback" not in err

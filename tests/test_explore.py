@@ -80,7 +80,7 @@ def test_greedy_complete_fixed_point_on_maximal_set(f2, u22):
 
 def test_greedy_complete_rejects_dependent_seed(u22):
     f0 = u22.flag_of(0)
-    neighbor = u22.flag_of(next(kneser.neighbors(f0, u22)))
+    neighbor = u22.flag_of(int(np.flatnonzero(u22.adjacency_row(0))[0]))
     with pytest.raises(NotIndependent):
         explore.greedy_complete({f0, neighbor}, rng_seed=0, universe=u22)
 
@@ -179,6 +179,37 @@ def test_greedy_color_degree_random_order(u22):
 def test_greedy_color_cap(u22):
     with pytest.raises(TooLarge):
         explore.greedy_color(2, 2, universe=u22, cap=10)
+
+
+def reference_coloring(universe, order, seed):
+    """The one-flag-at-a-time greedy coloring on adjacency_row: each vertex
+    takes the smallest color none of its colored neighbors has."""
+    n = len(universe)
+    if order == "enumeration":
+        sequence = list(range(n))
+    else:
+        rng = random.Random(seed)
+        jitter = [rng.random() for _ in range(n)]
+        degrees = [universe.degree(i) for i in range(n)]
+        sequence = sorted(range(n), key=lambda i: (-degrees[i], jitter[i]))
+    colors = [-1] * n
+    for v in sequence:
+        row = universe.adjacency_row(v)
+        used = {colors[int(j)] for j in np.nonzero(row)[0] if colors[int(j)] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+@pytest.mark.parametrize("order", ["enumeration", "degree-random"])
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_greedy_color_matches_adjacency_row_reference(u22, order, seed):
+    result = explore.greedy_color(2, 2, order=order, seed=seed, universe=u22)
+    expected = reference_coloring(u22, order, seed)
+    assert result.colors == expected
+    assert result.num_colors == max(expected) + 1
 
 
 @pytest.mark.parametrize("name,orders", [("u22", 50), ("u23", 10), ("u24", 2)])

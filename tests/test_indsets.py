@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkneser import explore, gf, indsets, kneser, pg, qcalc
-from qkneser.errors import InvalidArgs, InvalidDescriptor
+from qkneser.errors import InvalidArgs, InvalidDescriptor, QKneserError
 from qkneser.indsets import UNSTRUCTURED, IndSetDescriptor
 
 from conftest import unit_rows
@@ -111,6 +111,46 @@ def test_is_independent_witness(f2, u22):
     assert indsets.find_adjacent_pair([f1, f2_], universe=u22) == (f2_, f1)
     assert indsets.is_independent([]) is True
     assert indsets.is_independent([f1]) is True
+
+
+def reference_pair(flags):
+    """The first pair in canonical order that is in general position, by definition."""
+    ordered = sorted(flags, key=kneser.Flag.sort_key)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if kneser.general_position(a, b):
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("n,J", [(5, (2, 3)), (4, (1, 2))])
+def test_find_adjacent_pair_same_witness_with_and_without_universe(f2, n, J):
+    universe = kneser.FlagUniverse(n, J, f2)
+    rng = random.Random(5)
+    # every flag through the first point: independent for both types
+    p = pg.rref([unit_rows(n)[0]], n, f2)
+    pencil = [f for f in universe if pg.contains(f.chain[0], p)]
+    samples = [pencil] + [
+        [universe.flag_of(i) for i in rng.sample(range(len(universe)), size)]
+        for size in (2, 2, 3, 3, 5, 8, 20)
+        for _ in range(5)
+    ]
+    found = 0
+    for flags in samples:
+        expected = reference_pair(flags)
+        found += expected is not None
+        assert indsets.find_adjacent_pair(flags) == expected
+        assert indsets.find_adjacent_pair(flags, universe=universe) == expected
+    assert reference_pair(pencil) is None and 0 < found < len(samples)
+
+
+def test_find_adjacent_pair_rejects_flags_from_two_graphs(u22, u23):
+    mixed = [u22.flag_of(0), u23.flag_of(0)]
+    for universe in (None, u22, u23):
+        with pytest.raises(QKneserError):
+            indsets.find_adjacent_pair(mixed, universe=universe)
+    with pytest.raises(QKneserError):
+        indsets.find_adjacent_pair([u23.flag_of(0), u23.flag_of(1)], universe=u22)
 
 
 def test_is_maximal_22(f2, u22):
