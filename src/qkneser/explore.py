@@ -221,8 +221,8 @@ def greedy_color(
     elif order == "degree-random":
         rng = random.Random(seed)
         jitter = [rng.random() for _ in range(n_vertices)]
-        degrees = [universe.degree(i) for i in range(n_vertices)]
-        sequence = sorted(range(n_vertices), key=lambda i: (-degrees[i], jitter[i]))
+        # the graph is regular, so the degree-first order is the jitter order
+        sequence = sorted(range(n_vertices), key=jitter.__getitem__)
     else:
         raise ValueError(f"unknown order {order!r}")
 

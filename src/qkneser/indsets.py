@@ -25,7 +25,7 @@ from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
-from .kneser import Flag, FlagUniverse, has_point
+from .kneser import Flag, FlagUniverse, check_cap, flag_binomials, has_point, subspace_point_mask
 
 # flags per step of the maximality scan
 _SCAN_CHUNK = 8192
@@ -107,6 +107,9 @@ def validate_descriptor(desc: IndSetDescriptor) -> None:
     """Raise InvalidDescriptor naming the violated invariant, if any."""
     d, q, n = desc.d, desc.q, desc.n
     _require(d >= 2, f"d must be >= 2, got {d}")
+    if desc.family:
+        # family checks index the points of PG(2d, q), which are fewer than the flags
+        check_cap(q, flag_binomials(n, (d, d + 1)), f"flags of type {(d, d + 1)} in GF({q})^{n}")
     base = desc.base
     _require(base.n == n and base.field.q == q, "base subspace lives in the wrong space")
     if desc.is_point_based():
@@ -130,11 +133,9 @@ def validate_descriptor(desc: IndSetDescriptor) -> None:
         for u in desc.family:
             _require(u.n == n and u.rank == d + 1, f"family members must have rank {d + 1}")
             _require(pg.contains(u, base), "every family member must contain the base point")
-        fam = desc.family
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                _require(pg.meet(fam[i], fam[j]).rank >= 2,
-                         "family members must pairwise meet in rank >= 2")
+        # members hold P, so they meet in rank >= 2 iff their masks share another point
+        _require(_pairwise_meet(desc.family, base),
+                 "family members must pairwise meet in rank >= 2")
     elif desc.variant == "dual_point_pencil":
         _require(desc.line is None and desc.hyperplane is None and not desc.family,
                  "dual_point_pencil carries no extra data")
@@ -142,13 +143,16 @@ def validate_descriptor(desc: IndSetDescriptor) -> None:
         for e in desc.family:
             _require(e.n == n and e.rank == d, f"family members must have rank {d}")
             _require(pg.contains(base, e), "every family member must lie in the hyperplane")
-        fam = desc.family
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                _require(pg.meet(fam[i], fam[j]).rank >= 1,
-                         "family members must pairwise meet nontrivially")
+        _require(_pairwise_meet(desc.family, None), "family members must pairwise meet nontrivially")
     else:
         raise InvalidDescriptor(f"unknown variant {desc.variant!r}")
+
+
+def _pairwise_meet(family: Tuple[pg.Subspace, ...], outside: Optional[pg.Subspace]) -> bool:
+    """Whether every two members' point masks share a point not in outside."""
+    within = -1 if outside is None or len(family) < 2 else ~subspace_point_mask(outside)
+    masks = [subspace_point_mask(s) & within for s in family]
+    return all(a & b for i, a in enumerate(masks) for b in masks[i + 1 :])
 
 
 def point_pencil(p: pg.Subspace) -> IndSetDescriptor:

@@ -10,12 +10,13 @@ oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members,
-and point masks are kept once per table entry.  The build enumerates the
-lower table and lifts each lower member to its upper members' masks (the
+and point masks are kept once per table entry.  The build lifts the lower
+table's RREF bases (pg.subspace_rows) to their upper members' masks (the
 points of lo + <w> are those of lo and the <v + w> for v in lo) on GF(q)
-add/mul tables.  A predicate of one member (P in pi, L in tau, ...) is
-evaluated once per table entry and read off for the flags through their
-table ids.  A closed-form flag count above MAX_FLAGS is refused first.
+add/mul tables; it builds no Subspace (entry builds one on demand).  A
+predicate of one member (P in pi, L in tau, ...) is evaluated once per
+table entry and read off for the flags through their table ids.  A
+closed-form flag count above MAX_FLAGS is refused first.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
@@ -41,7 +42,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import comb, prod
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -220,6 +221,11 @@ def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
+def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table[a, b] for broadcast uint8 arrays, as one flat take (faster than a 2-d index)."""
+    return table.ravel().take(a.astype(np.intp) * table.shape[0] + b)
+
+
 def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
     """Base-q codes of the vectors along the last axis (int32 Horner loop)."""
     code = np.zeros(vecs.shape[:-1], dtype=np.int32)
@@ -279,16 +285,25 @@ def _number_by_first_occurrence(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return ids, np.sort(first)
 
 
-def _member_words(
-    n: int, J: Tuple[int, ...], field: FieldSpec, lows: List[pg.Subspace], n_words: int
-):
+def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Quotient vectors vecs (..., k, n - j) lifted to GF(q)^n: placed in the
+    non-pivot columns, in increasing order, of the RREF bases rows (..., j, n)."""
+    is_pivot = np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=bool)
+    np.put_along_axis(is_pivot, np.argmax(rows != 0, axis=-1), True, axis=-1)
+    free = np.argsort(is_pivot, axis=-1, kind="stable")[..., None, : vecs.shape[-1]]
+    lifted = np.zeros(vecs.shape[:-1] + rows.shape[-1:], dtype=np.uint8)
+    np.put_along_axis(lifted, free, vecs, axis=-1)
+    return lifted
+
+
+def _member_words(n: int, J: Tuple[int, ...], field: FieldSpec, rows: np.ndarray, n_words: int):
     """Point-mask words of the lower members and of every (lower, upper) pair.
 
-    Returns (lo_words, up_words, quotient): lo_words[t] is the mask of
-    lows[t], and up_words[t * K + j] is the mask of lows[t] joined with the
-    lift of quotient[j].  quotient lists the K quotient bases in
-    enumerate_superspaces order: the points for gap 1, else the subspaces.
-    For a single-member type up_words is None.
+    rows holds the (L, j1, n) RREF bases of the lower members.  Returns
+    (lo_words, up_words, quotient): lo_words[t] is the mask of rows[t], and
+    up_words[t * K + j] that of rows[t] joined with the lift of quotient[j]:
+    the (K, J[1] - j1, n - j1) quotient bases in enumerate_superspaces order,
+    the points for gap 1, else the subspaces (None for a single-member type).
     """
     q = field.q
     add, mul = _field_arrays(field)
@@ -296,55 +311,44 @@ def _member_words(
     j1 = J[0]
     m = n - j1
     width = n_words * _WORD_BITS
-    rows = np.array([s.rows for s in lows], dtype=np.uint8).reshape(len(lows), j1, n)
     # coefficient vectors of the span, the zero vector first
     coeffs = np.array(list(product(range(q), repeat=j1)), dtype=np.uint8)
-    lo_words = np.empty((len(lows), n_words), dtype=_WORD)
+    lo_words = np.empty((len(rows), n_words), dtype=_WORD)
 
-    quotient: List[Tuple[pg.Row, ...]] = []
-    groups = None
+    quotient = groups = up_words = None
     if len(J) == 2:
         qpts = np.array(pg.all_points(m, field), dtype=np.uint8)
         if J[1] == j1 + 1:
-            quotient = [(pt,) for pt in pg.all_points(m, field)]
+            quotient = qpts[:, None, :]
         else:
-            tsubs = list(pg.enumerate_subspaces(m, J[1] - j1, field))
-            quotient = [t.rows for t in tsubs]
-            groups = np.array([pg.subspace_point_ids(t) for t in tsubs])
-        # the non-pivot columns of each lower member carry the quotient coordinates
-        is_pivot = np.zeros((len(lows), n), dtype=bool)
-        is_pivot[np.arange(len(lows))[:, None], np.argmax(rows != 0, axis=2)] = True
-        free = np.argsort(is_pivot, axis=1, kind="stable")[:, :m]
-        up_words = np.empty((len(lows), len(quotient), n_words), dtype=_WORD)
-    else:
-        up_words = None
+            # the quotient points of each quotient subspace, from its own masks
+            quotient = pg.subspace_rows(m, J[1] - j1, field)
+            words = _member_words(m, (J[1] - j1,), field, quotient, -(-len(qpts) // _WORD_BITS))[0]
+            groups = np.nonzero(_unpack_bits(words))[1].reshape(len(quotient), -1)
+        up_words = np.empty((len(rows), len(quotient), n_words), dtype=_WORD)
+        lifted = _lift(rows, np.broadcast_to(qpts, (len(rows),) + qpts.shape))
 
-    for c0 in range(0, len(lows), _BUILD_CHUNK):
+    for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
         c = r.shape[0]
         at = np.arange(c)
         span = np.zeros((c, coeffs.shape[0], n), dtype=np.uint8)
         for i in range(j1):
-            span = add[span, mul[coeffs[None, :, i, None], r[:, None, i, :]]]
+            span = _op(add, span, _op(mul, coeffs[None, :, i, None], r[:, None, i, :]))
         lo_pts = np.zeros((c, width), dtype=bool)
         lo_pts[at[:, None], point_of[_codes(span[:, 1:], q)]] = True
         lo_words[c0 : c0 + c] = _pack_bits(lo_pts)
         if up_words is None:
             continue
-        k = qpts.shape[0]
-        lifted = np.zeros((c, k, n), dtype=np.uint8)
-        lifted[at[:, None, None], np.arange(k)[None, :, None], free[c0 : c0 + c, None, :]] = qpts
         # <v + w> for every v in lo and lifted quotient point w
-        new = point_of[_codes(add[span[:, :, None, :], lifted[:, None, :, :]], q)]
-        up_pts = np.zeros((c, k, width), dtype=bool)
-        up_pts[at[:, None, None], np.arange(k)[None, None, :], new] = True
+        new = point_of[_codes(_op(add, span[:, :, None, :], lifted[c0 : c0 + c, None, :, :]), q)]
+        up_pts = np.zeros((c, len(qpts), width), dtype=bool)
+        up_pts[at[:, None, None], np.arange(len(qpts))[None, None, :], new] = True
         if groups is not None:
             up_pts = up_pts[:, groups].any(axis=2)
         up_pts |= lo_pts[:, None, :]
         up_words[c0 : c0 + c] = _pack_bits(up_pts)
-    if up_words is not None:
-        up_words = up_words.reshape(-1, n_words)
-    return lo_words, up_words, quotient
+    return lo_words, None if up_words is None else up_words.reshape(-1, n_words), quotient
 
 
 class MemberBits:
@@ -366,7 +370,7 @@ class MemberBits:
         self._tids = universe.member_ids
         self._words = universe._table_words
         self._through = universe.entries_through_points()
-        self._sizes = [len(table) for table in universe.tables]
+        self._sizes = [words.shape[0] for words in universe._table_words]
         self.lower, self.upper = (np.zeros((n, 0), dtype=_WORD) for n in self._sizes)
         self.size = 0
 
@@ -445,12 +449,12 @@ class FlagUniverse:
     """Dense id <-> flag bijection over two tables of bit-packed member masks.
 
     A flag is its pair of table ids: flag i has members
-    tables[pos][member_ids[pos][i]], where member_ids[0][i] = i // K for K
+    entry(pos, member_ids[pos][i]), where member_ids[0][i] = i // K for K
     uppers per lower member, and the upper table lists the distinct upper
-    members in order of first occurrence.  _table_words[pos][t] holds the
-    mask words of entry t; member_ids are the only per-flag arrays, and
-    flag_of builds a Flag on demand.  Ids follow enumerate_flags, so they are
-    stable across runs; certificates reference flags by basis matrices.
+    members in order of first occurrence (first[t] is the first flag with
+    upper entry t).  _table_words[pos][t] holds the mask words of entry t;
+    member_ids are the only per-flag arrays.  Ids follow enumerate_flags, so
+    they are stable across runs; certificates reference flags by bases.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
@@ -463,22 +467,18 @@ class FlagUniverse:
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
-        lows = list(pg.enumerate_subspaces(n, j1, field))
-        lo_words, up_words, quotient = _member_words(n, self.types, field, lows, self.n_words)
-        self._per_lower = len(quotient) or 1
+        self._lows = lows = pg.subspace_rows(n, j1, field)
+        lo_words, up_words, self._quotient = _member_words(n, self.types, field, lows, self.n_words)
+        self._per_lower = 1 if self._quotient is None else len(self._quotient)
         self._size = len(lows) * self._per_lower
-        self.tables: List[List[pg.Subspace]] = [lows]
         self.member_ids = [np.repeat(np.arange(len(lows), dtype=np.int64), self._per_lower)]
         self._table_words = [lo_words]
         if up_words is not None:
-            upper_ids, first = _number_by_first_occurrence(up_words)
+            upper_ids, self._first = _number_by_first_occurrence(up_words)
             self.member_ids.append(upper_ids)
-            self._table_words.append(up_words[first])
-            uppers: List[pg.Subspace] = []
-            for lo, fs in groupby(first.tolist(), key=lambda f: f // self._per_lower):
-                uppers += pg.superspaces(lows[lo], (quotient[f % self._per_lower] for f in fs))
-            self.tables.append(uppers)
-        self._table_ids = [{s: t for t, s in enumerate(table)} for table in self.tables]
+            self._table_words.append(up_words[self._first])
+        self._entries: List[dict] = [{} for _ in self.types]
+        self._entry_of_mask: List[Optional[dict]] = [None for _ in self.types]
         self._dual_top_words = None
         self._hyperplanes = None
         self._through = None
@@ -500,7 +500,7 @@ class FlagUniverse:
         return (self.flag_of(i) for i in range(self._size))
 
     def id_of(self, f: Flag) -> int:
-        tids = [table.get(s) for table, s in zip(self._table_ids, f.chain)]
+        tids = [self.table_id_of(pos, s) for pos, s in enumerate(f.chain[: len(self.types)])]
         if len(f.chain) == len(self.types) and None not in tids:
             if len(tids) == 1:
                 return tids[0]
@@ -513,33 +513,47 @@ class FlagUniverse:
     def flag_of(self, i: int) -> Flag:
         if not 0 <= i < self._size:
             raise InvalidArgs(f"flag id {i} outside [0, {self._size})")
-        lo = self.tables[0][i // self._per_lower]
-        if len(self.types) == 1:
-            return Flag((lo,))
-        return Flag((lo, self.tables[1][self.member_ids[1][i]]))
+        return Flag(tuple(self.entry(pos, int(tids[i])) for pos, tids in enumerate(self.member_ids)))
 
     # -- per-entry tables ----------------------------------------------------
 
+    def entry(self, pos: int, t: int) -> pg.Subspace:
+        """Entry t of member table pos as a Subspace, built and cached on first use."""
+        s = self._entries[pos].get(t)
+        if s is None:
+            if pos == 0:
+                s = pg.Subspace(self.field, self.n, tuple(map(tuple, self._lows[t].tolist())))
+            else:
+                s = pg.rref(self._upper_bases(self._first[t]).tolist(), self.n, self.field)
+            self._entries[pos][t] = s
+        return s
+
     def table_id_of(self, pos: int, s: pg.Subspace) -> Optional[int]:
-        return self._table_ids[pos].get(s)
+        """The id of s in member table pos, found by its point mask; None if absent."""
+        if s.n != self.n or s.field.q != self.field.q:
+            return None
+        if self._entry_of_mask[pos] is None:
+            words = self._table_words[pos].astype("<u8")
+            self._entry_of_mask[pos] = {row.tobytes(): t for t, row in enumerate(words)}
+        return self._entry_of_mask[pos].get(subspace_point_mask(s).to_bytes(8 * self.n_words, "little"))
+
+    def _upper_bases(self, first) -> np.ndarray:
+        """Upper entries' bases, not in RREF: lower rows, then lifted quotient rows."""
+        rows, j = self._lows[first // self._per_lower], first % self._per_lower
+        return np.concatenate((rows, _lift(rows, self._quotient[j])), axis=-2)
 
     @property
     def dual_top_words(self) -> np.ndarray:
         """Row t holds the mask words of the dual of top table entry t (built lazily).
 
-        s^perp is the meet of the hyperplanes x^perp over the basis rows x of
-        s, and canonical basis rows are normalized, so they are points: its
-        mask is the AND of their hyperplane masks, read off the table of dot
-        products of points.
+        s^perp is the meet of the hyperplanes x^perp over the rows x of any
+        basis of s (_upper_bases), so its mask is the AND of their hyperplane
+        masks, read off the table of dot products of points.
         """
         if self._dual_top_words is None:
-            hyperplanes = self._hyperplane_words()
-            index = pg.point_index(self.n, self.field)
-            basis = np.array([[index[r] for r in s.rows] for s in self.tables[-1]])
-            dual_words = hyperplanes[basis[:, 0]]
-            for j in range(1, basis.shape[1]):
-                dual_words &= hyperplanes[basis[:, j]]
-            self._dual_top_words = dual_words
+            basis = self._lows if self._quotient is None else self._upper_bases(self._first)
+            points = _point_of_code(self.n, self.field)[_codes(basis, self.field.q)]
+            self._dual_top_words = np.bitwise_and.reduce(self._hyperplane_words()[points], axis=1)
         return self._dual_top_words
 
     def _hyperplane_words(self) -> np.ndarray:
@@ -549,7 +563,7 @@ class FlagUniverse:
             pts = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)
             dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
             for k in range(self.n):
-                dot = add[dot, mul[pts[:, k, None], pts[None, :, k]]]
+                dot = _op(add, dot, _op(mul, pts[:, k, None], pts[None, :, k]))
             on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
             on_hyperplane[:, : len(pts)] = dot == 0
             self._hyperplanes = _pack_bits(on_hyperplane)

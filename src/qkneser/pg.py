@@ -17,6 +17,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidArgs
 from .gf import FieldSpec
 
@@ -267,34 +269,44 @@ def contains(a: Subspace, b: Subspace) -> bool:
 # enumeration
 
 
+# bases per block of _subspace_row_blocks; bounds the memory of a lazy enumeration
+_ROW_BLOCK = 1 << 14
+
+
+def _subspace_row_blocks(n: int, r: int, field: FieldSpec) -> Iterator[np.ndarray]:
+    """The RREF bases of the rank-r subspaces of GF(q)^n, as (k, r, n) uint8
+    blocks: per pivot shape, the free entries take the base-q digits of
+    0, 1, ..., the first free entry the most significant."""
+    if not 0 <= r <= n:
+        raise InvalidArgs(f"need 0 <= r <= n, got r={r}, n={n}")
+    q = field.q
+    for pivots in combinations(range(n), r):
+        pivot_set = set(pivots)
+        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n) if c not in pivot_set]
+        total = q ** len(free)
+        for k0 in range(0, total, _ROW_BLOCK):
+            k = np.arange(k0, min(k0 + _ROW_BLOCK, total), dtype=np.int64)
+            block = np.zeros((k.size, r, n), dtype=np.uint8)
+            block[:, np.arange(r), list(pivots)] = 1
+            for i, c in reversed(free):
+                k, block[:, i, c] = np.divmod(k, q)
+            yield block
+
+
+def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
+    """The (N, r, n) uint8 RREF bases of all rank-r subspaces, in enumerate_subspaces order."""
+    return np.concatenate(list(_subspace_row_blocks(n, r, field)))
+
+
 def enumerate_subspaces(n: int, r: int, field: FieldSpec) -> Iterator[Subspace]:
     """All rank-r subspaces of GF(q)^n, each exactly once.
 
     Order: pivot shapes lexicographically, then the free entries
     lexicographically by the flattened row-major scalar sequence.
     """
-    if not 0 <= r <= n:
-        raise InvalidArgs(f"need 0 <= r <= n, got r={r}, n={n}")
-    if r == 0:
-        yield zero_subspace(n, field)
-        return
-    q = field.q
-    for pivots in combinations(range(n), r):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n) if c not in pivot_set]
-        base = []
-        for i in range(r):
-            row = [0] * n
-            row[pivots[i]] = 1
-            base.append(row)
-        if not free:
-            yield Subspace(field, n, tuple(tuple(row) for row in base))
-            continue
-        for values in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, c), v in zip(free, values):
-                rows[i][c] = v
-            yield Subspace(field, n, tuple(tuple(row) for row in rows))
+    for block in _subspace_row_blocks(n, r, field):
+        for rows in block.tolist():
+            yield Subspace(field, n, tuple(map(tuple, rows)))
 
 
 def _extend_rref(rows: Tuple[Row, ...], w: Sequence[int], fld: FieldSpec) -> Tuple[Row, ...]:

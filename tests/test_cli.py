@@ -327,6 +327,36 @@ def test_large_d_refused_from_the_exponent(capsys, monkeypatch, tmp_path, comman
     assert err.count("qkneser: error:") == 1 and f"more than {kneser.MAX_FLAGS}" in err
 
 
+def _unit_json(i, d):
+    return [int(c == i) for c in range(2 * d + 1)]
+
+
+def _family_json(variant, d):
+    if variant == "point_family":
+        return {"variant": variant, "d": d, "q": 2, "P": [_unit_json(0, d)], "U": []}
+    return {"variant": variant, "d": d, "q": 2, "H": [_unit_json(i, d) for i in range(2 * d)],
+            "E": [[_unit_json(i, d) for i in range(d)]]}
+
+
+@pytest.mark.parametrize("variant, d", [("point_family", 1000), ("point_family", 10**5),
+                                        ("hyperplane_family", 12), ("hyperplane_family", 1000)])
+@pytest.mark.parametrize("command", ["cover verify", "indset check"])
+def test_large_d_family_refused_before_point_masks(capsys, monkeypatch, tmp_path, command, variant, d):
+    # an empty point_family is a point pencil; a one-member hyperplane_family
+    # has no pairs to test, so neither may index the points of PG(2d, q)
+    def no_point_index(n, field):
+        raise AssertionError(f"points of PG({n - 1}, {field.q}) indexed")
+
+    monkeypatch.setattr(pg, "point_index", no_point_index)
+    desc = _family_json(variant, d)
+    data = {"d": d, "q": 2, "U": [], "classes": [desc]} if command == "cover verify" else desc
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *command.split(), "--in", str(infile))
+    assert (code, out) == (1, "")
+    assert err.count("qkneser: error:") == 1 and f"more than {kneser.MAX_FLAGS}" in err
+
+
 def test_cover_build_cap_counts_planes_of_u():
     # cover build enumerates the planes of the rank-(d+2) subspace U
     for d, q, planes in [(6, 2, 97_155), (3, 9, 605_242)]:

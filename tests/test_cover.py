@@ -98,6 +98,14 @@ def test_dualized_cover_needs_no_pair_tests(name, request):
     assert data["valid"] and data["pair_tests"] == 0
 
 
+def test_dualized_cover_32_is_valid(u32):
+    # 29 hyperplane_family classes of 155 members each
+    cert = cover.dualize_cover(cover.build_cover(3, 2))
+    assert {len(c.family) for c in cert.classes if c.variant == "hyperplane_family"} == {155}
+    data = cover.verify_cover(cert, universe=u32).to_json()
+    assert data["valid"] and data["pair_tests"] == 0
+
+
 def test_verify_cover_24_needs_no_pair_tests():
     report = cover.verify_cover(cover.build_cover(2, 4))
     data = report.to_json()

@@ -176,6 +176,14 @@ def test_greedy_color_degree_random_order(u22):
     assert a.num_colors >= 9
 
 
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_graph_is_regular(name, request):
+    # greedy_color's degree-random order is the jitter order because of this
+    universe = request.getfixturevalue(name)
+    degrees = {int(np.count_nonzero(universe.adjacency_row(i))) for i in range(len(universe))}
+    assert len(degrees) == 1
+
+
 def test_greedy_color_cap(u22):
     with pytest.raises(TooLarge):
         explore.greedy_color(2, 2, universe=u22, cap=10)

@@ -344,6 +344,34 @@ def test_descriptor_validation_errors(f2, f3):
         indsets.dual_point_pencil(p)  # rank-1 base for dual variant
 
 
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_family_mask_rule_matches_meet(name, request):
+    """validate_descriptor's pairwise rule on point masks against pg.meet: on
+    every pair of table entries at (2,2), and at (2,3) on every pair of lower
+    entries in one hyperplane and of upper entries through one point."""
+    universe = request.getfixturevalue(name)
+    entries = [[universe.entry(pos, t) for t in range(words.shape[0])]
+               for pos, words in enumerate(universe._table_words)]
+    if universe.field.q > 2:
+        e = unit_rows(5)
+        h, p = pg.rref(e[:4], 5, universe.field), pg.rref(e[:1], 5, universe.field)
+        entries = [[s for s in entries[0] if pg.contains(h, s)], [s for s in entries[1] if pg.contains(s, p)]]
+    points = pg.all_points(5, universe.field)
+    pairs = 0
+    for table in entries:
+        for i, a in enumerate(table):
+            for b in table[i + 1 :]:
+                rank = pg.meet(a, b).rank
+                shared = kneser.subspace_point_mask(a) & kneser.subspace_point_mask(b)
+                assert indsets._pairwise_meet((a, b), None) == (rank >= 1)
+                if shared:
+                    # a point both hold, as the base point of a point_family
+                    point = points[(shared & -shared).bit_length() - 1]
+                    assert indsets._pairwise_meet((a, b), pg.rref([point], 5, universe.field)) == (rank >= 2)
+                pairs += 1
+    assert pairs == sum(len(t) * (len(t) - 1) // 2 for t in entries)
+
+
 def test_normalization_detects_structured_families(f2):
     p, ell, hyp = standard_objects(f2, 2)
     assert indsets.point_family(p, indsets.line_family(p, ell)) == indsets.point_line(p, ell)

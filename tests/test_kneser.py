@@ -1,3 +1,4 @@
+import hashlib
 import io
 import operator
 import random
@@ -144,29 +145,85 @@ def test_id_of_inverts_flag_of(u23, f2):
         u23.id_of(other_q)
 
 
+def table(universe, pos):
+    """Member table pos, each entry built on demand."""
+    return [universe.entry(pos, t) for t in range(universe._table_words[pos].shape[0])]
+
+
 @pytest.mark.parametrize("name", ["u22", "u23"])
 def test_table_masks_match_point_masks(name, request):
     universe = request.getfixturevalue(name)
-    for pos, table in enumerate(universe.tables):
+    for pos in range(2):
         words = universe._table_words[pos].astype("<u8")
+        entries = table(universe, pos)
         assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
-            kneser.subspace_point_mask(s) for s in table
+            kneser.subspace_point_mask(s) for s in entries
         ]
+        assert [universe.table_id_of(pos, s) for s in entries] == list(range(len(entries)))
+        assert all(universe.entry(pos, t) is s for t, s in enumerate(entries))
 
 
-def test_universe_build_makes_no_flags(f3, monkeypatch):
+def count_calls(monkeypatch, cls):
     made = []
-    init = kneser.Flag.__init__
+    init = cls.__init__
 
-    def counting(self, chain):
+    def counting(self, *args):
         made.append(1)
-        init(self, chain)
+        init(self, *args)
 
-    monkeypatch.setattr(kneser.Flag, "__init__", counting)
-    u = kneser.FlagUniverse(5, (2, 3), f3)
-    assert len(u) == 15730 and not made
-    u.flag_of(7)
-    assert len(made) == 1
+    monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+def test_universe_build_makes_no_flags(monkeypatch):
+    flags = count_calls(monkeypatch, kneser.Flag)
+    subspaces = count_calls(monkeypatch, pg.Subspace)
+    for n, J, q, size in [(5, (2, 3), 3, 15730), (7, (3, 4), 2, 177165)]:
+        u = kneser.FlagUniverse(n, J, gf.make_field(q))
+        u.dual_top_words
+        assert len(u) == size and not flags and not subspaces
+        # a flag builds its two entries, and the lower entry its upper one
+        # is built from, once
+        u.flag_of(len(u) - 1)
+        assert len(flags) == 1 and 2 <= len(subspaces) <= 3
+        built = len(subspaces)
+        u.flag_of(len(u) - 1)
+        assert len(flags) == 2 and len(subspaces) == built
+        flags.clear()
+        subspaces.clear()
+
+
+def test_id_of_inverts_flag_of_on_a_sample(u32):
+    rng = random.Random(32)
+    for i in rng.sample(range(len(u32)), 300):
+        assert u32.id_of(u32.flag_of(i)) == i
+
+
+# sha256 of the table masks, member ids and dual top masks (see table_digest)
+TABLE_DIGESTS = {
+    (2, 2): "4da719ca4638d5271ec04caf514a8d6b35a41a1a340b1e86da1664cae32c4804",
+    (2, 3): "8046e4d10a7b870968326cbeb2bbf11489d3416a91f355e477e898aa18fa1c6b",
+    (3, 2): "76b91261ab8b0979535e6fb20b54ace82b2b624e58841e4e67f8f2307d20052c",
+    (2, 4): "0fb09a3549679423f5b384838f1bb276f2810e76d284362c28f703a720306b6f",
+}
+
+
+def table_digest(universe):
+    h = hashlib.sha256()
+    for a in [*universe._table_words, *universe.member_ids, universe.dual_top_words]:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("d,q", sorted(TABLE_DIGESTS))
+def test_tables_match_golden_digest(d, q, request):
+    fixture = {(2, 2): "u22", (2, 3): "u23", (3, 2): "u32"}.get((d, q))
+    if fixture:
+        universe = request.getfixturevalue(fixture)
+    else:
+        universe = kneser.FlagUniverse(2 * d + 1, (d, d + 1), gf.make_field(q))
+    assert table_digest(universe) == TABLE_DIGESTS[d, q]
 
 
 def test_universe_refuses_large_graphs_before_building(f2, monkeypatch):
@@ -174,6 +231,7 @@ def test_universe_refuses_large_graphs_before_building(f2, monkeypatch):
         raise AssertionError("tables built before the flag-count check")
 
     monkeypatch.setattr(pg, "enumerate_subspaces", no_tables)
+    monkeypatch.setattr(pg, "subspace_rows", no_tables)
     with pytest.raises(TooLarge):
         kneser.FlagUniverse(9, (4, 5), f2)
     assert qcalc.flag_count(2, 5) <= kneser.MAX_FLAGS < qcalc.flag_count(2, 7)
@@ -245,7 +303,7 @@ def test_dual_top_words_match_duals(name, request):
     universe = request.getfixturevalue(name)
     words = universe.dual_top_words.astype("<u8")
     assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
-        kneser.subspace_point_mask(pg.dual(s)) for s in universe.tables[1]
+        kneser.subspace_point_mask(pg.dual(s)) for s in table(universe, 1)
     ]
 
 
@@ -477,8 +535,8 @@ def test_popcount_helper():
 
 def test_entries_through_points_match_point_masks(u22):
     for pos, rows in enumerate(u22.entries_through_points()):
-        through = np.unpackbits(rows, axis=1, count=len(u22.tables[pos]), bitorder="little")
-        masks = [kneser.subspace_point_mask(s) for s in u22.tables[pos]]
+        masks = [kneser.subspace_point_mask(s) for s in table(u22, pos)]
+        through = np.unpackbits(rows, axis=1, count=len(masks), bitorder="little")
         expected = [[(m >> p) & 1 for m in masks] for p in range(u22.num_points)]
         assert through.tolist() == expected
 

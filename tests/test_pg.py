@@ -1,9 +1,10 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from qkneser import pg, qcalc
+from qkneser import gf, pg, qcalc
 from qkneser.errors import DimensionMismatch, InvalidArgs
 
 from conftest import unit_rows
@@ -141,6 +142,36 @@ def test_enumeration_yields_canonical_unique(f2, f3):
             rng.shuffle(rows)
             assert pg.rref(rows, n, fld) == s
     assert [s.rank for s in pg.enumerate_subspaces(4, 0, f2)] == [0]
+
+
+def documented_key(rows, n):
+    """enumerate_subspaces order: the pivot shape, then the free entries
+    (row-major, pivot columns left out)."""
+    pivots = [row.index(1) for row in rows]
+    free = [row[c] for i, row in enumerate(rows) for c in range(pivots[i] + 1, n) if c not in pivots]
+    return pivots, free
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_subspace_rows_count_canonical_and_order(q):
+    fld = gf.make_field(q)
+    for n in range(1, 6 if q < 9 else 4):
+        for r in range(n + 1):
+            rows = pg.subspace_rows(n, r, fld)
+            assert rows.shape == (qcalc.gauss(n, r, q), r, n) and rows.dtype == np.uint8
+            bases = [[tuple(row) for row in basis] for basis in rows.tolist()]
+            assert all(pg.is_canonical_rows(basis, n, fld) for basis in bases)
+            keys = [documented_key(basis, n) for basis in bases]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert [s.rows for s in pg.enumerate_subspaces(n, r, fld)] == [tuple(b) for b in bases]
+
+
+def test_subspace_rows_blocks_split_a_pivot_shape(f3, monkeypatch):
+    whole = pg.subspace_rows(5, 2, f3)
+    monkeypatch.setattr(pg, "_ROW_BLOCK", 7)
+    assert np.array_equal(pg.subspace_rows(5, 2, f3), whole)
+    with pytest.raises(InvalidArgs):
+        pg.subspace_rows(3, 4, f3)
 
 
 def test_lattice_laws_exhaustive_small(f2):
