@@ -10,10 +10,12 @@ oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members,
-and point masks are kept once per table entry.  The build lifts the lower
-table's RREF bases (pg.subspace_rows) to their upper members' masks (the
-points of lo + <w> are those of lo and the <v + w> for v in lo) on GF(q)
-add/mul tables; it builds no Subspace (entry builds one on demand).  A
+and point masks are kept once per table entry.  The build holds no
+per-flag mask.  A flag lo + <w> (w the lifted quotient rows) gets its upper
+id from a key, the RREF basis of its upper member (lo reduced at the pivot
+columns of w, and w) as packed base-q row codes numbered by first
+occurrence.  Each table's masks are spanned once per entry in uint8 GF(q)
+arithmetic, and no Subspace is built (entry builds one on demand).  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry and read off for the flags through their table ids.  A
 closed-form flag count above MAX_FLAGS is refused first.
@@ -42,7 +44,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb, prod
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -223,7 +224,34 @@ def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """table[a, b] for broadcast uint8 arrays, as one flat take (faster than a 2-d index)."""
-    return table.ravel().take(a.astype(np.intp) * table.shape[0] + b)
+    return table.ravel().take(a * np.uint8(table.shape[0]) + b)  # q * q <= 81 fits uint8
+
+
+def _mod_p(field: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """x mod p for uint8 x; numpy vectorizes uint8 // by a scalar, but not %.
+
+    _add, _mul and _neg do GF(q) arithmetic on broadcast uint8 arrays: XOR
+    adds in characteristic 2, uint8 arithmetic mod p serves a prime q, and
+    the tables serve GF(4) and GF(8) products and GF(9); -a is (p - 1) * a.
+    """
+    p = np.uint8(field.p)
+    return x - p * (x // p)
+
+
+def _add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if field.p == 2:
+        return a ^ b
+    return _mod_p(field, a + b) if field.k == 1 else _op(_field_arrays(field)[0], a, b)
+
+
+def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if field.q == 2:
+        return a & b
+    return _mod_p(field, a * b) if field.k == 1 else _op(_field_arrays(field)[1], a, b)
+
+
+def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    return a if field.p == 2 else _mul(field, np.uint8(field.p - 1), a)
 
 
 def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
@@ -238,11 +266,10 @@ def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _point_of_code(n: int, field: FieldSpec) -> np.ndarray:
     """Point id (all_points order) of every nonzero vector of GF(q)^n, by code."""
-    _, mul = _field_arrays(field)
     pts = np.array(pg.all_points(n, field), dtype=np.uint8)
     lookup = np.full(field.q**n, -1, dtype=np.int32)
     for a in range(1, field.q):
-        lookup[_codes(mul[a][pts], field.q)] = np.arange(len(pts), dtype=np.int32)
+        lookup[_codes(_mul(field, np.uint8(a), pts), field.q)] = np.arange(len(pts), dtype=np.int32)
     return lookup
 
 
@@ -296,59 +323,59 @@ def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _member_words(n: int, J: Tuple[int, ...], field: FieldSpec, rows: np.ndarray, n_words: int):
-    """Point-mask words of the lower members and of every (lower, upper) pair.
+def _span_words(field: FieldSpec, rows: np.ndarray, n_words: int) -> np.ndarray:
+    """Point-mask words of the row spaces of the (N, j, n) bases rows.
 
-    rows holds the (L, j1, n) RREF bases of the lower members.  Returns
-    (lo_words, up_words, quotient): lo_words[t] is the mask of rows[t], and
-    up_words[t * K + j] that of rows[t] joined with the lift of quotient[j]:
-    the (K, J[1] - j1, n - j1) quotient bases in enumerate_superspaces order,
-    the points for gap 1, else the subspaces (None for a single-member type).
+    Each chunk of _BUILD_CHUNK bases is spanned, one row at a time: the span
+    of rows 0..i is every vector of the span of rows 0..i-1 plus every
+    multiple of row i.  The points of the nonzero vectors are then set.
     """
-    q = field.q
-    add, mul = _field_arrays(field)
-    point_of = _point_of_code(n, field)
-    j1 = J[0]
-    m = n - j1
-    width = n_words * _WORD_BITS
-    # coefficient vectors of the span, the zero vector first
-    coeffs = np.array(list(product(range(q), repeat=j1)), dtype=np.uint8)
-    lo_words = np.empty((len(rows), n_words), dtype=_WORD)
-
-    quotient = groups = up_words = None
-    if len(J) == 2:
-        qpts = np.array(pg.all_points(m, field), dtype=np.uint8)
-        if J[1] == j1 + 1:
-            quotient = qpts[:, None, :]
-        else:
-            # the quotient points of each quotient subspace, from its own masks
-            quotient = pg.subspace_rows(m, J[1] - j1, field)
-            words = _member_words(m, (J[1] - j1,), field, quotient, -(-len(qpts) // _WORD_BITS))[0]
-            groups = np.nonzero(_unpack_bits(words))[1].reshape(len(quotient), -1)
-        up_words = np.empty((len(rows), len(quotient), n_words), dtype=_WORD)
-        lifted = _lift(rows, np.broadcast_to(qpts, (len(rows),) + qpts.shape))
-
+    elems = np.arange(field.q, dtype=np.uint8)[None, :, None]
+    point_of = _point_of_code(rows.shape[-1], field)
+    words = np.empty((len(rows), n_words), dtype=_WORD)
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
-        c = r.shape[0]
-        at = np.arange(c)
-        span = np.zeros((c, coeffs.shape[0], n), dtype=np.uint8)
-        for i in range(j1):
-            span = _op(add, span, _op(mul, coeffs[None, :, i, None], r[:, None, i, :]))
-        lo_pts = np.zeros((c, width), dtype=bool)
-        lo_pts[at[:, None], point_of[_codes(span[:, 1:], q)]] = True
-        lo_words[c0 : c0 + c] = _pack_bits(lo_pts)
-        if up_words is None:
-            continue
-        # <v + w> for every v in lo and lifted quotient point w
-        new = point_of[_codes(_op(add, span[:, :, None, :], lifted[c0 : c0 + c, None, :, :]), q)]
-        up_pts = np.zeros((c, len(qpts), width), dtype=bool)
-        up_pts[at[:, None, None], np.arange(len(qpts))[None, None, :], new] = True
-        if groups is not None:
-            up_pts = up_pts[:, groups].any(axis=2)
-        up_pts |= lo_pts[:, None, :]
-        up_words[c0 : c0 + c] = _pack_bits(up_pts)
-    return lo_words, None if up_words is None else up_words.reshape(-1, n_words), quotient
+        span = np.zeros((len(r), 1, r.shape[2]), dtype=np.uint8)
+        for i in range(r.shape[1]):
+            multiples = _mul(field, elems, r[:, None, i, :])
+            span = _add(field, span[:, :, None], multiples[:, None]).reshape(len(r), -1, r.shape[2])
+        incidence = np.zeros((len(r), n_words * _WORD_BITS), dtype=bool)
+        incidence[np.arange(len(r))[:, None], point_of[_codes(span[:, 1:], field.q)]] = True
+        words[c0 : c0 + len(r)] = _pack_bits(incidence)
+    return words
+
+
+def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids, first) of the upper members of the flags, by first occurrence.
+
+    Flag t * K + j joins the lower basis rows[t] (RREF) with the lift of the
+    quotient basis quotient[j].  Its key is its upper member's RREF basis:
+    rows[t] reduced at the pivot columns of the lifted rows, and those rows.
+    Their base-q codes, sorted and packed into int64 columns, are numbered
+    by _number_by_first_occurrence; _BUILD_CHUNK lower members at a time
+    make their keys, so no per-flag mask is ever held.
+    """
+    q, n = field.q, rows.shape[-1]
+    K, gap = quotient.shape[:2]
+    bits = (q**n - 1).bit_length()
+    per_col = (_WORD_BITS - 1) // bits  # codes per int64 column, its sign bit clear
+    keys = np.zeros((len(rows) * K, -(-(rows.shape[1] + gap) // per_col)), dtype=np.int64)
+    for c0 in range(0, len(rows), _BUILD_CHUNK):
+        r = rows[c0 : c0 + _BUILD_CHUNK]
+        c = len(r)
+        w = _lift(r[:, None], np.broadcast_to(quotient, (c,) + quotient.shape))  # (c, K, gap, n)
+        pivots = np.argmax(w != 0, axis=-1)  # each row of w is zero at the others' pivots
+        reduced = np.broadcast_to(r[:, None], (c, K) + r.shape[1:])
+        for i in range(gap):
+            coef = _neg(field, r[np.arange(c)[:, None], :, pivots[:, :, i]])
+            reduced = _add(field, reduced, _mul(field, coef[..., None], w[:, :, i, None, :]))
+        codes = np.sort(np.concatenate((_codes(reduced, q), _codes(w, q)), axis=-1), axis=-1)
+        codes = codes.reshape(c * K, -1).astype(np.int64)
+        for k in range(codes.shape[1]):
+            col = keys[c0 * K : (c0 + c) * K, k // per_col]
+            col <<= bits
+            col |= codes[:, k]
+    return _number_by_first_occurrence(keys)
 
 
 class MemberBits:
@@ -468,15 +495,19 @@ class FlagUniverse:
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
         self._lows = lows = pg.subspace_rows(n, j1, field)
-        lo_words, up_words, self._quotient = _member_words(n, self.types, field, lows, self.n_words)
-        self._per_lower = 1 if self._quotient is None else len(self._quotient)
-        self._size = len(lows) * self._per_lower
-        self.member_ids = [np.repeat(np.arange(len(lows), dtype=np.int64), self._per_lower)]
-        self._table_words = [lo_words]
-        if up_words is not None:
-            upper_ids, self._first = _number_by_first_occurrence(up_words)
-            self.member_ids.append(upper_ids)
-            self._table_words.append(up_words[self._first])
+        self.member_ids = [np.arange(len(lows), dtype=np.int64)]
+        self._table_words = [_span_words(field, lows, self.n_words)]
+        self._quotient, self._per_lower = None, 1
+        if len(self.types) == 2:
+            # the quotient bases in enumerate_superspaces order: the points for gap 1
+            m, gap = n - j1, self.types[1] - j1
+            points = np.array(pg.all_points(m, field), dtype=np.uint8)[:, None]
+            self._quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
+            self._per_lower = len(self._quotient)
+            upper_ids, self._first = _upper_ids(field, lows, self._quotient)
+            self.member_ids = [np.repeat(self.member_ids[0], self._per_lower), upper_ids]
+            self._table_words.append(_span_words(field, self._upper_bases(self._first), self.n_words))
+        self._size = len(self.member_ids[0])
         self._entries: List[dict] = [{} for _ in self.types]
         self._entry_of_mask: List[Optional[dict]] = [None for _ in self.types]
         self._dual_top_words = None
@@ -559,11 +590,10 @@ class FlagUniverse:
     def _hyperplane_words(self) -> np.ndarray:
         """Row x holds the mask words of the hyperplane x^perp (built lazily)."""
         if self._hyperplanes is None:
-            add, mul = _field_arrays(self.field)
             pts = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)
             dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
             for k in range(self.n):
-                dot = _op(add, dot, _op(mul, pts[:, k, None], pts[None, :, k]))
+                dot = _add(self.field, dot, _mul(self.field, pts[:, k, None], pts[None, :, k]))
             on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
             on_hyperplane[:, : len(pts)] = dot == 0
             self._hyperplanes = _pack_bits(on_hyperplane)
@@ -734,7 +764,7 @@ class FlagUniverse:
         the smallest over all blocks is the row-major first pair whatever the
         thread count.  Other types test every pair.
         """
-        ids = np.asarray(list(ids), dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
         if m < 2:
             return None

@@ -130,7 +130,7 @@ def test_universe_index_roundtrip_and_determinism(f2):
 
 
 @pytest.mark.parametrize(
-    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2)]
+    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2), (5, (1, 3), 3)]
 )
 def test_universe_ids_follow_enumerate_flags(n, J, q):
     field = gf.make_field(q)
@@ -205,6 +205,7 @@ TABLE_DIGESTS = {
     (2, 3): "8046e4d10a7b870968326cbeb2bbf11489d3416a91f355e477e898aa18fa1c6b",
     (3, 2): "76b91261ab8b0979535e6fb20b54ace82b2b624e58841e4e67f8f2307d20052c",
     (2, 4): "0fb09a3549679423f5b384838f1bb276f2810e76d284362c28f703a720306b6f",
+    (2, 5): "52336bae12df30dfc4fad276f55ca5de125a9b2fe64a04fff230b5a6cc5949aa",
 }
 
 
@@ -224,6 +225,28 @@ def test_tables_match_golden_digest(d, q, request):
     else:
         universe = kneser.FlagUniverse(2 * d + 1, (d, d + 1), gf.make_field(q))
     assert table_digest(universe) == TABLE_DIGESTS[d, q]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_tables_do_not_depend_on_build_chunk(chunk, f2, monkeypatch):
+    # first-occurrence numbering must carry across chunk boundaries
+    expected = table_digest(kneser.FlagUniverse(5, (1, 3), f2))
+    monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
+    assert table_digest(kneser.FlagUniverse(5, (1, 3), f2)) == expected
+    assert table_digest(kneser.FlagUniverse(5, (2, 3), gf.make_field(3))) == TABLE_DIGESTS[2, 3]
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
+def test_array_field_ops_match_field_spec(q):
+    field = gf.make_field(q)
+    a = np.arange(q, dtype=np.uint8)
+    sums, products = kneser._add(field, a[:, None], a[None, :]), kneser._mul(field, a[:, None], a[None, :])
+    negs = kneser._neg(field, a)
+    for got in (sums, products, negs):
+        assert got.dtype == np.uint8
+    assert sums.tolist() == [[field.add(x, y) for y in range(q)] for x in range(q)]
+    assert products.tolist() == [[field.mul(x, y) for y in range(q)] for x in range(q)]
+    assert negs.tolist() == [field.neg(x) for x in range(q)]
 
 
 def test_universe_refuses_large_graphs_before_building(f2, monkeypatch):
