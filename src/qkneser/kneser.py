@@ -227,27 +227,17 @@ def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table.ravel().take(a * np.uint8(table.shape[0]) + b)  # q * q <= 81 fits uint8
 
 
-def _mod_p(field: FieldSpec, x: np.ndarray) -> np.ndarray:
-    """x mod p for uint8 x; numpy vectorizes uint8 // by a scalar, but not %.
-
-    _add, _mul and _neg do GF(q) arithmetic on broadcast uint8 arrays: XOR
-    adds in characteristic 2, uint8 arithmetic mod p serves a prime q, and
-    the tables serve GF(4) and GF(8) products and GF(9); -a is (p - 1) * a.
-    """
-    p = np.uint8(field.p)
-    return x - p * (x // p)
+# GF(q) arithmetic on broadcast uint8 arrays: XOR adds in characteristic 2 and
+# AND multiplies in GF(2); every other sum and product is a table take.
+# -a is (p - 1) * a.
 
 
 def _add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.p == 2:
-        return a ^ b
-    return _mod_p(field, a + b) if field.k == 1 else _op(_field_arrays(field)[0], a, b)
+    return a ^ b if field.p == 2 else _op(_field_arrays(field)[0], a, b)
 
 
 def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.q == 2:
-        return a & b
-    return _mod_p(field, a * b) if field.k == 1 else _op(_field_arrays(field)[1], a, b)
+    return a & b if field.q == 2 else _op(_field_arrays(field)[1], a, b)
 
 
 def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
