@@ -25,7 +25,7 @@ from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
-from .kneser import Flag, FlagUniverse, check_cap, flag_binomials, has_point, subspace_point_mask
+from .kneser import Flag, FlagUniverse, check_cap, flag_binomials, subspace_point_mask
 
 # flags per step of the maximality scan
 _SCAN_CHUNK = 8192
@@ -363,28 +363,24 @@ def is_maximal(flags: Iterable[Flag], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
-def _points_off(rows: np.ndarray, tids: np.ndarray, outside: np.ndarray, num_points: int) -> List[int]:
-    """Points on none of the table entries that the outside flags use.
-
-    rows holds one mask row per table entry and tids each flag's entry, so
-    the OR runs over the distinct entries touched, not over the flags.
-    """
-    touched = np.bincount(tids[outside], minlength=rows.shape[0]) != 0
-    covered = np.bitwise_or.reduce(rows[touched], axis=0)
-    bits = np.unpackbits(covered.astype("<u8").view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[:num_points] == 0).tolist()
+def _points_off(points: np.ndarray, tids: np.ndarray, outside: np.ndarray, num_points: int) -> List[int]:
+    """Points on none of the table entries (rows of point ids) that the
+    outside flags use; each entry touched is read once, not once per flag."""
+    covered = np.zeros(num_points, dtype=bool)
+    covered[points[np.bincount(tids[outside], minlength=len(points)) != 0]] = True
+    return np.flatnonzero(~covered).tolist()
 
 
 def pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Point bits whose full point-pencil lies inside the selected flags:
     the points on no lower member of a flag outside the set."""
-    return _points_off(universe._table_words[0], universe.member_ids[0], ~in_set, universe.num_points)
+    return _points_off(universe._point_ids[0], universe.member_ids[0], ~in_set, universe.num_points)
 
 
 def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Dual-point bits (H^perp) whose full dual pencil lies inside the set:
     the points on the dual of no upper member of a flag outside the set."""
-    return _points_off(universe.dual_top_words, universe.member_ids[-1], ~in_set, universe.num_points)
+    return _points_off(universe.dual_top_ids, universe.member_ids[-1], ~in_set, universe.num_points)
 
 
 def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:
@@ -399,11 +395,12 @@ def _point_subspace(universe: FlagUniverse, bit: int) -> pg.Subspace:
     return pg.Subspace(universe.field, universe.n, (row,))
 
 
-def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
-    """Which table entries (rows of mask words) hold s: those holding each of
-    its basis rows, which are normalized and so are points."""
-    index = pg.point_index(universe.n, universe.field)
-    return np.logical_and.reduce([has_point(words, index[row]) for row in s.rows])
+def _entries_holding(points: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
+    """Which table entries (rows of distinct point ids) hold s: those whose
+    row is hit by each of its basis rows, which are normalized and so are points."""
+    index, flat = pg.point_index(universe.n, universe.field), points.ravel()
+    hits = np.concatenate([np.flatnonzero(flat == index[row]) for row in s.rows])
+    return np.bincount(hits // points.shape[1], minlength=len(points)) == s.rank
 
 
 def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np.ndarray, np.ndarray]:
@@ -414,7 +411,7 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
     entry and read off through member_ids; a family is a set of table ids.
     The flag set is never materialized.
     """
-    lower, upper = universe._table_words
+    lower, upper = universe._point_ids
     lo_ids, hi_ids = universe.member_ids
     if desc.is_point_based():
         generic = _entries_holding(lower, universe, desc.base)[lo_ids]
@@ -422,13 +419,13 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
             in_family = _entries_holding(upper, universe, desc.line)[hi_ids]
         elif desc.variant == "point_hyperplane":
             held = _entries_holding(upper, universe, desc.base)
-            held &= _entries_holding(universe.dual_top_words, universe, pg.dual(desc.hyperplane))
+            held &= _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.hyperplane))
             in_family = held[hi_ids]
         else:
             in_family = _family_ids_in(universe, 1, desc.family)
         return generic, in_family & ~generic
 
-    generic = _entries_holding(universe.dual_top_words, universe, pg.dual(desc.base))[hi_ids]
+    generic = _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.base))[hi_ids]
     return generic, _family_ids_in(universe, 0, desc.family) & ~generic
 
 
@@ -464,14 +461,14 @@ def classify(
     points, dual_points = candidates
     for bit in points:
         p = _point_subspace(universe, bit)
-        generic = has_point(universe._table_words[0], bit)[universe.member_ids[0]]
+        generic = _entries_holding(universe._point_ids[0], universe, p)[universe.member_ids[0]]
         desc = _match_family(in_set, universe, point_family, p, generic, 1)
         if desc is not None:
             return desc
     for bit in dual_points:
-        h = pg.dual(_point_subspace(universe, bit))
-        generic = has_point(universe.dual_top_words, bit)[universe.member_ids[1]]
-        desc = _match_family(in_set, universe, hyperplane_family, h, generic, 0)
+        x = _point_subspace(universe, bit)
+        generic = _entries_holding(universe.dual_top_ids, universe, x)[universe.member_ids[1]]
+        desc = _match_family(in_set, universe, hyperplane_family, pg.dual(x), generic, 0)
         if desc is not None:
             return desc
     return UNSTRUCTURED

@@ -9,13 +9,12 @@ a stream of word ANDs.  The test suite cross-checks the kernels against the
 oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
-a pair of table ids, into the tables of distinct lower and upper members,
-and point masks are kept once per table entry.  The build holds no
-per-flag mask.  A flag lo + <w> (w the lifted quotient rows) gets its upper
-id from a key, the RREF basis of its upper member (lo reduced at the pivot
-columns of w, and w) as packed base-q row codes numbered by first
-occurrence.  Each table's masks are spanned once per entry in uint8 GF(q)
-arithmetic, and no Subspace is built (entry builds one on demand).  A
+a pair of table ids, into the tables of distinct lower and upper members.
+Each table entry is kept once, as its RREF basis, its sorted point ids and
+its point-mask words, all made by the build in uint8 GF(q) arithmetic; no
+Subspace is built (entry builds one on demand).  A flag lo + <w> (w the
+lifted quotient rows) gets its upper id from a key, the RREF basis of its
+upper member as packed base-q row codes, numbered by first occurrence.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry and read off for the flags through their table ids.  A
 closed-form flag count above MAX_FLAGS is refused first.
@@ -43,7 +42,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,6 +68,9 @@ _BUILD_CHUNK = 256
 # pairs per pair-scan block: a few blocks per star group for run_blocks to
 # share out, each long enough that its per-call cost does not show
 _BLOCK_PAIRS = 1 << 21
+
+# rows and columns per tile of the pair-scan kernel
+_TILE_ROWS, _TILE_COLS = 64, 2048
 
 # members per step of MemberBits.add; bounds its scratch arrays
 _MEMBER_CHUNK = 4096
@@ -273,12 +275,6 @@ def _unpack_bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
 
 
-def has_point(words: np.ndarray, bit: int) -> np.ndarray:
-    """For each row of mask words, whether it holds the point with that bit."""
-    w, b = divmod(bit, _WORD_BITS)
-    return (words[:, w] >> _WORD(b)) & _WORD(1) != 0
-
-
 def _meets(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """For each row of mask words, whether it shares a point with mask."""
     acc = words[:, 0] & mask[0]
@@ -313,43 +309,51 @@ def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _span_words(field: FieldSpec, rows: np.ndarray, n_words: int) -> np.ndarray:
-    """Point-mask words of the row spaces of the (N, j, n) bases rows.
+def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids, words): the sorted point ids of the row spaces of the (N, j, n)
+    bases rows, and the point-mask words set from those ids.
 
     Each chunk of _BUILD_CHUNK bases is spanned, one row at a time: the span
     of rows 0..i is every vector of the span of rows 0..i-1 plus every
-    multiple of row i.  The points of the nonzero vectors are then set.
+    multiple of row i.  A point is hit by its q - 1 nonzero multiples, so
+    every (q - 1)-th of the sorted ids of the nonzero vectors is kept.
     """
-    elems = np.arange(field.q, dtype=np.uint8)[None, :, None]
+    q, j = field.q, rows.shape[1]
+    elems = np.arange(q, dtype=np.uint8)[None, :, None]
     point_of = _point_of_code(rows.shape[-1], field)
+    ids = np.empty((len(rows), (q**j - 1) // (q - 1)), dtype=np.int32)
     words = np.empty((len(rows), n_words), dtype=_WORD)
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
         span = np.zeros((len(r), 1, r.shape[2]), dtype=np.uint8)
-        for i in range(r.shape[1]):
+        for i in range(j):
             multiples = _mul(field, elems, r[:, None, i, :])
             span = _add(field, span[:, :, None], multiples[:, None]).reshape(len(r), -1, r.shape[2])
+        ids[c0 : c0 + len(r)] = np.sort(point_of[_codes(span[:, 1:], q)], axis=1)[:, :: q - 1]
         incidence = np.zeros((len(r), n_words * _WORD_BITS), dtype=bool)
-        incidence[np.arange(len(r))[:, None], point_of[_codes(span[:, 1:], field.q)]] = True
+        incidence[np.arange(len(r))[:, None], ids[c0 : c0 + len(r)]] = True
         words[c0 : c0 + len(r)] = _pack_bits(incidence)
-    return words
+    return ids, words
 
 
 def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(ids, first) of the upper members of the flags, by first occurrence.
+    """(ids, bases): the flags' upper members by first occurrence, and their RREF bases.
 
     Flag t * K + j joins the lower basis rows[t] (RREF) with the lift of the
     quotient basis quotient[j].  Its key is its upper member's RREF basis:
     rows[t] reduced at the pivot columns of the lifted rows, and those rows.
     Their base-q codes, sorted and packed into int64 columns, are numbered
     by _number_by_first_occurrence; _BUILD_CHUNK lower members at a time
-    make their keys, so no per-flag mask is ever held.
+    make their keys, so no per-flag mask is ever held.  A basis is read
+    back from its first key: RREF rows are in descending code order.
     """
     q, n = field.q, rows.shape[-1]
     K, gap = quotient.shape[:2]
     bits = (q**n - 1).bit_length()
     per_col = (_WORD_BITS - 1) // bits  # codes per int64 column, its sign bit clear
-    keys = np.zeros((len(rows) * K, -(-(rows.shape[1] + gap) // per_col)), dtype=np.int64)
+    rank = rows.shape[1] + gap
+    shifts = bits * (np.arange(rank) % per_col)
+    keys = np.zeros((len(rows) * K, -(-rank // per_col)), dtype=np.int64)
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
         c = len(r)
@@ -361,11 +365,11 @@ def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> Tupl
             reduced = _add(field, reduced, _mul(field, coef[..., None], w[:, :, i, None, :]))
         codes = np.sort(np.concatenate((_codes(reduced, q), _codes(w, q)), axis=-1), axis=-1)
         codes = codes.reshape(c * K, -1).astype(np.int64)
-        for k in range(codes.shape[1]):
-            col = keys[c0 * K : (c0 + c) * K, k // per_col]
-            col <<= bits
-            col |= codes[:, k]
-    return _number_by_first_occurrence(keys)
+        for k in range(rank):
+            keys[c0 * K : (c0 + c) * K, k // per_col] |= codes[:, k] << shifts[k]
+    ids, first = _number_by_first_occurrence(keys)
+    codes = keys[first][:, np.arange(rank) // per_col] >> shifts & ((1 << bits) - 1)
+    return ids, (codes[:, ::-1, None] // q ** np.arange(n - 1, -1, -1) % q).astype(np.uint8)
 
 
 class MemberBits:
@@ -385,22 +389,18 @@ class MemberBits:
 
     def __init__(self, universe: "FlagUniverse"):
         self._tids = universe.member_ids
-        self._words = universe._table_words
+        self._points = universe._point_ids
         self._through = universe.entries_through_points()
-        self._sizes = [words.shape[0] for words in universe._table_words]
+        self._sizes = [ids.shape[0] for ids in universe._point_ids]
         self.lower, self.upper = (np.zeros((n, 0), dtype=_WORD) for n in self._sizes)
         self.size = 0
 
-    def _apart(self, pos: int, rows: np.ndarray) -> np.ndarray:
-        """apart[r, t]: entry t of table pos shares no point with mask rows[r].
-
-        The rows are masks of one rank, so they have equally many points.
-        """
-        out = np.empty((rows.shape[0], self._sizes[pos]), dtype=bool)
-        for r0 in range(0, rows.shape[0], _WORD_BITS):
-            r = rows[r0 : r0 + _WORD_BITS]
-            points = np.nonzero(_unpack_bits(r))[1].reshape(r.shape[0], -1)
-            meet = np.bitwise_or.reduce(self._through[pos][points], axis=1)
+    def _apart(self, pos: int, points: np.ndarray) -> np.ndarray:
+        """apart[r, t]: entry t of table pos holds none of the point ids points[r]."""
+        out = np.empty((points.shape[0], self._sizes[pos]), dtype=bool)
+        for r0 in range(0, points.shape[0], _WORD_BITS):
+            r = points[r0 : r0 + _WORD_BITS]
+            meet = np.bitwise_or.reduce(self._through[pos][r], axis=1)
             meet = np.unpackbits(meet, axis=1, count=self._sizes[pos], bitorder="little")
             np.equal(meet, 0, out=out[r0 : r0 + r.shape[0]])
         return out
@@ -424,7 +424,7 @@ class MemberBits:
             for pos, bits in enumerate((self.lower, self.upper)):
                 # members that share an opposite entry share its row
                 uniq, inv = np.unique(self._tids[1 - pos][chunk], return_inverse=True)
-                apart = self._apart(pos, self._words[1 - pos][uniq])
+                apart = self._apart(pos, self._points[1 - pos][uniq])
                 k = 0
                 while k < chunk.size:
                     # the next members, whose bits share word w; einsum's
@@ -463,13 +463,14 @@ class StarPlan:
 
 
 class FlagUniverse:
-    """Dense id <-> flag bijection over two tables of bit-packed member masks.
+    """Dense id <-> flag bijection over two member tables.
 
     A flag is its pair of table ids: flag i has members
     entry(pos, member_ids[pos][i]), where member_ids[0][i] = i // K for K
     uppers per lower member, and the upper table lists the distinct upper
-    members in order of first occurrence (first[t] is the first flag with
-    upper entry t).  _table_words[pos][t] holds the mask words of entry t;
+    members in order of first occurrence.  Entry t of table pos has its
+    (rank, n) uint8 RREF basis _bases[pos][t], its sorted point ids
+    _point_ids[pos][t] and their mask words _table_words[pos][t];
     member_ids are the only per-flag arrays.  Ids follow enumerate_flags, so
     they are stable across runs; certificates reference flags by bases.
     """
@@ -484,23 +485,22 @@ class FlagUniverse:
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
-        self._lows = lows = pg.subspace_rows(n, j1, field)
+        lows = pg.subspace_rows(n, j1, field)
+        self._bases = [lows]
         self.member_ids = [np.arange(len(lows), dtype=np.int64)]
-        self._table_words = [_span_words(field, lows, self.n_words)]
-        self._quotient, self._per_lower = None, 1
         if len(self.types) == 2:
             # the quotient bases in enumerate_superspaces order: the points for gap 1
             m, gap = n - j1, self.types[1] - j1
             points = np.array(pg.all_points(m, field), dtype=np.uint8)[:, None]
-            self._quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
-            self._per_lower = len(self._quotient)
-            upper_ids, self._first = _upper_ids(field, lows, self._quotient)
-            self.member_ids = [np.repeat(self.member_ids[0], self._per_lower), upper_ids]
-            self._table_words.append(_span_words(field, self._upper_bases(self._first), self.n_words))
+            quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
+            upper_ids, uppers = _upper_ids(field, lows, quotient)
+            self.member_ids = [np.repeat(self.member_ids[0], len(quotient)), upper_ids]
+            self._bases.append(uppers)
+        spans = [_span_points(field, bases, self.n_words) for bases in self._bases]
+        self._point_ids, self._table_words = [ids for ids, _ in spans], [words for _, words in spans]
         self._size = len(self.member_ids[0])
         self._entries: List[dict] = [{} for _ in self.types]
-        self._entry_of_mask: List[Optional[dict]] = [None for _ in self.types]
-        self._dual_top_words = None
+        self._entry_of_basis: List[Optional[dict]] = [None for _ in self.types]
         self._hyperplanes = None
         self._through = None
 
@@ -525,8 +525,9 @@ class FlagUniverse:
         if len(f.chain) == len(self.types) and None not in tids:
             if len(tids) == 1:
                 return tids[0]
-            start = tids[0] * self._per_lower
-            hit = np.flatnonzero(self.member_ids[1][start : start + self._per_lower] == tids[1])
+            per_lower = self._size // len(self._bases[0])
+            start = tids[0] * per_lower
+            hit = np.flatnonzero(self.member_ids[1][start : start + per_lower] == tids[1])
             if hit.size:
                 return start + int(hit[0])
         raise InvalidArgs(f"flag {f!r} is not in this universe")
@@ -542,40 +543,35 @@ class FlagUniverse:
         """Entry t of member table pos as a Subspace, built and cached on first use."""
         s = self._entries[pos].get(t)
         if s is None:
-            if pos == 0:
-                s = pg.Subspace(self.field, self.n, tuple(map(tuple, self._lows[t].tolist())))
-            else:
-                s = pg.rref(self._upper_bases(self._first[t]).tolist(), self.n, self.field)
-            self._entries[pos][t] = s
+            rows = tuple(map(tuple, self._bases[pos][t].tolist()))
+            s = self._entries[pos][t] = pg.Subspace(self.field, self.n, rows)
         return s
 
     def table_id_of(self, pos: int, s: pg.Subspace) -> Optional[int]:
-        """The id of s in member table pos, found by its point mask; None if absent."""
+        """The id of s in member table pos, found by the bytes of its RREF basis; None if absent."""
         if s.n != self.n or s.field.q != self.field.q:
             return None
-        if self._entry_of_mask[pos] is None:
-            words = self._table_words[pos].astype("<u8")
-            self._entry_of_mask[pos] = {row.tobytes(): t for t, row in enumerate(words)}
-        return self._entry_of_mask[pos].get(subspace_point_mask(s).to_bytes(8 * self.n_words, "little"))
+        if self._entry_of_basis[pos] is None:
+            self._entry_of_basis[pos] = {basis.tobytes(): t for t, basis in enumerate(self._bases[pos])}
+        return self._entry_of_basis[pos].get(np.array(s.rows, dtype=np.uint8).tobytes())
 
-    def _upper_bases(self, first) -> np.ndarray:
-        """Upper entries' bases, not in RREF: lower rows, then lifted quotient rows."""
-        rows, j = self._lows[first // self._per_lower], first % self._per_lower
-        return np.concatenate((rows, _lift(rows, self._quotient[j])), axis=-2)
-
-    @property
+    @cached_property
     def dual_top_words(self) -> np.ndarray:
         """Row t holds the mask words of the dual of top table entry t (built lazily).
 
-        s^perp is the meet of the hyperplanes x^perp over the rows x of any
-        basis of s (_upper_bases), so its mask is the AND of their hyperplane
-        masks, read off the table of dot products of points.
+        s^perp is the meet of the hyperplanes x^perp over the rows x of the
+        basis of s, so its mask is the AND of their hyperplane masks, read
+        off the table of dot products of points.
         """
-        if self._dual_top_words is None:
-            basis = self._lows if self._quotient is None else self._upper_bases(self._first)
-            points = _point_of_code(self.n, self.field)[_codes(basis, self.field.q)]
-            self._dual_top_words = np.bitwise_and.reduce(self._hyperplane_words()[points], axis=1)
-        return self._dual_top_words
+        points = _point_of_code(self.n, self.field)[_codes(self._bases[-1], self.field.q)]
+        return np.bitwise_and.reduce(self._hyperplane_words()[points], axis=1)
+
+    @cached_property
+    def dual_top_ids(self) -> np.ndarray:
+        """dual_top_words as sorted point ids (built lazily, _BUILD_CHUNK rows at a time)."""
+        words = self.dual_top_words
+        chunks = (_unpack_bits(words[c0 : c0 + _BUILD_CHUNK]) for c0 in range(0, len(words), _BUILD_CHUNK))
+        return np.concatenate([np.nonzero(bits)[1].reshape(len(bits), -1).astype(np.int32) for bits in chunks])
 
     def _hyperplane_words(self) -> np.ndarray:
         """Row x holds the mask words of the hyperplane x^perp (built lazily)."""
@@ -596,10 +592,11 @@ class FlagUniverse:
         entry t contains point p.
         """
         if self._through is None:
-            self._through = [
-                np.packbits(_unpack_bits(words)[:, : self.num_points].T, axis=1, bitorder="little")
-                for words in self._table_words
-            ]
+            self._through = []
+            for ids in self._point_ids:
+                through = np.zeros((self.num_points, len(ids)), dtype=bool)
+                through[ids, np.arange(len(ids))[:, None]] = True
+                self._through.append(np.packbits(through, axis=1, bitorder="little"))
         return self._through
 
     # -- adjacency -----------------------------------------------------------
@@ -666,8 +663,10 @@ class FlagUniverse:
         later b with pi_b not in H: otherwise P lies in pi_a and tau_b, or
         pi_b + tau_a lies in H, so it is not the whole space and pi_b meets
         tau_a.  As pi_b lies in tau_b, the pairs inside a group are skipped
-        too.  Groups and columns come from the flags' own masks, so the plan
-        is sound for any id list.  Other types get no groups.
+        too.  The counts are one bincount of the point ids of each pi and
+        tau^perp, less the group's at each step; ties go to the first point.
+        Groups and columns come from the flags' own entries, so the plan is
+        sound for any id list.  Other types get no groups.
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
@@ -675,26 +674,24 @@ class FlagUniverse:
         groups: List[np.ndarray] = []
         points: List[int] = []
         if self._kneser_fast and m > 1:
-            # np.take gathers short rows several times faster than fancy indexing
-            lo = np.take(self._table_words[0], self.member_ids[0][ids], axis=0)
-            dual_hi = np.take(self.dual_top_words, self.member_ids[1][ids], axis=0)
-            words = np.concatenate((lo, dual_hi), axis=1)
-            incidence = _unpack_bits(words)
-            # int32 sums run about twice as fast as int64 ones
-            counts = incidence.sum(axis=0, dtype=np.int32)
+            # the points of pi, then those of tau^perp offset by width; np.take
+            # gathers short rows several times faster than fancy indexing
+            width = self.n_words * _WORD_BITS
+            lo = np.take(self._point_ids[0], self.member_ids[0][ids], axis=0)
+            dual_hi = np.take(self.dual_top_ids, self.member_ids[1][ids], axis=0) + width
+            star_points = np.concatenate((lo, dual_hi), axis=1)
+            counts = np.bincount(star_points.ravel(), minlength=2 * width)
             while True:
                 point = int(np.argmax(counts))
                 if counts[point] < 2:
                     break
-                members = np.nonzero(free & (incidence[:, point] != 0))[0]
+                # a flag holds each of its points once, so its row is hit at most once
+                members = np.flatnonzero(star_points.ravel() == point) // star_points.shape[1]
+                members = members[free[members]]
                 groups.append(members)
                 points.append(point)
                 free[members] = False
-                if members.size <= np.count_nonzero(free):
-                    counts -= incidence[members].sum(axis=0, dtype=np.int32)
-                else:
-                    # fewer flags are left than were grouped: count them afresh
-                    counts = incidence[free].sum(axis=0, dtype=np.int32)
+                counts -= np.bincount(star_points[members].ravel(), minlength=counts.size)
         rest = np.nonzero(free)[0]
         order = np.concatenate(groups + [rest])
 
@@ -728,16 +725,16 @@ class FlagUniverse:
     def _star_columns(self, point: int, ids: np.ndarray) -> np.ndarray:
         """Which flags of ids the rows of a star at point must still be tested against.
 
-        point indexes star_plan's incidence: below n_words * 64 it is the
+        point numbers star_plan's star points: below n_words * 64 it is the
         point P of a pi-star, which prunes the flags whose tau holds P; from
         there on it is the dual point of the hyperplane H of an H-star, which
         prunes the flags whose pi lies in H.
         """
         width = self.n_words * _WORD_BITS
         if point < width:
-            return ~has_point(self._table_words[1], point)[self.member_ids[1][ids]]
+            return ~(self._point_ids[1][self.member_ids[1][ids]] == point).any(axis=1)
         outside = ~self._hyperplane_words()[point - width]
-        return _meets(self._table_words[0], outside)[self.member_ids[0][ids]]
+        return _meets(np.take(self._table_words[0], self.member_ids[0][ids], axis=0), outside)
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
@@ -780,7 +777,7 @@ class FlagUniverse:
         return int(ids[found[0]]), int(ids[found[1]])
 
     def _tiled_pair_scan(
-        self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray], brow: int = 64, bcol: int = 2048
+        self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray]
     ) -> Optional[Tuple[int, int]]:
         """Rows r0..r1-1 against the plan positions cols after them, in tiles.
 
@@ -791,12 +788,12 @@ class FlagUniverse:
         lo, hi = sub
         r0, r1, cols = block
         best = None
-        for cs in range(0, cols.size, bcol):
-            c = cols[cs : cs + bcol]
+        for cs in range(0, cols.size, _TILE_COLS):
+            c = cols[cs : cs + _TILE_COLS]
             lo_c, hi_c = [word[c] for word in lo], [word[c] for word in hi]
             # rows from the last column on have no column after them
-            for rs in range(r0, min(r1, int(c[-1])), brow):
-                re = min(rs + brow, r1)
+            for rs in range(r0, min(r1, int(c[-1])), _TILE_ROWS):
+                re = min(rs + _TILE_ROWS, r1)
                 # nonzero where the pair meets: pi_a & tau_b or tau_a & pi_b, any word
                 z = lo[0][rs:re, None] & hi_c[0][None, :]
                 t = np.empty_like(z)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,28 @@ def test_cover_verify_invalid_exits_2(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cover", "verify", "--in", str(cert_file))
     assert code == 2
     assert json.loads(out)["valid"] is False
+
+
+# case -> [exit code, sha256 of the stdout of `cover verify`]: the pinned
+# (d, q) cover, its dual, and the (2,2) cover without class 4
+VERIFY_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cover_verify_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_GOLDEN))
+def test_cover_verify_output_matches_golden(capsys, tmp_path, case):
+    d, q, *variant = case.split("-", 2)
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "cover", "build", "--d", d, "--q", q, "--out", str(cert_file))
+    if variant == ["dual"]:
+        run_cli(capsys, "cover", "dualize", "--in", str(cert_file), "--out", str(cert_file))
+    elif variant == ["without-class-4"]:
+        data = json.loads(cert_file.read_text())
+        del data["classes"][4]
+        cert_file.write_text(json.dumps(data))
+    else:
+        assert not variant
+    code, out, _ = run_cli(capsys, "cover", "verify", "--in", str(cert_file))
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == VERIFY_GOLDEN[case]
 
 
 def test_cover_dualize_round_trip(capsys, tmp_path):

@@ -4,6 +4,7 @@ import operator
 import random
 from functools import reduce
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -161,6 +162,23 @@ def test_table_masks_match_point_masks(name, request):
         ]
         assert [universe.table_id_of(pos, s) for s in entries] == list(range(len(entries)))
         assert all(universe.entry(pos, t) is s for t, s in enumerate(entries))
+
+
+@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)])
+def test_point_ids_match_subspace_point_ids(n, J, q):
+    field = gf.make_field(q)
+    universe = kneser.FlagUniverse(n, J, field)
+    tables = [table(universe, pos) for pos in range(len(J))]
+    for pos, entries in enumerate(tables):
+        assert universe._point_ids[pos].tolist() == [list(pg.subspace_point_ids(s)) for s in entries]
+        assert [universe.table_id_of(pos, s) for s in entries] == list(range(len(entries)))
+    assert universe.dual_top_ids.tolist() == [list(pg.subspace_point_ids(pg.dual(s))) for s in tables[-1]]
+    # a subspace of another rank, or with the same basis over another field, is in no table
+    other_field = gf.make_field(3 if q == 2 else 2)
+    for pos, entries in enumerate(tables):
+        strangers = [pg.full_space(n, field), pg.Subspace(other_field, n, entries[0].rows)]
+        strangers += [s for other, rest in enumerate(tables) if other != pos for s in rest[:5]]
+        assert [universe.table_id_of(pos, s) for s in strangers] == [None] * len(strangers)
 
 
 def count_calls(monkeypatch, cls):
@@ -425,10 +443,12 @@ def test_star_scan_matches_reference(name, request):
 
 
 @pytest.mark.parametrize("tiles", [(64, 2048), (7, 11)])
-def test_tiled_scan_blocks_match_reference(u22, tiles):
+def test_tiled_scan_blocks_match_reference(u22, tiles, monkeypatch):
     """A block (r0, r1, cols) reports the smallest adjacent caller pair among
     its rows r against its columns c > r; so does the block cut down to its
     rows from r on, whose first pairs are row r's."""
+    monkeypatch.setattr(kneser, "_TILE_ROWS", tiles[0])
+    monkeypatch.setattr(kneser, "_TILE_COLS", tiles[1])
     adjacency = np.array([u22.adjacency_row(i) for i in range(len(u22))])
     rng = random.Random(23)
     desc = cover.build_cover(2, 2).classes[0]
@@ -456,8 +476,87 @@ def test_tiled_scan_blocks_match_reference(u22, tiles):
             adjacent_blocks += bool(pairs)
             for start in range(r0, r1):
                 expected = min((p for r, p in pairs if r >= start), default=None)
-                assert u22._tiled_pair_scan(sub, order, (start, r1, cols), *tiles) == expected
+                assert u22._tiled_pair_scan(sub, order, (start, r1, cols)) == expected
     assert adjacent_blocks >= 2
+
+
+def reference_star_plan(universe, ids):
+    """(order, group_sizes, blocks, pair_tests) of star_plan, computed on an
+    unpacked incidence matrix: one row per flag of the points of its pi and
+    of its tau^perp, with the columns of each group read off whole tables."""
+    ids = np.asarray(ids, dtype=np.int64)
+    m = int(ids.size)
+    free = np.ones(m, dtype=bool)
+    groups, points = [], []
+    if m > 1:
+        lower = universe._table_words[0][universe.member_ids[0][ids]]
+        dual_upper = universe.dual_top_words[universe.member_ids[1][ids]]
+        incidence = kneser._unpack_bits(np.concatenate((lower, dual_upper), axis=1))
+        counts = incidence.sum(axis=0, dtype=np.int32)
+        while True:
+            point = int(np.argmax(counts))
+            if counts[point] < 2:
+                break
+            members = np.nonzero(free & (incidence[:, point] != 0))[0]
+            groups.append(members)
+            points.append(point)
+            free[members] = False
+            counts = incidence[free].sum(axis=0, dtype=np.int32)
+    order = np.concatenate(groups + [np.nonzero(free)[0]])
+    width = universe.n_words * 64
+    lo_words, hi_words = universe._table_words
+    blocks, pair_tests, start = [], 0, 0
+    for g, point in zip(groups, points):
+        stop = start + g.size
+        later = ids[order[stop:]]
+        if point < width:
+            tau_misses = (hi_words[:, point // 64] >> np.uint64(point % 64)) & np.uint64(1) == 0
+            keep = tau_misses[universe.member_ids[1][later]]
+        else:
+            outside = ~universe._hyperplane_words()[point - width]
+            keep = (lo_words & outside).any(axis=1)[universe.member_ids[0][later]]
+        cols = stop + np.flatnonzero(keep)
+        pair_tests += g.size * cols.size
+        if cols.size:
+            step = max(1, kneser._BLOCK_PAIRS // cols.size)
+            blocks += [(r, min(r + step, stop), cols.tolist()) for r in range(start, stop, step)]
+        start = stop
+    pair_tests += comb(m - start, 2)
+    r = start
+    while r < m - 1:
+        step = max(1, kneser._BLOCK_PAIRS // (m - 1 - r))
+        blocks.append((r, min(r + step, m - 1), list(range(r + 1, m))))
+        r += step
+    return order.tolist(), tuple(g.size for g in groups), blocks, pair_tests
+
+
+def assert_plan_matches_reference(universe, ids):
+    plan = universe.star_plan(ids)
+    got = (plan.order.tolist(), plan.group_sizes, [(r0, r1, c.tolist()) for r0, r1, c in plan.blocks],
+           plan.pair_tests)
+    assert got == reference_star_plan(universe, ids)
+    return plan
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_star_plan_matches_reference_on_pinned_classes(q, u23):
+    universe = u23 if q == 3 else kneser.FlagUniverse(5, (2, 3), gf.make_field(q))
+    cert = cover.build_cover(2, q)
+    grouped = 0
+    for c in cert.classes + cover.dualize_cover(cert).classes:
+        ids = np.flatnonzero(np.logical_or(*indsets.descriptor_masks(c, universe)))
+        grouped += len(assert_plan_matches_reference(universe, ids).group_sizes)
+    assert grouped >= 2 * len(cert.classes)
+
+
+@pytest.mark.parametrize("name", ["u23", "u32"])
+def test_star_plan_matches_reference_on_random_ids(name, request):
+    universe = request.getfixturevalue(name)
+    rng = random.Random(29)
+    for size in (0, 1, 2, 50, 400, 3000):
+        ids = rng.sample(range(len(universe)), size)
+        assert_plan_matches_reference(universe, ids)
+        assert_plan_matches_reference(universe, sorted(ids))
 
 
 def test_star_plan_counts_every_pair(u22):
