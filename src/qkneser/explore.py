@@ -9,14 +9,14 @@ recorded with their seed so they can be re-examined by hand.  The output
 also carries g0 and e0, the closed-form sizes of the known families, so the
 sampled sizes can be read against them.
 
-The greedy walks a random order of all flags (a stable argsort of random
-64-bit keys) in chunks.  FlagUniverse.member_bits keeps one bit per member
-in a row per lower and per upper table entry, and a flag is adjacent to some
-member iff the AND of its two rows is nonzero; so one blocked call tests a
-whole chunk against the current members.  The flags that pass are picked on
-their own mask words: keep the first, drop every later one adjacent to it,
-and repeat.  The picked flags join the members in one add.  This gives
-exactly the set of the one-flag-at-a-time greedy on the same order.  The
+The greedy follows the stable argsort of one random 64-bit key per flag on
+a candidate list that only shrinks.  The candidates start as the flags
+outside the seed that no seed flag is adjacent to (one blocked call of
+FlagUniverse.member_bits), in the order of their own keys.  Each round takes
+the head, the first _CHUNK candidates, keeps its first flag, drops every
+later one adjacent to it, and repeats; the rest of the list is then tested
+against the new picks alone.  Every candidate stays apart from every member
+so far, so this is exactly the set of the one-flag-at-a-time greedy.  The
 pencil tests of a sample run once, on the table entries its outside flags
 use, and classify reuses their candidates.
 """
@@ -34,7 +34,7 @@ from .errors import InvalidArgs, NotIndependent, TooLarge
 from .gf import make_field
 from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits
 
-# candidates tested together against the members of a greedy completion
+# candidates picked apart in one round of a greedy completion
 _CHUNK = 2048
 
 
@@ -77,14 +77,9 @@ class SampleStats:
         }
 
 
-def _random_order(rng: random.Random, n: int) -> np.ndarray:
-    """A uniformly random order of 0..n-1: the stable argsort of 8n random bytes
-    read as little-endian 64-bit keys.
-
-    Unless two keys tie (a 2^-64 chance per pair), the faster default sort
-    gives the same order, so the stable sort runs only on a tie.
-    """
-    keys = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of keys.  The faster default sort gives the same
+    order unless two keys tie, so the stable sort runs only on a tie."""
     order = np.argsort(keys)
     ranked = keys[order]
     if (ranked[1:] == ranked[:-1]).any():
@@ -98,18 +93,18 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
         hit = universe.check_pairwise_independent(ids)
         if hit is not None:
             raise NotIndependent(f"seed set contains the adjacent pair {hit}")
-    order = _random_order(rng, len(universe))
-    bits = universe.member_bits(ids)
-    in_set = np.zeros(len(universe), dtype=bool)
-    in_set[ids] = True
+    keys = np.frombuffer(rng.randbytes(8 * len(universe)), dtype="<u8")
+    # every candidate stays apart from every member so far
+    cand = np.delete(np.arange(len(universe)), ids)
+    cand = cand[~universe.member_bits(ids).blocked(cand)]
+    cand = cand[_key_order(keys[cand])]
     current = list(ids)
-    for c0 in range(0, order.size, _CHUNK):
-        chunk = order[c0 : c0 + _CHUNK]
-        free = chunk[~in_set[chunk] & ~bits.blocked(chunk)]
-        if free.size:
-            picked = _pick_apart(free, universe)
-            bits.add(picked)
-            current += picked.tolist()
+    while cand.size:
+        picked = _pick_apart(cand[:_CHUNK], universe)
+        current += picked.tolist()
+        cand = cand[_CHUNK:]
+        if cand.size:
+            cand = cand[~universe.member_bits(picked).blocked(cand)]
     return sorted(current)
 
 
@@ -117,16 +112,19 @@ def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
     """The flags that the one-flag-at-a-time greedy takes from free, in order.
 
     Keep free[0], drop every later flag adjacent to it, and repeat; flags a
-    and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).
+    and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).  The
+    words are held one row per word, so a step ANDs and ORs whole rows.
     """
     lo, hi = (words[tids[free]] for words, tids in zip(universe._table_words, universe.member_ids))
+    cols, rows = np.hstack((lo, hi)).T.copy(), np.hstack((hi, lo))
     keep = []
     alive = np.arange(free.size)
     while alive.size:
         k, rest = alive[0], alive[1:]
         keep.append(k)
-        meets = ((lo[rest] & hi[k]) | (hi[rest] & lo[k])).any(axis=1)
-        alive = rest[meets]
+        meets = np.take(cols, rest, axis=1)
+        meets &= rows[k][:, None]
+        alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
     return free[keep]
 
 

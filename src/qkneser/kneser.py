@@ -438,8 +438,8 @@ class MemberBits:
 
     def blocked(self, ids: np.ndarray) -> np.ndarray:
         """For each flag of ids, whether it is adjacent to some member."""
-        both = self.lower[self._tids[0][ids]]
-        both &= self.upper[self._tids[1][ids]]
+        both = np.take(self.lower, np.take(self._tids[0], ids), axis=0)
+        both &= np.take(self.upper, np.take(self._tids[1], ids), axis=0)
         return both.any(axis=1)
 
 

@@ -45,7 +45,8 @@ def reference_greedy(seed_ids, order, universe):
 def kernel_and_reference(seed_ids, rng, universe):
     """The kernel's completion and the reference's on the order the kernel draws."""
     state = rng.getstate()
-    order = explore._random_order(rng, len(universe)).tolist()
+    keys = np.frombuffer(rng.randbytes(8 * len(universe)), dtype="<u8")
+    order = explore._key_order(keys).tolist()
     rng.setstate(state)
     return explore._greedy_complete_ids(seed_ids, rng, universe), reference_greedy(seed_ids, order, universe)
 
@@ -271,11 +272,36 @@ class _TiedKeys:
         return np.array([i * 7919 % 5 for i in range(size // 8)], dtype="<u8").tobytes()
 
 
-def test_random_order_is_stable_argsort_of_keys(u22):
+def test_key_order_is_stable_argsort_of_keys(u22):
     n = len(u22)
+    subset = np.array(sorted(random.Random(5).sample(range(n), n // 3)))
     for make in (lambda: random.Random(3), _TiedKeys):
         keys = np.frombuffer(make().randbytes(8 * n), dtype="<u8")
-        assert explore._random_order(make(), n).tolist() == np.argsort(keys, kind="stable").tolist()
+        stable = np.argsort(keys, kind="stable")
+        assert explore._key_order(keys).tolist() == stable.tolist()
+        # the order of a subset's keys is the global order restricted to it, ties included
+        restricted = stable[np.isin(stable, subset)]
+        assert subset[explore._key_order(keys[subset])].tolist() == restricted.tolist()
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_pick_apart_matches_reference_when_first_flag_cuts_nothing(name, request):
+    universe = request.getfixturevalue(name)
+    lo, hi = _flag_int_masks(universe, 0), _flag_int_masks(universe, 1)
+
+    def adjacent(a, b):
+        return (lo[a] & hi[b]) == 0 and (hi[a] & lo[b]) == 0
+
+    first = 0
+    apart = [f for f in range(1, len(universe)) if not adjacent(first, f)]
+    b = apart[0]
+    c = next(f for f in apart if adjacent(b, f))
+    rest = [f for f in apart[1:80] if f != c] + [c]
+    random.Random(2).shuffle(rest)
+    head = [first, b] + rest
+    got = explore._pick_apart(np.array(head), universe).tolist()
+    assert sorted(got) == reference_greedy([], head, universe)
+    assert got[:2] == [first, b] and c not in got and len(got) > 2
 
 
 def test_probe_reports_known_family_sizes(u22):
@@ -300,7 +326,7 @@ def test_probe_does_not_import_numpy_random():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77)])
+@pytest.mark.parametrize("d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77), (2, 4, 40, 11)])
 def test_explore_output_matches_golden(d, q, samples, seed):
     # the recorded stdout pins the samples drawn for a given --seed
     argv = ["explore", "--d", str(d), "--q", str(q), "--samples", str(samples), "--seed", str(seed)]
