@@ -55,18 +55,24 @@ def _emit(obj, human: bool = False) -> None:
         print(json.dumps(obj, sort_keys=True))
 
 
-def _write_json_atomic(obj, path: str) -> None:
+def _write_atomic(path: str, write):
+    """write(fh) into a temp file beside path, renamed over path once it
+    returns; its result is returned, and on failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
+            result = write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return result
+
+
+def _write_json_atomic(obj, path: str) -> None:
+    _write_atomic(path, lambda fh: fh.write(json.dumps(obj, sort_keys=True) + "\n"))
 
 
 def _load_json(path):
@@ -278,7 +284,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_graph(args) -> int:
     fld = gf.make_field(args.q)
     n, J = _parse_type(args)
-    universe = kneser.export_dimacs(n, J, fld, args.out, cap=args.cap)
+    universe = _write_atomic(args.out, lambda fh: kneser.export_dimacs(n, J, fld, fh, cap=args.cap))
     _emit({"vertices": len(universe), "out": args.out})
     return EXIT_OK
 
@@ -340,7 +346,12 @@ def _cmd_explore(args) -> int:
     if args.rho < 1:
         return _fail(f"--rho must be at least 1, got {args.rho}")
     fld = gf.make_field(args.q)
-    universe = kneser.FlagUniverse(2 * args.d + 1, (args.d, args.d + 1), fld)
+    n, J = 2 * args.d + 1, (args.d, args.d + 1)
+    if args.greedy_color_order:
+        # the coloring's vertex cap, checked before the universe and the samples
+        what = f"vertices of type {J} in GF({args.q})^{n}"
+        kneser.check_cap(args.q, kneser.flag_binomials(n, J), what, kneser.DEFAULT_VERTEX_CAP)
+    universe = kneser.FlagUniverse(n, J, fld)
     stats = explore.conjecture_probe(
         args.d, args.q, args.samples, master_seed=args.seed,
         rho_candidate=args.rho, universe=universe,

@@ -136,7 +136,7 @@ def build_cover(d: int, q: int) -> CoverCertificate:
         if pt not in used:
             classes.append(point_pencil(pt))
 
-    expected = qcalc.theta(d + 1, q) - q
+    expected = qcalc.chromatic_value(d, q)
     assert len(classes) == expected, f"built {len(classes)} classes, expected {expected}"
     return CoverCertificate(
         d=d, q=q, U=u, classes=classes,
@@ -191,7 +191,8 @@ def _expected_special(desc: IndSetDescriptor) -> Optional[int]:
     if desc.variant in ("point_pencil", "dual_point_pencil"):
         return 0
     if desc.variant in ("point_line", "point_hyperplane"):
-        return qcalc.gauss(2 * d - 1, d - 1, q) * q**d
+        known = qcalc.size_constants(d, q, 1)
+        return known.e0 - known.g0
     return len(desc.family) * q**d
 
 
@@ -219,7 +220,7 @@ def verify_cover(
     if universe is None:
         universe = FlagUniverse(n, (cert.d, cert.d + 1), fld)
 
-    g0 = qcalc.gauss(2 * cert.d, cert.d + 1, cert.q) * qcalc.theta(cert.d, cert.q)
+    g0 = qcalc.size_constants(cert.d, cert.q, 1).g0
     covered = np.zeros(len(universe), dtype=bool)
     class_sizes: List[Dict] = []
     size_mismatches: List[int] = []

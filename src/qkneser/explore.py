@@ -30,9 +30,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from . import indsets, qcalc
-from .errors import InvalidArgs, NotIndependent, TooLarge
+from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
-from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits
+from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits, check_cap, flag_binomials
 
 # candidates picked apart in one round of a greedy completion
 _CHUNK = 2048
@@ -207,13 +207,13 @@ def greedy_color(
 ) -> ColoringResult:
     """Greedy proper coloring; the color count is a raw observation only.
 
-    A vertex takes the first color class (one MemberBits each) that holds none of its neighbors."""
-    fld = make_field(q)
+    A vertex takes the first color class (one MemberBits each) that holds none of its neighbors.
+    More than cap vertices are refused before the universe is built."""
+    n, J = 2 * d + 1, (d, d + 1)
+    check_cap(q, flag_binomials(n, J), f"vertices of type {J} in GF({q})^{n}", cap)
     if universe is None:
-        universe = FlagUniverse(2 * d + 1, (d, d + 1), fld)
+        universe = FlagUniverse(n, J, make_field(q))
     n_vertices = len(universe)
-    if n_vertices > cap:
-        raise TooLarge(f"{n_vertices} vertices exceed the cap of {cap}")
     if order == "enumeration":
         sequence = list(range(n_vertices))
     elif order == "degree-random":

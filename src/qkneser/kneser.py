@@ -17,7 +17,9 @@ lifted quotient rows) gets its upper id from a key, the RREF basis of its
 upper member as packed base-q row codes, numbered by first occurrence.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry and read off for the flags through their table ids.  A
-closed-form flag count above MAX_FLAGS is refused first.
+closed-form flag count above MAX_FLAGS is refused first.  Every point set
+(of a table entry, of the dual of a top entry, of a hyperplane x^perp) is
+spanned from a basis by _span_points; _dual_rows gives the duals' bases.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
@@ -39,8 +41,6 @@ in explore and the maximality scan in indsets.find_extension both use it.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, prod
@@ -132,19 +132,14 @@ def flag_binomials(n: int, J: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return (n, J[0]), (n - J[0], J[-1] - J[0])
 
 
-def flag_count(n: int, J: Sequence[int], q: int) -> int:
-    """Closed-form number of flags of type J in GF(q)^n."""
-    return prod(qcalc.gauss(a, b, q) for a, b in flag_binomials(n, J))
-
-
-def check_cap(q: int, binomials: Sequence[Tuple[int, int]], what: str) -> None:
-    """Refuse a product of Gaussian binomials [a b]_q above MAX_FLAGS before
+def check_cap(q: int, binomials: Sequence[Tuple[int, int]], what: str, cap: int = MAX_FLAGS) -> None:
+    """Refuse a product of Gaussian binomials [a b]_q above cap before
     anything is built; as [a b]_q >= q^(b(a-b)), a large exponent alone refuses."""
-    # q^e > MAX_FLAGS once 2^e is, i.e. from e = MAX_FLAGS.bit_length() on; an
-    # invalid [a b] has a negative exponent and is left to gauss to refuse
-    huge = sum(b * (a - b) for a, b in binomials) >= MAX_FLAGS.bit_length()
-    if huge or prod(qcalc.gauss(a, b, q) for a, b in binomials) > MAX_FLAGS:
-        raise TooLarge(f"more than {MAX_FLAGS} {what} exceed the cap")
+    # q^e > cap once 2^e is, i.e. from e = cap.bit_length() on; an invalid
+    # [a b] has a negative exponent and is left to gauss to refuse
+    huge = sum(b * (a - b) for a, b in binomials) >= cap.bit_length()
+    if huge or prod(qcalc.gauss(a, b, q) for a, b in binomials) > cap:
+        raise TooLarge(f"more than {cap} {what} exceed the cap")
 
 
 def enumerate_flags(n: int, J: Sequence[int], field: FieldSpec) -> Iterator[Flag]:
@@ -270,11 +265,6 @@ def _pack_bits(incidence: np.ndarray) -> np.ndarray:
     return np.packbits(incidence, axis=-1, bitorder="little").view("<u8").astype(_WORD)
 
 
-def _unpack_bits(words: np.ndarray) -> np.ndarray:
-    """The bits of uint64 words as 0/1 bytes, word by word from the low bit."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
-
-
 def _meets(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """For each row of mask words, whether it shares a point with mask."""
     acc = words[:, 0] & mask[0]
@@ -307,6 +297,19 @@ def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     lifted = np.zeros(vecs.shape[:-1] + rows.shape[-1:], dtype=np.uint8)
     np.put_along_axis(lifted, free, vecs, axis=-1)
     return lifted
+
+
+def _dual_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Bases (N, n - j, n) of the orthogonal complements of the row spaces of
+    the (N, j, n) RREF bases rows, as pg.dual has them before its RREF: for
+    each non-pivot column c, the unit vector e_c with -rows[i][c] at the
+    pivot column of row i."""
+    N, j, n = rows.shape
+    duals = _lift(rows, np.broadcast_to(np.eye(n - j, dtype=np.uint8), (N, n - j, n - j)))
+    coef = np.take_along_axis(rows, np.argmax(duals, axis=-1)[:, None, :], axis=-1)  # rows[i][c]
+    pivots = np.argmax(rows != 0, axis=-1)[:, None, :]
+    np.put_along_axis(duals, pivots, _neg(field, coef).transpose(0, 2, 1), axis=-1)
+    return duals
 
 
 def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -501,7 +504,6 @@ class FlagUniverse:
         self._size = len(self.member_ids[0])
         self._entries: List[dict] = [{} for _ in self.types]
         self._entry_of_basis: List[Optional[dict]] = [None for _ in self.types]
-        self._hyperplanes = None
         self._through = None
 
         # popcount -> rank lookup for join-rank tests
@@ -556,34 +558,26 @@ class FlagUniverse:
         return self._entry_of_basis[pos].get(np.array(s.rows, dtype=np.uint8).tobytes())
 
     @cached_property
-    def dual_top_words(self) -> np.ndarray:
-        """Row t holds the mask words of the dual of top table entry t (built lazily).
+    def _dual_top(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(ids, words) of the duals of the top table entries (built lazily)."""
+        return _span_points(self.field, _dual_rows(self.field, self._bases[-1]), self.n_words)
 
-        s^perp is the meet of the hyperplanes x^perp over the rows x of the
-        basis of s, so its mask is the AND of their hyperplane masks, read
-        off the table of dot products of points.
-        """
-        points = _point_of_code(self.n, self.field)[_codes(self._bases[-1], self.field.q)]
-        return np.bitwise_and.reduce(self._hyperplane_words()[points], axis=1)
+    @property
+    def dual_top_ids(self) -> np.ndarray:
+        """Row t holds the sorted point ids of the dual of top table entry t."""
+        return self._dual_top[0]
+
+    @property
+    def dual_top_words(self) -> np.ndarray:
+        """Row t holds the mask words of the dual of top table entry t."""
+        return self._dual_top[1]
 
     @cached_property
-    def dual_top_ids(self) -> np.ndarray:
-        """dual_top_words as sorted point ids (built lazily, _BUILD_CHUNK rows at a time)."""
-        words = self.dual_top_words
-        chunks = (_unpack_bits(words[c0 : c0 + _BUILD_CHUNK]) for c0 in range(0, len(words), _BUILD_CHUNK))
-        return np.concatenate([np.nonzero(bits)[1].reshape(len(bits), -1).astype(np.int32) for bits in chunks])
-
     def _hyperplane_words(self) -> np.ndarray:
-        """Row x holds the mask words of the hyperplane x^perp (built lazily)."""
-        if self._hyperplanes is None:
-            pts = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)
-            dot = np.zeros((len(pts), len(pts)), dtype=np.uint8)
-            for k in range(self.n):
-                dot = _add(self.field, dot, _mul(self.field, pts[:, k, None], pts[None, :, k]))
-            on_hyperplane = np.zeros((len(pts), self.n_words * _WORD_BITS), dtype=bool)
-            on_hyperplane[:, : len(pts)] = dot == 0
-            self._hyperplanes = _pack_bits(on_hyperplane)
-        return self._hyperplanes
+        """Row x holds the mask words of the hyperplane x^perp (built lazily):
+        the span of the dual of point x, taken as a rank-1 basis."""
+        points = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)[:, None]
+        return _span_points(self.field, _dual_rows(self.field, points), self.n_words)[1]
 
     def entries_through_points(self) -> List[np.ndarray]:
         """Per table, packed bits of the entries through each point (built lazily).
@@ -733,7 +727,7 @@ class FlagUniverse:
         width = self.n_words * _WORD_BITS
         if point < width:
             return ~(self._point_ids[1][self.member_ids[1][ids]] == point).any(axis=1)
-        outside = ~self._hyperplane_words()[point - width]
+        outside = ~self._hyperplane_words[point - width]
         return _meets(np.take(self._table_words[0], self.member_ids[0][ids], axis=0), outside)
 
     def check_pairwise_independent(
@@ -853,32 +847,16 @@ def export_dimacs(
     out,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> FlagUniverse:
-    """Write the graph in DIMACS edge format (1-based ids in universe order)."""
+    """Write the graph in DIMACS edge format (1-based ids in universe order)
+    to the text handle out; more than cap vertices are refused before the
+    universe is built."""
     if n < 3:
         raise InvalidType("q-Kneser graphs are defined for n >= 3")
+    check_cap(field.q, flag_binomials(n, J), f"vertices of type {tuple(J)} in GF({field.q})^{n}", cap)
     universe = FlagUniverse(n, J, field)
-    if len(universe) > cap:
-        raise TooLarge(f"{len(universe)} vertices exceed the cap of {cap}")
-    m = universe.count_edges()
-
-    def emit(fh):
-        fh.write(f"p edge {len(universe)} {m}\n")
-        for i in range(len(universe) - 1):
-            row = universe.adjacency_row(i, i + 1)
-            for j in np.nonzero(row)[0]:
-                fh.write(f"e {i + 1} {i + 2 + int(j)}\n")
-
-    if hasattr(out, "write"):
-        emit(out)
-    else:
-        directory = os.path.dirname(os.path.abspath(out)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                emit(fh)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    out.write(f"p edge {len(universe)} {universe.count_edges()}\n")
+    for i in range(len(universe) - 1):
+        row = universe.adjacency_row(i, i + 1)
+        for j in np.nonzero(row)[0]:
+            out.write(f"e {i + 1} {i + 2 + int(j)}\n")
     return universe

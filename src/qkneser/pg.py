@@ -6,9 +6,9 @@ tuples are equal, so subspaces are hashable dictionary keys.  Vector-space
 rank is used throughout; projective dimension (rank - 1) only shows up in
 reporting layers.
 
-For q = 2 row reduction runs on bit-packed rows (one int per row); the
-result is bit-identical to the generic table-driven path, which the test
-suite checks exhaustively on small spaces.
+Row reduction has one table-driven implementation for every q.  Only
+join_rank packs GF(2) rows into ints (one per row, kept on the Subspace),
+as the oracle general_position calls it for every member pair.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 # row reduction
 
 
-def _rref_generic(rows: List[list], n: int, fld: FieldSpec) -> Tuple[Row, ...]:
+def _rref_generic(rows: Iterable[Sequence[int]], n: int, fld: FieldSpec) -> Tuple[Row, ...]:
     mul, sub, inv = fld.mul, fld.sub, fld.inv
     work = [list(r) for r in rows if any(r)]
     pr = 0
@@ -106,40 +106,6 @@ def _pack2(row: Sequence[int]) -> int:
     return v
 
 
-def _unpack2(v: int, n: int) -> Row:
-    return tuple((v >> i) & 1 for i in range(n))
-
-
-def _rref_gf2_packed(rows: List[int], n: int) -> List[int]:
-    work = [r for r in rows if r]
-    pr = 0
-    for col in range(n):
-        bit = 1 << col
-        piv = None
-        for r in range(pr, len(work)):
-            if work[r] & bit:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[pr], work[piv] = work[piv], work[pr]
-        row = work[pr]
-        for r in range(len(work)):
-            if r != pr and (work[r] & bit):
-                work[r] ^= row
-        pr += 1
-        if pr == len(work):
-            break
-    return work[:pr]
-
-
-def _rref_rows(rows, n: int, fld: FieldSpec) -> Tuple[Row, ...]:
-    if fld.q == 2:
-        packed = _rref_gf2_packed([_pack2(r) for r in rows], n)
-        return tuple(_unpack2(v, n) for v in packed)
-    return _rref_generic(rows, n, fld)
-
-
 def rref(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> Subspace:
     """Canonical span of the given GF(q)-vectors of length n."""
     q = field.q
@@ -149,14 +115,12 @@ def rref(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> Subspace:
         for v in r:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
                 raise InvalidArgs(f"scalar {v!r} is not an element of GF({q})")
-    return Subspace(field, n, _rref_rows(rows, n, field))
+    return Subspace(field, n, _rref_generic(rows, n, field))
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> int:
-    """Matrix rank over GF(q); cheaper entry point when only the rank is needed."""
-    if field.q == 2:
-        return len(_rref_gf2_packed([_pack2(r) for r in rows], n))
-    return len(_rref_generic(list(rows), n, field))
+    """Matrix rank over GF(q)."""
+    return len(_rref_generic(rows, n, field))
 
 
 def join_rank(a: Subspace, b: Subspace) -> int:
@@ -212,7 +176,7 @@ def is_canonical_rows(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     _check_same_space(a, b)
-    return Subspace(a.field, a.n, _rref_rows(list(a.rows) + list(b.rows), a.n, a.field))
+    return Subspace(a.field, a.n, _rref_generic(list(a.rows) + list(b.rows), a.n, a.field))
 
 
 def _pivot_col(row: Row) -> int:
@@ -236,7 +200,7 @@ def dual(a: Subspace) -> Subspace:
         for i, pc in enumerate(pivots):
             v[pc] = fld.neg(a.rows[i][c])
         vecs.append(v)
-    return Subspace(fld, n, _rref_rows(vecs, n, fld))
+    return Subspace(fld, n, _rref_generic(vecs, n, fld))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -329,33 +293,10 @@ def _extend_rref(rows: Tuple[Row, ...], w: Sequence[int], fld: FieldSpec) -> Tup
     return tuple(out)
 
 
-def superspaces(a: Subspace, quotient: Iterable[Sequence[Row]]) -> List[Subspace]:
-    """a joined with the lift of each canonical basis of GF(q)^n / a.
-
-    Quotient coordinates are the non-pivot columns of a, in increasing order.
-    """
-    fld, n = a.field, a.n
-    pivot_set = {_pivot_col(row) for row in a.rows}
-    free_columns = [c for c in range(n) if c not in pivot_set]
-
-    def lift(qrow):
-        v = [0] * n
-        for c, x in zip(free_columns, qrow):
-            v[c] = x
-        return v
-
-    out = []
-    for qrows in quotient:
-        if len(qrows) == 1:
-            out.append(Subspace(fld, n, _extend_rref(a.rows, lift(qrows[0]), fld)))
-        else:
-            rows = [lift(qrow) for qrow in qrows] + [list(row) for row in a.rows]
-            out.append(Subspace(fld, n, _rref_rows(rows, n, fld)))
-    return out
-
-
 def enumerate_superspaces(a: Subspace, r: int) -> Iterator[Subspace]:
-    """All rank-r subspaces containing a, via the quotient space GF(q)^(n-s).
+    """All rank-r subspaces containing a: a joined with the lift of each
+    canonical basis of the quotient space GF(q)^(n-s), whose coordinates
+    are the non-pivot columns of a in increasing order.
 
     Order: for r = s + 1 the quotient points in all_points order, otherwise
     the quotient subspaces in enumerate_subspaces order.
@@ -366,11 +307,22 @@ def enumerate_superspaces(a: Subspace, r: int) -> Iterator[Subspace]:
     if r == s:
         yield a
         return
+    pivot_set = {_pivot_col(row) for row in a.rows}
+    free_columns = [c for c in range(n) if c not in pivot_set]
+
+    def lift(qrow):
+        v = [0] * n
+        for c, x in zip(free_columns, qrow):
+            v[c] = x
+        return v
+
     if r == s + 1:
-        quotient = [(pt,) for pt in all_points(n - s, fld)]
-    else:
-        quotient = [t.rows for t in enumerate_subspaces(n - s, r - s, fld)]
-    yield from superspaces(a, quotient)
+        for pt in all_points(n - s, fld):
+            yield Subspace(fld, n, _extend_rref(a.rows, lift(pt), fld))
+        return
+    for t in enumerate_subspaces(n - s, r - s, fld):
+        rows = [lift(qrow) for qrow in t.rows] + [list(row) for row in a.rows]
+        yield Subspace(fld, n, _rref_generic(rows, n, fld))
 
 
 def subspaces_within(a: Subspace, r: int) -> Iterator[Subspace]:
@@ -387,7 +339,7 @@ def subspaces_within(a: Subspace, r: int) -> Iterator[Subspace]:
                 if c:
                     v = [add(x, mul(c, y)) for x, y in zip(v, brow)]
             rows.append(v)
-        yield Subspace(fld, a.n, _rref_rows(rows, a.n, fld))
+        yield Subspace(fld, a.n, _rref_generic(rows, a.n, fld))
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,34 @@ def test_enumerate_dump_refuses_large_counts_before_enumerating(capsys, monkeypa
     assert "exceed the cap" in err and not dump.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "export", "--d", "2", "--q", "5", "--out", "{tmp}/g.dimacs"),
+        ("graph", "export", "--n", "200001", "--type", "100000,100001", "--q", "2", "--out", "{tmp}/g.dimacs"),
+        ("explore", "--d", "2", "--q", "4", "--samples", "40", "--greedy-color-order", "enumeration"),
+    ],
+)
+def test_vertex_cap_refuses_before_building(capsys, monkeypatch, tmp_path, argv):
+    gauss = qcalc.gauss
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the vertex-cap check")
+
+    def small_gauss(a, b, q):
+        assert a < 100, f"exact Gaussian binomial of n = {a} computed"
+        return gauss(a, b, q)
+
+    monkeypatch.setattr(kneser.FlagUniverse, "__init__", fail)
+    monkeypatch.setattr(cli.explore, "conjecture_probe", fail)
+    monkeypatch.setattr(qcalc, "gauss", small_gauss)
+    code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.count("qkneser: error:") == 1 and len(err.splitlines()) == 1
+    assert f"more than {kneser.DEFAULT_VERTEX_CAP} vertices" in err and "exceed the cap" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
 def _point_pencil_json(d):
     return {"variant": "point_pencil", "d": d, "q": 2, "P": [[1] + [0] * (2 * d)]}
 

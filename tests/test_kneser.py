@@ -339,6 +339,29 @@ def star_pruned(words, i, start):
     return (words[:, i, None] & words[:, start:]).any(axis=0)
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
+def test_dual_rows_span_the_duals(q):
+    field = gf.make_field(q)
+    rng = np.random.default_rng(q)
+    for n, j in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 4)]:
+        rows = pg.subspace_rows(n, j, field)
+        rows = rows[rng.choice(len(rows), min(len(rows), 60), replace=False)]
+        duals = kneser._dual_rows(field, rows)
+        assert duals.shape == (len(rows), n - j, n)
+        for basis, dual in zip(rows.tolist(), duals.tolist()):
+            assert pg.rref(dual, n, field) == pg.dual(pg.rref(basis, n, field))
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_hyperplane_words_match_dual_points(name, request):
+    universe = request.getfixturevalue(name)
+    words = universe._hyperplane_words.astype("<u8")
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
+        kneser.subspace_point_mask(pg.dual(pg.rref([point], universe.n, universe.field)))
+        for point in pg.all_points(universe.n, universe.field)
+    ]
+
+
 @pytest.mark.parametrize("name", ["u22", "u23"])
 def test_dual_top_words_match_duals(name, request):
     universe = request.getfixturevalue(name)
@@ -372,7 +395,8 @@ def column_rule_rows(universe):
     """(a, pruned) for every flag a: the flags that a star at any of a's star
     points prunes as columns of the row a, by the column rule of star_plan."""
     everyone = np.arange(len(universe))
-    incidence = kneser._unpack_bits(star_words(universe)).astype(bool)
+    words = star_words(universe).astype("<u8").view(np.uint8)
+    incidence = np.unpackbits(words, axis=-1, bitorder="little").astype(bool)
     points = np.flatnonzero(incidence.any(axis=0))
     pruned = np.array([~universe._star_columns(int(p), everyone) for p in points])
     for a in range(len(universe)):
@@ -491,7 +515,8 @@ def reference_star_plan(universe, ids):
     if m > 1:
         lower = universe._table_words[0][universe.member_ids[0][ids]]
         dual_upper = universe.dual_top_words[universe.member_ids[1][ids]]
-        incidence = kneser._unpack_bits(np.concatenate((lower, dual_upper), axis=1))
+        words = np.concatenate((lower, dual_upper), axis=1)
+        incidence = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
         counts = incidence.sum(axis=0, dtype=np.int32)
         while True:
             point = int(np.argmax(counts))
@@ -513,7 +538,10 @@ def reference_star_plan(universe, ids):
             tau_misses = (hi_words[:, point // 64] >> np.uint64(point % 64)) & np.uint64(1) == 0
             keep = tau_misses[universe.member_ids[1][later]]
         else:
-            outside = ~universe._hyperplane_words()[point - width]
+            # H is the dual of the star's point; its mask comes from the definition
+            x = pg.all_points(universe.n, universe.field)[point - width]
+            in_h = kneser.subspace_point_mask(pg.dual(pg.rref([x], universe.n, universe.field)))
+            outside = ~np.frombuffer(in_h.to_bytes(universe.n_words * 8, "little"), dtype="<u8")
             keep = (lo_words & outside).any(axis=1)[universe.member_ids[0][later]]
         cols = stop + np.flatnonzero(keep)
         pair_tests += g.size * cols.size
@@ -608,7 +636,8 @@ def test_export_dimacs_fano(f2):
 
 def test_export_dimacs_kneser_graph(u22, f2, tmp_path):
     out = tmp_path / "g22.dimacs"
-    kneser.export_dimacs(5, (2, 3), f2, str(out))
+    with open(out, "w") as fh:
+        kneser.export_dimacs(5, (2, 3), f2, fh)
     lines = out.read_text().splitlines()
     header = lines[0].split()
     assert header[:2] == ["p", "edge"]
@@ -757,7 +786,7 @@ def arrays_in(value):
 
 def test_member_ids_are_the_only_per_flag_arrays(u23):
     # build every lazy cache first
-    u23.dual_top_words, u23._hyperplane_words(), u23.entries_through_points()
+    u23.dual_top_words, u23._hyperplane_words, u23.entries_through_points()
     u23.star_plan(range(0, len(u23), 7))
     assert [ids.shape for ids in u23.member_ids] == [(len(u23),)] * 2
     for name, value in vars(u23).items():

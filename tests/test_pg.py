@@ -66,15 +66,6 @@ def test_rref_canonical_under_shuffle(f3):
         assert pg.rref(shuffled, 4, f3) == s
 
 
-def test_gf2_packed_path_matches_generic(f2):
-    rng = random.Random(5)
-    for _ in range(300):
-        rows = random_rows(rng, 6, rng.randrange(1, 5), 2)
-        fast = pg._rref_rows(rows, 6, f2)
-        slow = pg._rref_generic(rows, 6, f2)
-        assert fast == slow
-
-
 def test_meet_examples(f2):
     e = unit_rows(4)
     a = pg.rref([e[0], e[1]], 4, f2)
