@@ -1,24 +1,86 @@
-"""Thread-pool plumbing for the parallel-map contract.
+"""Threads and forked processes for the parallel-map contract.
 
-Library code never spawns on its own initiative: callers pass a thread
-count (1 forces the serial path) and block results are combined in block
-order, so the outcome is identical either way.  The count is clamped to
-[1, os.cpu_count()], so no caller can ask for more threads than cores.
+Library code never spawns on its own initiative: callers pass a worker
+count (1 forces the serial path), clamped to [1, usable_cpus()], and block
+results are combined in block order, so the outcome is identical either way.
+Threads suit numpy work that releases the interpreter lock; forked children
+suit Python-bound work, and share the caller's tables copy-on-write.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
+
+from .errors import QKneserError
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where the OS has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_blocks(fn: Callable[[T], R], blocks: Sequence[T], threads: int) -> List[R]:
-    threads = max(1, min(threads, os.cpu_count() or 1))
+    threads = max(1, min(threads, usable_cpus()))
     if threads == 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, blocks))
+
+
+def fork_blocks(fn: Callable[[T], R], blocks: Sequence[T], workers: int) -> List[R]:
+    """[fn(b) for b in blocks], in contiguous runs: the first in the caller,
+    each other in a forked child that pipes back a pickled (ok, results or
+    exception).  With other threads alive forking is unsafe: then run serially."""
+    workers = max(1, min(workers, usable_cpus(), len(blocks)))
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(b) for b in blocks]
+    per = -(-len(blocks) // workers)
+    runs = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    children = []  # (pid, read end)
+    try:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(fn, run, w, [r] + [pipe.fileno() for _, pipe in children])
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(b) for b in runs[0]]
+        # read every pipe before any wait: a large result can fill a pipe
+        for pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            try:
+                ok, value = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                raise QKneserError(f"worker process {pid} ended without a result") from None
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _child(fn: Callable[[T], R], run: Sequence[T], w: int, read_ends: List[int]) -> None:
+    try:
+        # a read end left open here would keep a write from failing once the parent has given up
+        for fd in read_ends:
+            os.close(fd)
+        try:
+            payload = (True, [fn(b) for b in run])
+        except BaseException as exc:  # raised again in the parent
+            payload = (False, exc)
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(payload, pipe)
+    finally:
+        os._exit(0)

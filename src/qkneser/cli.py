@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, cover, explore, gf, indsets, kneser, pg, qcalc
+from . import __version__, _parallel, cover, explore, gf, indsets, kneser, pg, qcalc
 from .errors import InvalidArgs, QKneserError
 
 EXIT_OK = 0
@@ -90,10 +90,6 @@ def _out_json(obj, path) -> None:
         print(json.dumps(obj, sort_keys=True))
     else:
         _write_json_atomic(obj, path)
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +289,7 @@ def _cmd_indset(args) -> int:
     desc = indsets.descriptor_from_json(_load_json(args.infile))
     # the universe refuses oversized graphs before the set is built
     universe = kneser.FlagUniverse(desc.n, (desc.d, desc.d + 1), gf.make_field(desc.q))
-    threads = getattr(args, "threads", None) or _default_threads()
+    threads = getattr(args, "threads", None) or _parallel.usable_cpus()
     generic, special = indsets.descriptor_masks(desc, universe)
     member = generic | special
     ids = np.flatnonzero(member)
@@ -333,7 +329,7 @@ def _cmd_cover(args) -> int:
     if args.cover_op == "dualize":
         _out_json(cover.dualize_cover(cert).to_json(), args.out)
         return EXIT_OK
-    threads = args.threads or _default_threads()
+    threads = args.threads or _parallel.usable_cpus()
     report = cover.verify_cover(cert, threads=threads)
     _emit(report.to_json())
     return EXIT_OK if report.valid else EXIT_INVALID
@@ -354,7 +350,7 @@ def _cmd_explore(args) -> int:
     universe = kneser.FlagUniverse(n, J, fld)
     stats = explore.conjecture_probe(
         args.d, args.q, args.samples, master_seed=args.seed,
-        rho_candidate=args.rho, universe=universe,
+        rho_candidate=args.rho, universe=universe, workers=_parallel.usable_cpus(),
     )
     out = stats.to_json()
     if args.greedy_color_order:

@@ -9,6 +9,11 @@ recorded with their seed so they can be re-examined by hand.  The output
 also carries g0 and e0, the closed-form sizes of the known families, so the
 sampled sizes can be read against them.
 
+Sample i draws only from random.Random(master_seed * 1_000_003 + i), so
+the samples are cut into contiguous blocks, one per worker process, and the
+blocks' counts are merged in sample order: any worker count gives the same
+output.
+
 The greedy follows the stable argsort of one random 64-bit key per flag on
 a candidate list that only shrinks.  The candidates start as the flags
 outside the seed that no seed flag is adjacent to (one blocked call of
@@ -24,12 +29,14 @@ use, and classify reuses their candidates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from . import indsets, qcalc
+from . import _parallel, indsets, qcalc
 from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
 from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits, check_cap, flag_binomials
@@ -50,12 +57,12 @@ class SampleStats:
     threshold: int
     g0: int
     e0: int
-    size_histogram: Dict[int, int] = field(default_factory=dict)
+    size_histogram: Counter[int] = field(default_factory=Counter)
     with_point_pencil: int = 0
     with_dual_point_pencil: int = 0
     trichotomy_small: int = 0
     unstructured_large: List[Tuple[int, int]] = field(default_factory=list)
-    classified_variants: Dict[str, int] = field(default_factory=dict)
+    classified_variants: Counter[str] = field(default_factory=Counter)
 
     def to_json(self) -> Dict:
         return {
@@ -143,8 +150,10 @@ def conjecture_probe(
     master_seed: int = 0,
     rho_candidate: int = 5,
     universe: Optional[FlagUniverse] = None,
+    workers: int = 1,
 ) -> SampleStats:
-    """Sample maximal independent sets and bucket them by the trichotomy."""
+    """Sample maximal independent sets and bucket them by the trichotomy,
+    over at most workers processes (1 forces the serial path)."""
     if samples < 1:
         raise InvalidArgs("need at least one sample")
     known = qcalc.size_constants(d, q, rho_candidate)
@@ -155,12 +164,30 @@ def conjecture_probe(
         d=d, q=q, samples=samples, master_seed=master_seed,
         rho_candidate=rho_candidate, threshold=known.e1, g0=known.g0, e0=known.e0,
     )
-    for i in range(samples):
-        rng = random.Random(master_seed * 1_000_003 + i)
+    # build the lazy tables the samples read here, so the workers share them
+    universe.entries_through_points()
+    universe.dual_top_ids
+    per = -(-samples // max(1, workers))
+    blocks = [range(start, min(start + per, samples)) for start in range(0, samples, per)]
+    for part in _parallel.fork_blocks(partial(_probe_block, stats, universe), blocks, workers):
+        stats.size_histogram.update(part.size_histogram)
+        stats.with_point_pencil += part.with_point_pencil
+        stats.with_dual_point_pencil += part.with_dual_point_pencil
+        stats.trichotomy_small += part.trichotomy_small
+        stats.unstructured_large += part.unstructured_large
+        stats.classified_variants.update(part.classified_variants)
+    return stats
+
+
+def _probe_block(header: SampleStats, universe: FlagUniverse, block: range) -> SampleStats:
+    """The counts of the samples in block, under the header's run parameters."""
+    stats = replace(header, size_histogram=Counter(), unstructured_large=[], classified_variants=Counter())
+    for i in block:
+        rng = random.Random(stats.master_seed * 1_000_003 + i)
         seed_flag = rng.randrange(len(universe))
         ids = _greedy_complete_ids([seed_flag], rng, universe)
         size = len(ids)
-        stats.size_histogram[size] = stats.size_histogram.get(size, 0) + 1
+        stats.size_histogram[size] += 1
         in_set = np.zeros(len(universe), dtype=bool)
         in_set[ids] = True
         points = indsets.pencil_base_candidates(in_set, universe)
@@ -172,10 +199,10 @@ def conjecture_probe(
         elif size <= stats.threshold:
             stats.trichotomy_small += 1
         else:
-            stats.unstructured_large.append((size, master_seed * 1_000_003 + i))
+            stats.unstructured_large.append((size, stats.master_seed * 1_000_003 + i))
         result = indsets.classify(in_set, universe, (points, dual_points))
         key = result.variant if isinstance(result, indsets.IndSetDescriptor) else "unstructured"
-        stats.classified_variants[key] = stats.classified_variants.get(key, 0) + 1
+        stats.classified_variants[key] += 1
     return stats
 
 

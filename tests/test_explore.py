@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkneser import explore, gf, indsets, kneser, pg, qcalc
+from qkneser import cli, explore, gf, indsets, kneser, pg, qcalc
 from qkneser.errors import InvalidArgs, NotIndependent, TooLarge
 
 from conftest import unit_rows
@@ -94,18 +95,76 @@ def test_greedy_complete_deterministic(u22):
     assert isinstance(c, set)
 
 
-def test_probe_reproducible_and_consistent(u22):
-    a = explore.conjecture_probe(2, 2, 40, master_seed=11, rho_candidate=5, universe=u22)
-    b = explore.conjecture_probe(2, 2, 40, master_seed=11, rho_candidate=5, universe=u22)
-    assert a.to_json() == b.to_json()
-    assert a.samples == 40
-    buckets = (
-        a.with_point_pencil + a.with_dual_point_pencil + a.trichotomy_small
-        + len(a.unstructured_large)
-    )
-    assert buckets == a.samples
-    assert sum(a.size_histogram.values()) == a.samples
-    assert a.threshold == 5 * 2**4
+@pytest.fixture
+def two_cpus_counting_forks(monkeypatch):
+    """Two usable CPUs, so the fork path runs on any runner; counts real forks."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_probe_reproducible_and_consistent(u22, u23, two_cpus_counting_forks):
+    for universe, q, samples in ((u22, 2, 40), (u23, 3, 6)):
+        a = explore.conjecture_probe(2, q, samples, master_seed=11, rho_candidate=5, universe=universe)
+        b = explore.conjecture_probe(2, q, samples, master_seed=11, rho_candidate=5, universe=universe)
+        assert a.to_json() == b.to_json()
+        forks = len(two_cpus_counting_forks)
+        forked = explore.conjecture_probe(
+            2, q, samples, master_seed=11, rho_candidate=5, universe=universe, workers=2
+        )
+        assert len(two_cpus_counting_forks) == forks + 1
+        assert forked.to_json() == a.to_json()
+        # the unstructured sets are listed in sample order
+        seeds = [seed for _, seed in a.unstructured_large]
+        assert seeds == sorted(seeds)
+        assert a.samples == samples
+        buckets = (
+            a.with_point_pencil + a.with_dual_point_pencil + a.trichotomy_small
+            + len(a.unstructured_large)
+        )
+        assert buckets == a.samples
+        assert sum(a.size_histogram.values()) == a.samples
+        assert a.threshold == 5 * q**4
+    assert len(two_cpus_counting_forks) == 2
+
+
+def test_probe_runs_serially_on_one_usable_cpu(u22, two_cpus_counting_forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22)
+    assert explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22, workers=2) == serial
+    assert not two_cpus_counting_forks
+
+
+@pytest.mark.parametrize("fails", [lambda i: i >= 20, lambda i: i < 20], ids=["in-child", "in-parent"])
+def test_probe_sample_failure_exits_1_and_reaps_children(fails, u22, capsys, two_cpus_counting_forks, monkeypatch):
+    master_seed, n = 5, len(u22)
+    # sample i's rng state after its seed flag, as _greedy_complete_ids receives it
+    sample_of = {}
+    for i in range(40):
+        rng = random.Random(master_seed * 1_000_003 + i)
+        rng.randrange(n)
+        sample_of[rng.getstate()] = i
+    real = explore._greedy_complete_ids
+
+    def failing(seed_ids, rng, universe):
+        if fails(sample_of[rng.getstate()]):
+            raise NotIndependent("sample refused")
+        return real(seed_ids, rng, universe)
+
+    monkeypatch.setattr(explore, "_greedy_complete_ids", failing)
+    code = cli.main(["explore", "--d", "2", "--q", "2", "--samples", "40", "--seed", str(master_seed)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip() == "qkneser: error: sample refused"
+    assert two_cpus_counting_forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_probe_maximality_spot_check(u22):
@@ -312,15 +371,17 @@ def test_probe_reports_known_family_sizes(u22):
 
 
 def test_probe_does_not_import_numpy_random():
-    # numpy.random adds several MB of resident memory to every probe
+    # numpy.random adds several MB of resident memory to every probe, and
+    # multiprocessing about 12 ms of import to a forked one
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from qkneser import explore\n"
-        "explore.conjecture_probe(2, 2, 3, master_seed=1)\n"
-        "print('numpy.random' in sys.modules)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "explore.conjecture_probe(2, 2, 3, master_seed=1, workers=2)\n"
+        "print('numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,4 +1,21 @@
+import os
+import pickle
+import threading
+
+import pytest
+
 from qkneser import _parallel
+from qkneser.errors import QKneserError
+
+
+def test_usable_cpus_reads_affinity_then_cpu_count(monkeypatch):
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 8)
+    assert _parallel.usable_cpus() == 1
+    monkeypatch.delattr(_parallel.os, "sched_getaffinity")
+    assert _parallel.usable_cpus() == 8
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert _parallel.usable_cpus() == 1
 
 
 def test_run_blocks_clamps_threads(monkeypatch):
@@ -20,11 +37,59 @@ def test_run_blocks_clamps_threads(monkeypatch):
             return map(fn, blocks)
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     double = lambda b: 2 * b  # noqa: E731
     assert _parallel.run_blocks(double, [1, 2, 3], threads=10_000) == [2, 4, 6]
     assert workers == [3]
     assert _parallel.run_blocks(double, [1, 2], threads=0) == [2, 4]
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0})
     assert _parallel.run_blocks(double, [1, 2], threads=4) == [2, 4]
     assert workers == [3]
+
+
+@pytest.fixture
+def inline_forks(monkeypatch):
+    """Stands in for os.fork: each 'child' runs its blocks in this process
+    through child (a fake _parallel._child), and no process is started."""
+    forks = []
+
+    def fake_fork():
+        forks.append(1)
+        assert len(forks) <= 2, "forked beyond the clamp"
+        return 0
+
+    def set_child(child):
+        monkeypatch.setattr(_parallel, "_child", child)
+
+    monkeypatch.setattr(_parallel.os, "fork", fake_fork)
+    monkeypatch.setattr(_parallel.os, "waitpid", lambda pid, options: (pid, 0))
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return forks, set_child
+
+
+def test_fork_blocks_clamps_workers(inline_forks):
+    forks, set_child = inline_forks
+    set_child(lambda fn, run, w, read_ends: os.write(w, pickle.dumps((True, [fn(b) for b in run]))))
+    double = lambda b: 2 * b  # noqa: E731
+    assert _parallel.fork_blocks(double, list(range(7)), workers=10_000) == [2 * b for b in range(7)]
+    assert len(forks) == 2
+    assert _parallel.fork_blocks(double, [5], workers=10_000) == [10]
+    assert len(forks) == 2
+    # a live thread makes forking unsafe, so the blocks run serially
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert _parallel.fork_blocks(double, [1, 2, 3], workers=3) == [2, 4, 6]
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert len(forks) == 2
+
+
+def test_fork_blocks_child_without_result_raises(inline_forks):
+    _, set_child = inline_forks
+    set_child(lambda fn, run, w, read_ends: None)
+    with pytest.raises(QKneserError, match="without a result"):
+        _parallel.fork_blocks(lambda b: b, [1, 2], workers=2)
