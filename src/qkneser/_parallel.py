@@ -1,10 +1,12 @@
 """Threads and forked processes for the parallel-map contract.
 
-Library code never spawns on its own initiative: callers pass a worker
-count (1 forces the serial path), clamped to [1, usable_cpus()], and block
-results are combined in block order, so the outcome is identical either way.
-Threads suit numpy work that releases the interpreter lock; forked children
-suit Python-bound work, and share the caller's tables copy-on-write.
+run_blocks maps fn over the blocks a caller cuts, in as many threads as it
+asks for (the CLI's --threads; 1 forces the serial path).  fork_blocks cuts
+a sequence itself, into one contiguous run per worker.  Both clamp the count
+to [1, usable_cpus()] and return results in input order, so the outcome is
+the same for any count.  Threads suit numpy work that releases the
+interpreter lock; forked children suit Python-bound work, and share the
+caller's tables copy-on-write.
 """
 
 from __future__ import annotations
@@ -35,24 +37,32 @@ def run_blocks(fn: Callable[[T], R], blocks: Sequence[T], threads: int) -> List[
         return list(pool.map(fn, blocks))
 
 
-def fork_blocks(fn: Callable[[T], R], blocks: Sequence[T], workers: int) -> List[R]:
-    """[fn(b) for b in blocks], in contiguous runs: the first in the caller,
-    each other in a forked child that pipes back a pickled (ok, results or
-    exception).  With other threads alive forking is unsafe: then run serially."""
-    workers = max(1, min(workers, usable_cpus(), len(blocks)))
+def fork_blocks(fn: Callable[[Sequence[T]], R], items: Sequence[T], workers: int) -> List[R]:
+    """[fn(run) for run in runs], runs being up to workers contiguous slices of
+    items: the first run goes in the caller, each other in a forked child that
+    pipes back a pickled (ok, result or exception).  With other threads alive
+    forking is unsafe: then fn(items) runs in the caller."""
+    workers = max(1, min(workers, usable_cpus(), len(items)))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [fn(b) for b in blocks]
-    per = -(-len(blocks) // workers)
-    runs = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+        return [fn(items)]
+    per = -(-len(items) // workers)
+    runs = [items[i:i + per] for i in range(0, len(items), per)]
     children = []  # (pid, read end)
+    done = False
     try:
         for run in runs[1:]:
             r, w = os.pipe()
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
                 _child(fn, run, w, [r] + [pipe.fileno() for _, pipe in children])
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
-        results = [fn(b) for b in runs[0]]
+        results = [fn(runs[0])]
         # read every pipe before any wait: a large result can fill a pipe
         for pid, pipe in children:
             with pipe:
@@ -63,21 +73,28 @@ def fork_blocks(fn: Callable[[T], R], blocks: Sequence[T], workers: int) -> List
                 raise QKneserError(f"worker process {pid} ended without a result") from None
             if not ok:
                 raise value
-            results += value
+            results.append(value)
+        done = True
         return results
     finally:
+        if not done and children:
+            import signal  # only a failed run pays for this import
+
+            # the run has failed: stop the children instead of waiting for their runs
+            for pid, _ in children:
+                os.kill(pid, signal.SIGTERM)
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
 
 
-def _child(fn: Callable[[T], R], run: Sequence[T], w: int, read_ends: List[int]) -> None:
+def _child(fn: Callable[[Sequence[T]], R], run: Sequence[T], w: int, read_ends: List[int]) -> None:
     try:
         # a read end left open here would keep a write from failing once the parent has given up
         for fd in read_ends:
             os.close(fd)
         try:
-            payload = (True, [fn(b) for b in run])
+            payload = (True, fn(run))
         except BaseException as exc:  # raised again in the parent
             payload = (False, exc)
         with os.fdopen(w, "wb") as pipe:

@@ -350,7 +350,7 @@ def _cmd_explore(args) -> int:
     universe = kneser.FlagUniverse(n, J, fld)
     stats = explore.conjecture_probe(
         args.d, args.q, args.samples, master_seed=args.seed,
-        rho_candidate=args.rho, universe=universe, workers=_parallel.usable_cpus(),
+        rho_candidate=args.rho, universe=universe,
     )
     out = stats.to_json()
     if args.greedy_color_order:

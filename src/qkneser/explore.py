@@ -10,9 +10,11 @@ also carries g0 and e0, the closed-form sizes of the known families, so the
 sampled sizes can be read against them.
 
 Sample i draws only from random.Random(master_seed * 1_000_003 + i), so
-the samples are cut into contiguous blocks, one per worker process, and the
-blocks' counts are merged in sample order: any worker count gives the same
-output.
+the samples are cut into contiguous blocks, one per usable CPU, each counted
+in its own process, and the blocks' counts are merged in sample order: any
+CPU count gives the same output.  While a sample step is wrapped (a tracer's
+functools.wraps timer), the samples all run in the caller, so that whatever
+the wrapper records covers every sample.
 
 The greedy follows the stable argsort of one random 64-bit key per flag on
 a candidate list that only shrinks.  The candidates start as the flags
@@ -150,10 +152,9 @@ def conjecture_probe(
     master_seed: int = 0,
     rho_candidate: int = 5,
     universe: Optional[FlagUniverse] = None,
-    workers: int = 1,
 ) -> SampleStats:
     """Sample maximal independent sets and bucket them by the trichotomy,
-    over at most workers processes (1 forces the serial path)."""
+    in one process per usable CPU."""
     if samples < 1:
         raise InvalidArgs("need at least one sample")
     known = qcalc.size_constants(d, q, rho_candidate)
@@ -167,9 +168,10 @@ def conjecture_probe(
     # build the lazy tables the samples read here, so the workers share them
     universe.entries_through_points()
     universe.dual_top_ids
-    per = -(-samples // max(1, workers))
-    blocks = [range(start, min(start + per, samples)) for start in range(0, samples, per)]
-    for part in _parallel.fork_blocks(partial(_probe_block, stats, universe), blocks, workers):
+    # a wrapper's records of a forked block would end with its process
+    wrapped = any(hasattr(step, "__wrapped__") for step in (_greedy_complete_ids, indsets.classify))
+    workers = 1 if wrapped else _parallel.usable_cpus()
+    for part in _parallel.fork_blocks(partial(_probe_block, stats, universe), range(samples), workers):
         stats.size_histogram.update(part.size_histogram)
         stats.with_point_pencil += part.with_point_pencil
         stats.with_dual_point_pencil += part.with_dual_point_pencil

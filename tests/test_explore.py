@@ -2,7 +2,8 @@ import os
 import random
 import subprocess
 import sys
-from functools import lru_cache
+import time
+from functools import lru_cache, partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -109,15 +110,16 @@ def two_cpus_counting_forks(monkeypatch):
     return forks
 
 
-def test_probe_reproducible_and_consistent(u22, u23, two_cpus_counting_forks):
+def test_probe_reproducible_and_consistent(u22, u23, two_cpus_counting_forks, monkeypatch):
     for universe, q, samples in ((u22, 2, 40), (u23, 3, 6)):
-        a = explore.conjecture_probe(2, q, samples, master_seed=11, rho_candidate=5, universe=universe)
-        b = explore.conjecture_probe(2, q, samples, master_seed=11, rho_candidate=5, universe=universe)
-        assert a.to_json() == b.to_json()
+        probe = partial(explore.conjecture_probe, 2, q, samples, master_seed=11, rho_candidate=5, universe=universe)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         forks = len(two_cpus_counting_forks)
-        forked = explore.conjecture_probe(
-            2, q, samples, master_seed=11, rho_candidate=5, universe=universe, workers=2
-        )
+        a, b = probe(), probe()
+        assert len(two_cpus_counting_forks) == forks
+        assert a.to_json() == b.to_json()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked = probe()
         assert len(two_cpus_counting_forks) == forks + 1
         assert forked.to_json() == a.to_json()
         # the unstructured sets are listed in sample order
@@ -134,15 +136,28 @@ def test_probe_reproducible_and_consistent(u22, u23, two_cpus_counting_forks):
     assert len(two_cpus_counting_forks) == 2
 
 
-def test_probe_runs_serially_on_one_usable_cpu(u22, two_cpus_counting_forks, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    serial = explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22)
-    assert explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22, workers=2) == serial
-    assert not two_cpus_counting_forks
+def test_probe_runs_wrapped_steps_in_the_caller(u22, two_cpus_counting_forks, monkeypatch):
+    # a tracer wraps the sample steps; its records must cover every sample
+    calls, real = [], explore._greedy_complete_ids
+
+    @wraps(real)
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    forked = explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22)
+    assert two_cpus_counting_forks == [1]
+    monkeypatch.setattr(explore, "_greedy_complete_ids", counted)
+    assert explore.conjecture_probe(2, 2, 10, master_seed=3, universe=u22) == forked
+    assert len(calls) == 10 and two_cpus_counting_forks == [1]
 
 
-@pytest.mark.parametrize("fails", [lambda i: i >= 20, lambda i: i < 20], ids=["in-child", "in-parent"])
-def test_probe_sample_failure_exits_1_and_reaps_children(fails, u22, capsys, two_cpus_counting_forks, monkeypatch):
+# which samples fail, and a slow one that a failed run must not wait for
+@pytest.mark.parametrize("fails, slow", [
+    pytest.param(lambda i: i >= 20, lambda i: False, id="in-child"),
+    pytest.param(lambda i: i < 20, lambda i: i == 20, id="in-parent"),
+])
+def test_probe_sample_failure_exits_1_and_reaps_children(fails, slow, u22, capsys, two_cpus_counting_forks, monkeypatch):
     master_seed, n = 5, len(u22)
     # sample i's rng state after its seed flag, as _greedy_complete_ids receives it
     sample_of = {}
@@ -153,12 +168,18 @@ def test_probe_sample_failure_exits_1_and_reaps_children(fails, u22, capsys, two
     real = explore._greedy_complete_ids
 
     def failing(seed_ids, rng, universe):
-        if fails(sample_of[rng.getstate()]):
+        i = sample_of[rng.getstate()]
+        if slow(i):
+            time.sleep(60)
+        if fails(i):
             raise NotIndependent("sample refused")
         return real(seed_ids, rng, universe)
 
     monkeypatch.setattr(explore, "_greedy_complete_ids", failing)
+    start = time.monotonic()
     code = cli.main(["explore", "--d", "2", "--q", "2", "--samples", "40", "--seed", str(master_seed)])
+    # a failed run stops its children: it does not wait out the slow sample
+    assert time.monotonic() - start < 30
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.strip() == "qkneser: error: sample refused"
@@ -377,7 +398,7 @@ def test_probe_does_not_import_numpy_random():
         "import os, sys\n"
         "from qkneser import explore\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "explore.conjecture_probe(2, 2, 3, master_seed=1, workers=2)\n"
+        "explore.conjecture_probe(2, 2, 3, master_seed=1)\n"
         "print('numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -1,5 +1,6 @@
 import os
 import pickle
+import signal
 import threading
 
 import pytest
@@ -49,9 +50,9 @@ def test_run_blocks_clamps_threads(monkeypatch):
 
 @pytest.fixture
 def inline_forks(monkeypatch):
-    """Stands in for os.fork: each 'child' runs its blocks in this process
+    """Stands in for os.fork: each 'child' runs its run of items in this process
     through child (a fake _parallel._child), and no process is started."""
-    forks = []
+    forks, kills = [], []
 
     def fake_fork():
         forks.append(1)
@@ -63,24 +64,25 @@ def inline_forks(monkeypatch):
 
     monkeypatch.setattr(_parallel.os, "fork", fake_fork)
     monkeypatch.setattr(_parallel.os, "waitpid", lambda pid, options: (pid, 0))
+    # the fake children have pid 0, and kill(0) would signal this process group
+    monkeypatch.setattr(_parallel.os, "kill", lambda pid, sig: kills.append((pid, sig)))
     monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    return forks, set_child
+    return forks, kills, set_child
 
 
 def test_fork_blocks_clamps_workers(inline_forks):
-    forks, set_child = inline_forks
-    set_child(lambda fn, run, w, read_ends: os.write(w, pickle.dumps((True, [fn(b) for b in run]))))
-    double = lambda b: 2 * b  # noqa: E731
-    assert _parallel.fork_blocks(double, list(range(7)), workers=10_000) == [2 * b for b in range(7)]
+    forks, kills, set_child = inline_forks
+    set_child(lambda fn, run, w, read_ends: os.write(w, pickle.dumps((True, fn(run)))))
+    assert _parallel.fork_blocks(list, range(7), workers=10_000) == [[0, 1, 2], [3, 4, 5], [6]]
     assert len(forks) == 2
-    assert _parallel.fork_blocks(double, [5], workers=10_000) == [10]
-    assert len(forks) == 2
-    # a live thread makes forking unsafe, so the blocks run serially
+    assert _parallel.fork_blocks(list, [5], workers=10_000) == [[5]]
+    assert len(forks) == 2 and not kills
+    # a live thread makes forking unsafe, so all items go to one call in the caller
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert _parallel.fork_blocks(double, [1, 2, 3], workers=3) == [2, 4, 6]
+        assert _parallel.fork_blocks(list, [1, 2, 3], workers=3) == [[1, 2, 3]]
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -89,7 +91,30 @@ def test_fork_blocks_clamps_workers(inline_forks):
 
 
 def test_fork_blocks_child_without_result_raises(inline_forks):
-    _, set_child = inline_forks
+    _, kills, set_child = inline_forks
     set_child(lambda fn, run, w, read_ends: None)
     with pytest.raises(QKneserError, match="without a result"):
-        _parallel.fork_blocks(lambda b: b, [1, 2], workers=2)
+        _parallel.fork_blocks(list, [1, 2], workers=2)
+    assert kills == [(0, signal.SIGTERM)]
+
+
+def test_fork_blocks_closes_the_pipe_when_fork_fails(monkeypatch):
+    opened = []
+    real_pipe = os.pipe
+
+    def pipe():
+        opened.extend(real_pipe())
+        return opened[-2:]
+
+    def no_fork():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_parallel.os, "pipe", pipe)
+    monkeypatch.setattr(_parallel.os, "fork", no_fork)
+    with pytest.raises(BlockingIOError):
+        _parallel.fork_blocks(list, [1, 2], workers=2)
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
