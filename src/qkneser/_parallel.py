@@ -40,8 +40,10 @@ def run_blocks(fn: Callable[[T], R], blocks: Sequence[T], threads: int) -> List[
 def fork_blocks(fn: Callable[[Sequence[T]], R], items: Sequence[T], workers: int) -> List[R]:
     """[fn(run) for run in runs], runs being up to workers contiguous slices of
     items: the first run goes in the caller, each other in a forked child that
-    pipes back a pickled (ok, result or exception).  With other threads alive
-    forking is unsafe: then fn(items) runs in the caller."""
+    pipes back a pickled (ok, result or exception); an exception that cannot
+    be pickled comes back as a QKneserError naming its type and message.
+    With other threads alive forking is unsafe: then fn(items) runs in the
+    caller."""
     workers = max(1, min(workers, usable_cpus(), len(items)))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(items)]
@@ -97,7 +99,14 @@ def _child(fn: Callable[[Sequence[T]], R], run: Sequence[T], w: int, read_ends: 
             payload = (True, fn(run))
         except BaseException as exc:  # raised again in the parent
             payload = (False, exc)
+        # pickled whole before anything is written, so a payload that cannot
+        # be pickled still sends its failure: fn's exception, else pickle's
+        try:
+            data = pickle.dumps(payload)
+        except Exception as exc:
+            failure = exc if payload[0] else payload[1]
+            data = pickle.dumps((False, QKneserError(f"{type(failure).__name__}: {failure}")))
         with os.fdopen(w, "wb") as pipe:
-            pickle.dump(payload, pipe)
+            pipe.write(data)
     finally:
         os._exit(0)

@@ -315,7 +315,7 @@ def _cmd_indset(args) -> int:
         else "unstructured"
     )
     if args.maximal:
-        out["maximal"] = indsets.is_maximal((universe.flag_of(int(i)) for i in ids), universe)
+        out["maximal"] = indsets.is_maximal(ids, universe)
     _emit(out)
     return EXIT_OK
 

@@ -279,17 +279,3 @@ def dualize_cover(cert: CoverCertificate) -> CoverCertificate:
         classes=classes,
         provenance=cert.provenance + " (dualized)",
     )
-
-
-def chromatic_bracket(d: int, q: int) -> Tuple[int, int]:
-    """(heuristic lower bound, certified upper bound) for the chromatic number.
-
-    The upper value is the class count of the built covering; the lower value
-    is ceil(#flags / e0), using e0 as a stand-in for the independence number,
-    so it is a sanity bracket rather than a proof.
-    """
-    upper = qcalc.chromatic_value(d, q)
-    e0 = qcalc.size_constants(d, q, alpha=1).e0
-    fc = qcalc.flag_count(d, q)
-    lower = -(-fc // e0)
-    return lower, upper

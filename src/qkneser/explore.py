@@ -34,14 +34,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _parallel, indsets, qcalc
 from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
-from .kneser import DEFAULT_VERTEX_CAP, Flag, FlagUniverse, MemberBits, check_cap, flag_binomials
+from .kneser import DEFAULT_VERTEX_CAP, FlagUniverse, MemberBits, check_cap, flag_binomials
 
 # candidates picked apart in one round of a greedy completion
 _CHUNK = 2048
@@ -135,14 +135,6 @@ def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
         meets &= rows[k][:, None]
         alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
     return free[keep]
-
-
-def greedy_complete(seed_set: Iterable[Flag], rng_seed: int, universe: FlagUniverse) -> Set[Flag]:
-    """Deterministic maximal independent superset of the given independent seed."""
-    seed_ids = [universe.id_of(f) for f in set(seed_set)]
-    rng = random.Random(rng_seed)
-    ids = _greedy_complete_ids(seed_ids, rng, universe)
-    return {universe.flag_of(i) for i in ids}
 
 
 def conjecture_probe(

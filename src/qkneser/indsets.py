@@ -11,6 +11,12 @@ through P inside a hyperplane on P" are structured enough to get their own
 variant names; descriptors are normalized to the most specific variant, and
 the extensionally identical pair point_pencil/generic_only collapses to
 point_pencil (likewise for the dual pair).
+
+A set of flags is an array of FlagUniverse ids: find_adjacent_pair,
+is_independent, find_extension and is_maximal take ids and the universe
+and answer in ids.  Flag objects appear only in build, the definitional
+construction, in id_mask, which maps its output to ids, and in the JSON
+writer.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
-from .errors import DimensionMismatch, InvalidArgs, InvalidDescriptor
+from .errors import InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
 from .kneser import Flag, FlagUniverse, check_cap, flag_binomials, subspace_point_mask
 
@@ -299,64 +305,45 @@ def family_size_bound(d: int, q: int) -> int:
 # independence / maximality
 
 
-def _sorted_flags(flags: Iterable[Flag]) -> List[Flag]:
-    out = list(flags)
-    out.sort(key=Flag.sort_key)
-    if out:
-        n, types, q = out[0].n, out[0].types, out[0].chain[0].field.q
-        for f in out[1:]:
-            if f.n != n or f.types != types or f.chain[0].field.q != q:
-                raise DimensionMismatch("flags come from different graphs")
+def _id_array(ids: Iterable[int], universe: FlagUniverse) -> np.ndarray:
+    """ids as a sorted, duplicate-free int64 array; an id outside the universe raises InvalidArgs."""
+    out = np.unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64))
+    if out.size and (out[0] < 0 or out[-1] >= len(universe)):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise InvalidArgs(f"flag id {int(bad)} outside [0, {len(universe)})")
     return out
 
 
-def find_adjacent_pair(
-    flags: Iterable[Flag], universe: Optional[FlagUniverse] = None, threads: int = 1
-) -> Optional[Tuple[Flag, Flag]]:
-    """First adjacent pair in canonical order, or None if independent; the pairs
-    run in the kernel of the given universe, or of one built for the flags' space."""
-    ordered = _sorted_flags(flags)
-    if len(ordered) < 2:
-        return None
-    if universe is None:
-        first = ordered[0]
-        universe = FlagUniverse(first.n, first.types, first.chain[0].field)
-    hit = universe.check_pairwise_independent([universe.id_of(f) for f in ordered], threads=threads)
-    return None if hit is None else (universe.flag_of(hit[0]), universe.flag_of(hit[1]))
+def find_adjacent_pair(ids: Iterable[int], universe: FlagUniverse) -> Optional[Tuple[int, int]]:
+    """First adjacent pair (id_a, id_b) in ascending id order, or None if the
+    set is independent; the pairs run in the universe's kernel."""
+    return universe.check_pairwise_independent(_id_array(ids, universe))
 
 
-def is_independent(
-    flags: Iterable[Flag], universe: Optional[FlagUniverse] = None, threads: int = 1
-) -> bool:
-    return find_adjacent_pair(flags, universe=universe, threads=threads) is None
+def is_independent(ids: Iterable[int], universe: FlagUniverse) -> bool:
+    return find_adjacent_pair(ids, universe) is None
 
 
-def find_extension(flags: Iterable[Flag], universe: FlagUniverse) -> Optional[Flag]:
-    """First flag (in id order) outside the set that extends it.
+def find_extension(ids: Iterable[int], universe: FlagUniverse) -> Optional[int]:
+    """First flag id outside the set that extends it, or None if the set is maximal.
 
-    For type {d, d+1} in rank 2d+1 the set's member bits (FlagUniverse.
-    member_bits) test every flag, a chunk of ids at a time.  Other types
-    test one flag at a time with adjacent_to_any.
+    The set's member bits (FlagUniverse.member_bits, type {d, d+1} in rank
+    2d+1 only) test every flag, a chunk of ids at a time.
     """
-    ids = np.array(sorted(universe.id_of(f) for f in set(flags)), dtype=np.int64)
+    ids = _id_array(ids, universe)
+    bits = universe.member_bits(ids)
     in_set = np.zeros(len(universe), dtype=bool)
     in_set[ids] = True
-    if universe._kneser_fast:
-        bits = universe.member_bits(ids)
-        for c0 in range(0, len(universe), _SCAN_CHUNK):
-            chunk = np.arange(c0, min(c0 + _SCAN_CHUNK, len(universe)))
-            free = np.flatnonzero(~in_set[chunk] & ~bits.blocked(chunk))
-            if free.size:
-                return universe.flag_of(c0 + int(free[0]))
-        return None
-    for i in np.flatnonzero(~in_set).tolist():
-        if not universe.adjacent_to_any(i, ids):
-            return universe.flag_of(i)
+    for c0 in range(0, len(universe), _SCAN_CHUNK):
+        chunk = np.arange(c0, min(c0 + _SCAN_CHUNK, len(universe)))
+        free = np.flatnonzero(~in_set[chunk] & ~bits.blocked(chunk))
+        if free.size:
+            return c0 + int(free[0])
     return None
 
 
-def is_maximal(flags: Iterable[Flag], universe: FlagUniverse) -> bool:
-    return find_extension(flags, universe) is None
+def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
+    return find_extension(ids, universe) is None
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +464,12 @@ def classify(
 def _match_family(
     in_set: np.ndarray, universe: FlagUniverse, make, base: pg.Subspace, generic: np.ndarray, pos: int
 ) -> Optional[IndSetDescriptor]:
-    """make(base, members at chain position pos of the set's flags outside
-    generic), if that descriptor describes exactly the set; else None.  With
-    no such flags, make normalizes to the pencil of base."""
-    special = np.flatnonzero(in_set & ~generic)
+    """make(base, the table entries at chain position pos of the set's flags
+    outside generic), if that descriptor describes exactly the set; else
+    None.  With no such flags, make normalizes to the pencil of base."""
+    tids = np.unique(universe.member_ids[pos][in_set & ~generic])
     try:
-        desc = make(base, {universe.flag_of(i).chain[pos] for i in special.tolist()})
+        desc = make(base, [universe.entry(pos, t) for t in tids.tolist()])
     except InvalidDescriptor:
         return None
     gen, spec = descriptor_masks(desc, universe)
@@ -490,19 +477,15 @@ def _match_family(
 
 
 def dualize_descriptor(desc: IndSetDescriptor) -> IndSetDescriptor:
-    """Apply the polarity to every subspace and swap the variant polarity."""
+    """Apply the polarity to every subspace and swap the variant polarity.
+
+    The input is validated once.  The polarity maps a valid descriptor to a
+    valid one, so the dual is built directly and only normalized."""
     validate_descriptor(desc)
-    if desc.is_point_based():
-        h = pg.dual(desc.base)
-        fam = tuple(pg.dual(u) for u in _family_of(desc))
-        if not fam:
-            return dual_point_pencil(h)
-        return hyperplane_family(h, fam)
-    p = pg.dual(desc.base)
-    fam = tuple(pg.dual(e) for e in desc.family)
-    if not fam:
-        return point_pencil(p)
-    return point_family(p, fam)
+    variant = "hyperplane_family" if desc.is_point_based() else "point_family"
+    dual = IndSetDescriptor(variant=variant, d=desc.d, q=desc.q, base=pg.dual(desc.base),
+                            family=_sorted_family(pg.dual(s) for s in _family_of(desc)))
+    return normalize_descriptor(dual)
 
 
 # ---------------------------------------------------------------------------

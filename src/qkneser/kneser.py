@@ -32,11 +32,13 @@ Other types test every pair with a scalar row loop, on the one
 general-position rule that adjacency_row and adjacent_to_any also use.
 
 MemberBits (FlagUniverse.member_bits) tests flags against a growing set, for
-type {d, d+1} in rank 2d+1.  Each member sets one bit in the row of every
-lower table entry disjoint from its upper member, and in the row of every
-upper table entry disjoint from its lower member, so a flag is adjacent to
-some member iff the AND of its two rows is nonzero.  The greedy completion
-in explore and the maximality scan in indsets.find_extension both use it.
+type {d, d+1} in rank 2d+1 only.  Each member sets one bit in the row of
+every lower table entry disjoint from its upper member, and in the row of
+every upper table entry disjoint from its lower member, so a flag is
+adjacent to some member iff the AND of its two rows is nonzero.  The greedy
+completion in explore and the maximality scan in indsets.find_extension
+both use it; adjacent_to_any, which tests one flag against a set on the
+general-position rule, is its reference.
 """
 
 from __future__ import annotations
@@ -625,9 +627,6 @@ class FlagUniverse:
             row[i - start] = False
         return row
 
-    def degree(self, i: int) -> int:
-        return int(np.count_nonzero(self.adjacency_row(i)))
-
     def count_edges(self) -> int:
         total = 0
         for i in range(self._size - 1):
@@ -834,8 +833,8 @@ class FlagUniverse:
     def adjacent_to_any(self, i: int, ids: np.ndarray) -> bool:
         """True iff flag i is adjacent to at least one flag of ids.
 
-        It tests the general-position rule for every member pair; for type
-        {d, d+1} in rank 2d+1, MemberBits tests a whole set at once.
+        It tests the general-position rule for every member pair, one flag
+        at a time: the reference that MemberBits.blocked is checked against.
         """
         return bool(self._general_row(self._flag_words(i), ids).any())
 

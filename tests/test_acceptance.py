@@ -8,6 +8,7 @@ stated ones.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from qkneser import cover, gf, indsets, kneser, pg, qcalc
@@ -188,13 +189,14 @@ def test_criterion_09_maximality(d, q, u22, u23):
     field = gf.make_field(q)
     universe = u22 if q == 2 else u23
     p, ell, hyp = standard_objects(field, d)
-    line_set = indsets.build(indsets.point_line(p, ell)).all
-    hyper_set = indsets.build(indsets.point_hyperplane(p, hyp)).all
-    pencil_set = indsets.build(indsets.generic_only(p)).all
+    line_set, hyper_set, pencil_set = (
+        np.flatnonzero(indsets.id_mask(indsets.build(desc).all, universe)).tolist()
+        for desc in (indsets.point_line(p, ell), indsets.point_hyperplane(p, hyp), indsets.generic_only(p))
+    )
     ok = indsets.is_maximal(line_set, universe)
     ok = ok and indsets.is_maximal(hyper_set, universe)
     witness = indsets.find_extension(pencil_set, universe)
-    ok = ok and witness is not None and indsets.is_independent(set(pencil_set) | {witness})
+    ok = ok and witness is not None and indsets.is_independent(pencil_set + [witness], universe)
     report(9, f"line/hyperplane maximal, bare pencil extendable at (d,q)=({d},{q})", ok)
 
 

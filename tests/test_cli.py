@@ -162,6 +162,14 @@ def test_indset_build_and_check(capsys, tmp_path, f2):
     data = json.loads(out)
     assert data["maximal"] is True
     assert data["classified"]["variant"] == "point_line"
+    # a bare point pencil extends, so the scan reaches its extending flag
+    pencil_file = tmp_path / "pencil.json"
+    pencil_file.write_text(json.dumps(indsets.descriptor_to_json(indsets.point_pencil(desc.base))))
+    code, out, _ = run_cli(capsys, "indset", "check", "--in", str(pencil_file), "--maximal")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["total"], data["independent"], data["maximal"]) == (105, True, False)
+    assert data["classified"]["variant"] == "point_pencil"
 
 
 def test_explore_cli(capsys):

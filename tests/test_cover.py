@@ -203,15 +203,6 @@ def test_dual_certificate_invalid_iff_primal_invalid(u22):
     assert primal.missing_count == dual_rep.missing_count
 
 
-def test_chromatic_bracket():
-    assert cover.chromatic_bracket(2, 2) == (9, 13)
-    assert cover.chromatic_bracket(3, 2) == (17, 29)
-    for d, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        lower, upper = cover.chromatic_bracket(d, q)
-        assert lower <= upper
-        assert upper == qcalc.chromatic_value(d, q)
-
-
 def test_verify_threads_identical(u22):
     cert = cover.build_cover(2, 2)
     a = cover.verify_cover(cert, universe=u22, threads=1)

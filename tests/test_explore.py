@@ -59,17 +59,15 @@ def pencil_ids(universe, field):
 
 
 def test_greedy_complete_empty_seed_is_maximal(u22):
-    result = explore.greedy_complete(set(), rng_seed=3, universe=u22)
-    assert indsets.is_independent(result)
+    result = explore._greedy_complete_ids([], random.Random(3), u22)
+    assert indsets.is_independent(result, u22)
     assert indsets.is_maximal(result, u22)
 
 
 def test_greedy_complete_contains_seed(f2, u22):
-    e = unit_rows(5)
-    p = pg.rref([e[0]], 5, f2)
-    pencil = indsets.build(indsets.point_pencil(p)).all
-    completed = explore.greedy_complete(pencil, rng_seed=0, universe=u22)
-    assert pencil <= completed
+    pencil = pencil_ids(u22, f2)
+    completed = explore._greedy_complete_ids(pencil, random.Random(0), u22)
+    assert set(pencil) <= set(completed)
     assert indsets.is_maximal(completed, u22)
 
 
@@ -77,23 +75,23 @@ def test_greedy_complete_fixed_point_on_maximal_set(f2, u22):
     e = unit_rows(5)
     p = pg.rref([e[0]], 5, f2)
     ell = pg.rref([e[0], e[1]], 5, f2)
-    full = indsets.build(indsets.point_line(p, ell)).all
-    assert explore.greedy_complete(full, rng_seed=5, universe=u22) == set(full)
+    generic, special = indsets.descriptor_masks(indsets.point_line(p, ell), u22)
+    full = np.flatnonzero(generic | special).tolist()
+    assert explore._greedy_complete_ids(full, random.Random(5), u22) == full
 
 
 def test_greedy_complete_rejects_dependent_seed(u22):
-    f0 = u22.flag_of(0)
-    neighbor = u22.flag_of(int(np.flatnonzero(u22.adjacency_row(0))[0]))
+    neighbor = int(np.flatnonzero(u22.adjacency_row(0))[0])
     with pytest.raises(NotIndependent):
-        explore.greedy_complete({f0, neighbor}, rng_seed=0, universe=u22)
+        explore._greedy_complete_ids([0, neighbor], random.Random(0), u22)
 
 
 def test_greedy_complete_deterministic(u22):
-    a = explore.greedy_complete(set(), rng_seed=42, universe=u22)
-    b = explore.greedy_complete(set(), rng_seed=42, universe=u22)
+    a = explore._greedy_complete_ids([], random.Random(42), u22)
+    b = explore._greedy_complete_ids([], random.Random(42), u22)
     assert a == b
-    c = explore.greedy_complete(set(), rng_seed=43, universe=u22)
-    assert isinstance(c, set)
+    c = explore._greedy_complete_ids([], random.Random(43), u22)
+    assert isinstance(c, list)
 
 
 @pytest.fixture
@@ -198,24 +196,17 @@ def test_probe_maximality_spot_check(u22):
         rng = random.Random(2 * 1_000_003 + i)
         seed_flag = rng.randrange(len(u22))
         ids = explore._greedy_complete_ids([seed_flag], rng, u22)
-        flags = {u22.flag_of(j) for j in ids}
-        assert indsets.is_independent(flags)
-        assert indsets.is_maximal(flags, u22)
-        assert len(flags) in stats.size_histogram
+        assert indsets.is_independent(ids, u22)
+        assert indsets.is_maximal(ids, u22)
+        assert len(ids) in stats.size_histogram
 
 
 def test_probe_with_pencil_seed_reports_pencil(f2, u22):
     # a sample seeded with a full pencil must land in the pencil bucket;
     # emulate by checking the classifier helpers directly on a completion
-    import numpy as np
-
-    e = unit_rows(5)
-    p = pg.rref([e[0]], 5, f2)
-    pencil = indsets.build(indsets.point_pencil(p)).all
-    completed = explore.greedy_complete(pencil, rng_seed=1, universe=u22)
+    completed = explore._greedy_complete_ids(pencil_ids(u22, f2), random.Random(1), u22)
     in_set = np.zeros(len(u22), dtype=bool)
-    for f in completed:
-        in_set[u22.id_of(f)] = True
+    in_set[completed] = True
     assert indsets.pencil_base_candidates(in_set, u22)
 
 
@@ -279,7 +270,7 @@ def reference_coloring(universe, order, seed):
     else:
         rng = random.Random(seed)
         jitter = [rng.random() for _ in range(n)]
-        degrees = [universe.degree(i) for i in range(n)]
+        degrees = [int(np.count_nonzero(universe.adjacency_row(i))) for i in range(n)]
         sequence = sorted(range(n), key=lambda i: (-degrees[i], jitter[i]))
     colors = [-1] * n
     for v in sequence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkneser import explore, gf, indsets, kneser, pg, qcalc
-from qkneser.errors import InvalidArgs, InvalidDescriptor, QKneserError
+from qkneser.errors import InvalidArgs, InvalidDescriptor, InvalidType
 from qkneser.indsets import UNSTRUCTURED, IndSetDescriptor
 
 from conftest import unit_rows
@@ -95,90 +95,105 @@ def test_line_and_hyperplane_specials_have_equal_size(f2, f3):
         assert len(indsets.line_family(p, ell)) == qcalc.gauss(2 * d - 1, d - 1, field.q)
 
 
-def test_built_sets_are_independent(f2, f3):
-    for field, d in [(f2, 2), (f3, 2)]:
-        for name, desc in all_variant_descriptors(field, d).items():
-            split = indsets.build(desc)
-            assert indsets.is_independent(split.all), name
+def built_ids(desc, universe):
+    """The ids of the flags that the oracle build makes for desc."""
+    return np.flatnonzero(indsets.id_mask(indsets.build(desc).all, universe)).tolist()
+
+
+def test_built_sets_are_independent(f2, f3, u22, u23):
+    for field, universe in [(f2, u22), (f3, u23)]:
+        for name, desc in all_variant_descriptors(field, 2).items():
+            assert indsets.is_independent(built_ids(desc, universe), universe), name
 
 
 def test_is_independent_witness(f2, u22):
     e = unit_rows(5)
     f1 = kneser.Flag((pg.rref([e[0], e[1]], 5, f2), pg.rref([e[0], e[1], e[2]], 5, f2)))
     f2_ = kneser.Flag((pg.rref([e[3], e[4]], 5, f2), pg.rref([e[2], e[3], e[4]], 5, f2)))
-    # canonical scan order: f2_ sorts before f1
-    assert indsets.find_adjacent_pair([f1, f2_]) == (f2_, f1)
-    assert indsets.find_adjacent_pair([f1, f2_], universe=u22) == (f2_, f1)
-    assert indsets.is_independent([]) is True
-    assert indsets.is_independent([f1]) is True
+    a, b = u22.id_of(f1), u22.id_of(f2_)
+    # the witness is in ascending id order, whatever order the caller gives
+    assert a < b
+    assert indsets.find_adjacent_pair([b, a], u22) == (a, b)
+    assert indsets.find_adjacent_pair(np.array([a, b, a]), u22) == (a, b)
+    assert indsets.is_independent([], u22) is True
+    assert indsets.is_independent([a], u22) is True
 
 
-def reference_pair(flags):
-    """The first pair in canonical order that is in general position, by definition."""
-    ordered = sorted(flags, key=kneser.Flag.sort_key)
+def reference_pair(ids, universe):
+    """The first pair in ascending id order that is in general position, by definition."""
+    ordered = sorted(set(ids))
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            if kneser.general_position(a, b):
+            if kneser.general_position(universe.flag_of(a), universe.flag_of(b)):
                 return a, b
     return None
 
 
-@pytest.mark.parametrize("n,J", [(5, (2, 3)), (4, (1, 2))])
-def test_find_adjacent_pair_same_witness_with_and_without_universe(f2, n, J):
-    universe = kneser.FlagUniverse(n, J, f2)
+@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (4, (1, 2), 2)], ids=["d2-q2", "d2-q3", "n4-J12-q2"])
+def test_find_adjacent_pair_matches_the_oracle(n, J, q):
+    field = gf.make_field(q)
+    universe = kneser.FlagUniverse(n, J, field)
     rng = random.Random(5)
-    # every flag through the first point: independent for both types
-    p = pg.rref([unit_rows(n)[0]], n, f2)
-    pencil = [f for f in universe if pg.contains(f.chain[0], p)]
+    # flags through the first point are independent for every type here; a
+    # subset keeps the oracle's pair count small
+    p = pg.rref([unit_rows(n)[0]], n, field)
+    pencil = [i for i, f in enumerate(universe) if pg.contains(f.chain[0], p)][:120]
     samples = [pencil] + [
-        [universe.flag_of(i) for i in rng.sample(range(len(universe)), size)]
+        rng.sample(range(len(universe)), size)
         for size in (2, 2, 3, 3, 5, 8, 20)
         for _ in range(5)
     ]
     found = 0
-    for flags in samples:
-        expected = reference_pair(flags)
+    for ids in samples:
+        expected = reference_pair(ids, universe)
         found += expected is not None
-        assert indsets.find_adjacent_pair(flags) == expected
-        assert indsets.find_adjacent_pair(flags, universe=universe) == expected
-    assert reference_pair(pencil) is None and 0 < found < len(samples)
+        assert indsets.find_adjacent_pair(ids, universe) == expected
+        assert indsets.is_independent(ids, universe) == (expected is None)
+    assert reference_pair(pencil, universe) is None and 0 < found < len(samples)
 
 
-def test_find_adjacent_pair_rejects_flags_from_two_graphs(u22, u23):
-    mixed = [u22.flag_of(0), u23.flag_of(0)]
-    for universe in (None, u22, u23):
-        with pytest.raises(QKneserError):
-            indsets.find_adjacent_pair(mixed, universe=universe)
-    with pytest.raises(QKneserError):
-        indsets.find_adjacent_pair([u23.flag_of(0), u23.flag_of(1)], universe=u22)
+@pytest.mark.parametrize(
+    "call", [indsets.find_adjacent_pair, indsets.is_independent, indsets.find_extension, indsets.is_maximal]
+)
+def test_ids_outside_the_universe_are_refused(call, u22):
+    for ids in ([-1], [0, -1], [len(u22)], np.array([3, len(u22) + 7])):
+        with pytest.raises(InvalidArgs, match="outside"):
+            call(ids, u22)
 
 
 def test_is_maximal_22(f2, u22):
     p, ell, hyp = standard_objects(f2, 2)
-    assert indsets.is_maximal(indsets.build(indsets.point_line(p, ell)).all, u22)
-    assert indsets.is_maximal(indsets.build(indsets.point_hyperplane(p, hyp)).all, u22)
-    pencil = indsets.build(indsets.point_pencil(p)).all
+    assert indsets.is_maximal(built_ids(indsets.point_line(p, ell), u22), u22)
+    assert indsets.is_maximal(built_ids(indsets.point_hyperplane(p, hyp), u22), u22)
+    pencil = built_ids(indsets.point_pencil(p), u22)
     assert not indsets.is_maximal(pencil, u22)
     witness = indsets.find_extension(pencil, u22)
     assert witness is not None
     assert witness not in pencil
     # the witness really extends the pencil
-    assert indsets.is_independent(set(pencil) | {witness})
+    assert indsets.is_independent(pencil + [witness], u22)
 
 
 def test_is_maximal_empty_set(u22):
     assert not indsets.is_maximal([], u22)
-    assert indsets.find_extension([], u22) == u22.flag_of(0)
+    assert indsets.find_extension([], u22) == 0
 
 
-def reference_extension(flags, universe):
-    """First flag outside the set that extends it, tested one flag at a time."""
-    ids = sorted(universe.id_of(f) for f in set(flags))
-    in_set = np.zeros(len(universe), dtype=bool)
-    in_set[ids] = True
-    for i in np.flatnonzero(~in_set).tolist():
-        if not universe.adjacent_to_any(i, np.array(ids, dtype=np.int64)):
-            return universe.flag_of(i)
+def test_find_extension_general_type(f2):
+    # member bits, and so the maximality scan, exist for type {d, d+1} in rank 2d+1 only
+    universe = kneser.FlagUniverse(4, (1, 2), f2)
+    with pytest.raises(InvalidType):
+        indsets.find_extension([0], universe)
+
+
+def reference_extension(ids, universe):
+    """First flag id outside the set that extends it, tested one flag at a time."""
+    members = np.array(sorted(set(ids)), dtype=np.int64)
+    outside = np.ones(len(universe), dtype=bool)
+    outside[members] = False
+    for i in np.flatnonzero(outside).tolist():
+        if not universe.adjacent_to_any(i, members):
+            return i
     return None
 
 
@@ -186,14 +201,14 @@ def reference_extension(flags, universe):
 def test_find_extension_matches_reference_on_known_sets(name, q, request):
     universe = request.getfixturevalue(name)
     p, ell, hyp = standard_objects(gf.make_field(q), 2)
-    pencil = indsets.build(indsets.point_pencil(p)).all
-    assert indsets.find_extension([], universe) == reference_extension([], universe) == universe.flag_of(0)
+    pencil = built_ids(indsets.point_pencil(p), universe)
+    assert indsets.find_extension([], universe) == reference_extension([], universe) == 0
     witness = indsets.find_extension(pencil, universe)
     assert witness is not None and witness == reference_extension(pencil, universe)
     for desc in (indsets.point_line(p, ell), indsets.point_hyperplane(p, hyp)):
-        flags = indsets.build(desc).all
-        assert indsets.find_extension(flags, universe) is None
-        assert reference_extension(flags, universe) is None
+        ids = built_ids(desc, universe)
+        assert indsets.find_extension(ids, universe) is None
+        assert reference_extension(ids, universe) is None
 
 
 @pytest.mark.parametrize("name,sets", [("u22", 20), ("u23", 6)])
@@ -204,15 +219,7 @@ def test_find_extension_matches_reference_on_random_independent_sets(name, sets,
         full = explore._greedy_complete_ids([], random.Random(s), universe)
         # any subset of an independent set is independent
         part = rng.sample(full, rng.choice([1, 2, len(full) // 2, len(full) - 1]))
-        flags = [universe.flag_of(i) for i in part]
-        assert indsets.find_extension(flags, universe) == reference_extension(flags, universe)
-
-
-def test_find_extension_general_type(f2):
-    universe = kneser.FlagUniverse(4, (1, 2), f2)
-    assert indsets.find_extension([], universe) == universe.flag_of(0)
-    first = indsets.find_extension([universe.flag_of(0)], universe)
-    assert first is not None and first == reference_extension([universe.flag_of(0)], universe)
+        assert indsets.find_extension(part, universe) == reference_extension(part, universe)
 
 
 @pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])

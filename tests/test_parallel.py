@@ -98,6 +98,20 @@ def test_fork_blocks_child_without_result_raises(inline_forks):
     assert kills == [(0, signal.SIGTERM)]
 
 
+def test_fork_blocks_reports_a_child_error_that_cannot_be_pickled(monkeypatch):
+    class LocalError(Exception):
+        """Defined in a function, so pickle cannot name it."""
+
+    def run(items):
+        if items[0] != 0:  # only the forked child's run fails
+            raise LocalError(f"sample {items[0]} went wrong")
+        return list(items)
+
+    monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(QKneserError, match="^LocalError: sample 1 went wrong$"):
+        _parallel.fork_blocks(run, [0, 1], workers=2)
+
+
 def test_fork_blocks_closes_the_pipe_when_fork_fails(monkeypatch):
     opened = []
     real_pipe = os.pipe
