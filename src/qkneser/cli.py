@@ -337,8 +337,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_explore(args) -> int:
     # checked before the universe is built, which can take seconds
-    if args.samples < 1:
-        return _fail(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= sys.maxsize:
+        return _fail(f"--samples must be from 1 to {sys.maxsize}, got {args.samples}")
     if args.rho < 1:
         return _fail(f"--rho must be at least 1, got {args.rho}")
     fld = gf.make_field(args.q)

@@ -16,16 +16,17 @@ CPU count gives the same output.  While a sample step is wrapped (a tracer's
 functools.wraps timer), the samples all run in the caller, so that whatever
 the wrapper records covers every sample.
 
-The greedy follows the stable argsort of one random 64-bit key per flag on
-a candidate list that only shrinks.  The candidates start as the flags
-outside the seed that no seed flag is adjacent to (one blocked call of
-FlagUniverse.member_bits), in the order of their own keys.  Each round takes
-the head, the first _CHUNK candidates, keeps its first flag, drops every
-later one adjacent to it, and repeats; the rest of the list is then tested
-against the new picks alone.  Every candidate stays apart from every member
-so far, so this is exactly the set of the one-flag-at-a-time greedy.  The
-pencil tests of a sample run once, on the table entries its outside flags
-use, and classify reuses their candidates.
+The greedy takes the flags in the stable argsort order of one random 64-bit
+key each, split by key value.  The head, the flags keyed below
+floor(_HEAD * 2^64 / N), is dense: led by the seed, _pick_apart keeps its
+first flag, drops every later one adjacent to it, and repeats, so the seed
+stays whole.  One blocked pass over every flag, on the member bits of the
+picks (FlagUniverse.member_bits), leaves the tail, which is sparse:
+FlagUniverse.adjacent_pairs lists its adjacent pairs, and a tail flag is kept
+unless an earlier kept one is adjacent to it.  Every head key is below every
+tail key, so this is the global (key, id) order, ties included, and exactly
+the set of the one-flag-at-a-time greedy.  The pencil tests of a sample
+count its flags per table entry, and classify reuses their candidates.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
 from .kneser import DEFAULT_VERTEX_CAP, FlagUniverse, MemberBits, check_cap, flag_binomials
 
-# candidates picked apart in one round of a greedy completion
-_CHUNK = 2048
+# expected flags in the head of a greedy completion (see above)
+_HEAD = 4096
 
 
 @dataclass
@@ -102,19 +103,28 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
         hit = universe.check_pairwise_independent(ids)
         if hit is not None:
             raise NotIndependent(f"seed set contains the adjacent pair {hit}")
-    keys = np.frombuffer(rng.randbytes(8 * len(universe)), dtype="<u8")
-    # every candidate stays apart from every member so far
-    cand = np.delete(np.arange(len(universe)), ids)
-    cand = cand[~universe.member_bits(ids).blocked(cand)]
-    cand = cand[_key_order(keys[cand])]
-    current = list(ids)
-    while cand.size:
-        picked = _pick_apart(cand[:_CHUNK], universe)
-        current += picked.tolist()
-        cand = cand[_CHUNK:]
-        if cand.size:
-            cand = cand[~universe.member_bits(picked).blocked(cand)]
-    return sorted(current)
+    n = len(universe)
+    keys = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+    free = np.ones(n, dtype=bool)
+    free[ids] = False
+    # the head: the flags keyed below t, every flag once _HEAD reaches n
+    t = (_HEAD << 64) // n
+    in_head = keys < np.uint64(t) if t >> 64 == 0 else np.ones(n, dtype=bool)
+    head = np.flatnonzero(in_head & free)
+    # led by the seed, which _pick_apart keeps whole, dropping the head flags it blocks
+    picked = _pick_apart(np.concatenate((np.array(ids, dtype=np.int64), head[_key_order(keys[head])])), universe)
+    # the tail: the flags keyed from t on that no member is adjacent to
+    tail = free & ~in_head
+    if tail.any():
+        tail &= ~universe.member_bits(picked).blocked()
+    tail = np.flatnonzero(tail)
+    tail = tail[_key_order(keys[tail])]
+    keep = np.ones(tail.size, dtype=bool)
+    # the pairs come in order of their first flag, which is settled by then
+    for a, b in zip(*(side.tolist() for side in universe.adjacent_pairs(tail))):
+        if keep[a]:
+            keep[b] = False
+    return sorted(picked.tolist() + tail[keep].tolist())
 
 
 def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:

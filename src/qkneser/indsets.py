@@ -350,24 +350,27 @@ def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
-def _points_off(points: np.ndarray, tids: np.ndarray, outside: np.ndarray, num_points: int) -> List[int]:
-    """Points on none of the table entries (rows of point ids) that the
-    outside flags use; each entry touched is read once, not once per flag."""
-    covered = np.zeros(num_points, dtype=bool)
-    covered[points[np.bincount(tids[outside], minlength=len(points)) != 0]] = True
-    return np.flatnonzero(~covered).tolist()
+def _points_off(points: np.ndarray, tids: np.ndarray, in_set: np.ndarray, num_points: int) -> List[int]:
+    """Points on no table entry (row of point ids) that a flag outside the set
+    uses.  An entry is full when all its flags, as many for each, are in the
+    set; every point is on as many entries, so those are counted on full ones."""
+    full = np.bincount(tids[in_set], minlength=len(points)) == tids.size // len(points)
+    if not full.any():
+        return []
+    on_full = np.bincount(points[full].ravel(), minlength=num_points)
+    return np.flatnonzero(on_full == points.size // num_points).tolist()
 
 
 def pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Point bits whose full point-pencil lies inside the selected flags:
     the points on no lower member of a flag outside the set."""
-    return _points_off(universe._point_ids[0], universe.member_ids[0], ~in_set, universe.num_points)
+    return _points_off(universe._point_ids[0], universe.member_ids[0], in_set, universe.num_points)
 
 
 def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Dual-point bits (H^perp) whose full dual pencil lies inside the set:
     the points on the dual of no upper member of a flag outside the set."""
-    return _points_off(universe.dual_top_ids, universe.member_ids[-1], ~in_set, universe.num_points)
+    return _points_off(universe.dual_top_ids, universe.member_ids[-1], in_set, universe.num_points)
 
 
 def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:

@@ -28,6 +28,7 @@ hyperplane H.  A star's flags are then tested only against the later flags
 that its point does not prove non-adjacent: those with P outside tau, or
 with pi outside H.  One tiled block kernel runs the remaining pairs on mask
 words gathered from the tables, with its blocks shared out by run_blocks.
+Its tiles give the witness, or every adjacent pair (adjacent_pairs).
 Other types test every pair with a scalar row loop, on the one
 general-position rule that adjacency_row and adjacent_to_any also use.
 
@@ -441,8 +442,14 @@ class MemberBits:
                     k += run.shape[0]
             self.size += chunk.size
 
-    def blocked(self, ids: np.ndarray) -> np.ndarray:
-        """For each flag of ids, whether it is adjacent to some member."""
+    def blocked(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """For each flag of ids (of every flag by default), whether it is adjacent to some member."""
+        if ids is None:
+            # member_ids[0] is i // K, so each lower row serves K flags in a row, broadcast
+            shape = (self._sizes[0], self._tids[1].size // self._sizes[0], self.upper.shape[1])
+            both = np.take(self.upper, self._tids[1], axis=0).reshape(shape)
+            both &= self.lower[:, None, :]
+            return both.any(axis=2).ravel()
         both = np.take(self.lower, np.take(self._tids[0], ids), axis=0)
         both &= np.take(self.upper, np.take(self._tids[1], ids), axis=0)
         return both.any(axis=1)
@@ -769,18 +776,32 @@ class FlagUniverse:
             return None
         return int(ids[found[0]]), int(ids[found[1]])
 
-    def _tiled_pair_scan(
-        self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray]
-    ) -> Optional[Tuple[int, int]]:
+    def adjacent_pairs(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Every adjacent pair of ids as sorted (min, max) caller positions, for type
+        {d, d+1} in rank 2d+1: star_plan(ids) on the tiles of check_pairwise_independent."""
+        if not self._kneser_fast:
+            raise InvalidType(f"adjacent_pairs needs type {{d, d+1}} in rank 2d+1, got {self.types}")
+        ids = np.asarray(ids, dtype=np.int64)
+        plan = self.star_plan(ids)
+        sub = self._gather(ids[plan.order])
+        codes = [c for block in plan.blocks for c in self._block_pairs(sub, plan.order, block)]
+        return np.divmod(np.sort(np.concatenate(codes + [np.empty(0, dtype=np.int64)])), ids.size)
+
+    def _tiled_pair_scan(self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray]) -> Optional[Tuple[int, int]]:
+        """The smallest adjacent (min, max) caller position pair of the block, or None."""
+        codes = [int(c.min()) for c in self._block_pairs(sub, order, block)]
+        return divmod(min(codes), order.size) if codes else None
+
+    def _block_pairs(self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray]) -> Iterator[np.ndarray]:
         """Rows r0..r1-1 against the plan positions cols after them, in tiles.
 
         sub holds the gathered masks in plan order; order maps a plan
-        position back to its caller position.  Returns the smallest (min,
-        max) caller position pair among the adjacent ones, or None.
+        position back to its caller position.  Yields, per tile with an
+        adjacent pair, the code a * m + b of each of its adjacent pairs, for
+        caller positions a < b and m = order.size.
         """
         lo, hi = sub
         r0, r1, cols = block
-        best = None
         for cs in range(0, cols.size, _TILE_COLS):
             c = cols[cs : cs + _TILE_COLS]
             lo_c, hi_c = [word[c] for word in lo], [word[c] for word in hi]
@@ -803,12 +824,7 @@ class FlagUniverse:
                     continue
                 r, k = np.nonzero(z == 0)
                 a, b = order[r + rs], order[c[k]]
-                first, second = np.minimum(a, b), np.maximum(a, b)
-                j = int(np.lexsort((second, first))[0])
-                cand = (int(first[j]), int(second[j]))
-                if best is None or cand < best:
-                    best = cand
-        return best
+                yield np.minimum(a, b) * order.size + np.maximum(a, b)
 
     # perfbench/spans.py wraps this name by attribute, so it stays as an alias;
     # the star-pruned scan has the one kernel above

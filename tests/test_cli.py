@@ -189,7 +189,8 @@ def test_explore_cli_reproducible(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--samples", "0"), ("--samples", "-3"), ("--rho", "0"), ("--rho", "-1")]
+    "flag,value",
+    [("--samples", "0"), ("--samples", "-3"), ("--samples", "99999999999999999999"), ("--rho", "0"), ("--rho", "-1")],
 )
 def test_explore_cli_rejects_bad_counts_before_building(capsys, monkeypatch, flag, value):
     def refuse(*args, **kwargs):

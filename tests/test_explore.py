@@ -326,14 +326,36 @@ def test_greedy_kernel_fixed_point_on_point_line_class(name, q, request):
     assert got == expected == ids
 
 
-@pytest.mark.parametrize("chunk", [1, 7, explore._CHUNK])
-def test_greedy_kernel_independent_of_chunk_size(chunk, u22, u23, monkeypatch):
-    monkeypatch.setattr(explore, "_CHUNK", chunk)
+@pytest.mark.parametrize("head", [0, 32, explore._HEAD, 1 << 40])
+def test_greedy_kernel_independent_of_head_size(head, u22, u23, monkeypatch):
+    # head 0 sends every flag through the conflict-pair tail, 1 << 40 every flag through
+    # _pick_apart; a head of 7 can leave 9,168 flags and 17.5M adjacent pairs in a (2,3) tail
+    monkeypatch.setattr(explore, "_HEAD", head)
     for universe, q in ((u22, 2), (u23, 3)):
         for seed in ([], pencil_ids(universe, gf.make_field(q))):
+            if head == 0 and not seed and universe is u23:
+                # the tail would be the whole (2,3) graph, whose 51.6M adjacent pairs the kernel lists
+                continue
             for s in range(3):
                 got, expected = kernel_and_reference(seed, random.Random(s), universe)
                 assert got == expected
+
+
+@pytest.mark.parametrize("name,sizes", [("u22", (0, 1, 2, 40, 300)), ("u23", (2, 60, 500))])
+def test_adjacent_pairs_match_brute_force(name, sizes, request):
+    universe = request.getfixturevalue(name)
+    lo, hi = _flag_int_masks(universe, 0), _flag_int_masks(universe, 1)
+    rng = random.Random(8)
+    for m in sizes:
+        ids = rng.sample(range(len(universe)), m)
+        expected = [
+            (a, b) for a in range(m) for b in range(a + 1, m)
+            if (lo[ids[a]] & hi[ids[b]]) == 0 and (hi[ids[a]] & lo[ids[b]]) == 0
+        ]
+        first, second = universe.adjacent_pairs(ids)
+        assert list(zip(first.tolist(), second.tolist())) == expected
+        witness = universe.check_pairwise_independent(ids)
+        assert witness == ((ids[expected[0][0]], ids[expected[0][1]]) if expected else None)
 
 
 class _TiedKeys:
@@ -399,7 +421,9 @@ def test_probe_does_not_import_numpy_random():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77), (2, 4, 40, 11)])
+@pytest.mark.parametrize(
+    "d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77), (2, 4, 40, 11), (3, 2, 6, 5)]
+)
 def test_explore_output_matches_golden(d, q, samples, seed):
     # the recorded stdout pins the samples drawn for a given --seed
     argv = ["explore", "--d", str(d), "--q", str(q), "--samples", str(samples), "--seed", str(seed)]

@@ -305,6 +305,42 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
     assert found
 
 
+def outside_flag_candidates(in_set, points, tids, num_points):
+    """The points on no table entry that some flag outside the set uses."""
+    covered = np.zeros(num_points, dtype=bool)
+    covered[points[np.unique(tids[~in_set])]] = True
+    return np.flatnonzero(~covered).tolist()
+
+
+@pytest.mark.parametrize("name,q,n", [("u22", 2, 5), ("u23", 3, 5), ("u32", 2, 7)])
+def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
+    universe = request.getfixturevalue(name)
+    field = gf.make_field(q)
+    rng = random.Random(n * q)
+    sets = []
+    for row in rng.sample(pg.all_points(n, field), 2):
+        p = pg.Subspace(field, n, (row,))
+        for desc in (indsets.point_pencil(p), indsets.dual_point_pencil(pg.dual(p))):
+            generic, special = indsets.descriptor_masks(desc, universe)
+            sets.append(generic | special)
+    pencil_ids = np.flatnonzero(sets[0]).tolist()
+    sets.append(indsets.id_mask([], universe))
+    sets[-1][explore._greedy_complete_ids(pencil_ids, random.Random(1), universe)] = True
+    noise = np.frombuffer(rng.randbytes(len(universe)), dtype=np.uint8)
+    for dense in [noise < k for k in (0, 3, 128, 253)] + [np.ones(len(universe), dtype=bool)]:
+        sets += [dense, dense | sets[0], dense | sets[1], dense & sets[2]]
+    found = 0
+    for in_set in sets:
+        got = indsets.pencil_base_candidates(in_set, universe)
+        lower = universe._point_ids[0], universe.member_ids[0]
+        assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
+        got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
+        dual_upper = universe.dual_top_ids, universe.member_ids[1]
+        assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
+        found += len(got) + len(got_dual)
+    assert found
+
+
 def test_dualize_descriptor_involution(f2):
     for name, desc in all_variant_descriptors(f2, 2).items():
         assert indsets.dualize_descriptor(indsets.dualize_descriptor(desc)) == desc, name

@@ -720,7 +720,7 @@ def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
         bits = universe.member_bits()
         members = []
         adjacent = np.zeros(len(universe), dtype=bool)
-        assert not bits.blocked(everyone).any()
+        assert not bits.blocked(everyone).any() and not bits.blocked().any()
         for k in sizes:
             batch = rng.sample(range(len(universe)), k)
             bits.add(batch)
@@ -729,6 +729,8 @@ def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
                 adjacent |= universe.adjacency_row(m)
             assert bits.size == len(members)
             assert bits.blocked(everyone).tolist() == adjacent.tolist()
+            # with no ids, every flag is tested
+            assert bits.blocked().tolist() == adjacent.tolist()
             # each member's bit sits at its own position in both tables
             for got, expected in zip(member_rows(bits), member_rows_reference(universe, members)):
                 assert np.array_equal(got, expected)
