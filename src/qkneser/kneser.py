@@ -445,7 +445,7 @@ class MemberBits:
     def blocked(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
         """For each flag of ids (of every flag by default), whether it is adjacent to some member."""
         if ids is None:
-            # member_ids[0] is i // K, so each lower row serves K flags in a row, broadcast
+            # member_ids[0] is i // K (FlagUniverse), so each lower row serves the next K flags
             shape = (self._sizes[0], self._tids[1].size // self._sizes[0], self.upper.shape[1])
             both = np.take(self.upper, self._tids[1], axis=0).reshape(shape)
             both &= self.lower[:, None, :]

@@ -720,6 +720,8 @@ def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
         bits = universe.member_bits()
         members = []
         adjacent = np.zeros(len(universe), dtype=bool)
+        # blocked() reads the lower rows on this layout, without member_ids[0]
+        assert np.array_equal(universe.member_ids[0], everyone // (len(universe) // bits.lower.shape[0]))
         assert not bits.blocked(everyone).any() and not bits.blocked().any()
         for k in sizes:
             batch = rng.sample(range(len(universe)), k)
