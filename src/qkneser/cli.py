@@ -219,6 +219,8 @@ def _parse_type(args) -> tuple:
 def _cmd_calc(args) -> int:
     op = args.calc_op
     if op == "gauss":
+        # [a b]_q < q^(b(a-b) + 2); the grid of check-bounds prints no binomial
+        qcalc.check_digits(args.b * (args.a - args.b) + 2, args.q, f"[{args.a} {args.b}]_{args.q}")
         _emit(qcalc.gauss(args.a, args.b, args.q))
     elif op == "theta":
         _emit(qcalc.theta(args.j, args.q))

@@ -27,6 +27,7 @@ from .indsets import (
     descriptor_masks,
     descriptor_to_json,
     dualize_descriptor,
+    flag_to_json,
     json_ints,
     point_line,
     point_pencil,
@@ -93,13 +94,9 @@ def build_cover(d: int, q: int) -> CoverCertificate:
     n = 2 * d + 1
     check_cap(q, [(d + 2, 3)], f"planes of a rank-{d + 2} subspace over GF({q})")
 
-    def unit(i: int) -> List[int]:
-        row = [0] * n
-        row[i] = 1
-        return row
-
-    u = pg.rref([unit(i) for i in range(d + 2)], n, fld)
-    ell = pg.rref([unit(0), unit(1)], n, fld)
+    units = pg.full_space(n, fld).rows
+    u = pg.rref(units[: d + 2], n, fld)
+    ell = pg.rref(units[:2], n, fld)
 
     ell_points = list(pg.subspaces_within(ell, 1))
     p0, w_points = ell_points[0], ell_points[1:]
@@ -167,8 +164,6 @@ class VerifyReport:
         return self.missing_count == 0 and not self.bad_classes
 
     def to_json(self) -> Dict:
-        from .indsets import flag_to_json
-
         return {
             "valid": self.valid,
             "total_flags": self.total_flags,

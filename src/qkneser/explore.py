@@ -42,7 +42,7 @@ import numpy as np
 from . import _parallel, indsets, qcalc
 from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
-from .kneser import DEFAULT_VERTEX_CAP, FlagUniverse, MemberBits, check_cap, flag_binomials
+from .kneser import DEFAULT_VERTEX_CAP, FlagUniverse, check_cap, flag_binomials
 
 # expected flags in the head of a greedy completion (see above)
 _HEAD = 4096
@@ -238,30 +238,28 @@ def greedy_color(
 ) -> ColoringResult:
     """Greedy proper coloring; the color count is a raw observation only.
 
-    A vertex takes the first color class (one MemberBits each) that holds none of its neighbors.
-    More than cap vertices are refused before the universe is built."""
+    First-fit in the order (a vertex takes the first color no earlier
+    neighbor has), so color class c is the greedy maximal independent set
+    (_pick_apart) of the vertices classes 0..c-1 left.  More than cap
+    vertices are refused before the universe is built."""
     n, J = 2 * d + 1, (d, d + 1)
     check_cap(q, flag_binomials(n, J), f"vertices of type {J} in GF({q})^{n}", cap)
     if universe is None:
         universe = FlagUniverse(n, J, make_field(q))
     n_vertices = len(universe)
     if order == "enumeration":
-        sequence = list(range(n_vertices))
+        remaining = np.arange(n_vertices)
     elif order == "degree-random":
         rng = random.Random(seed)
-        jitter = [rng.random() for _ in range(n_vertices)]
         # the graph is regular, so the degree-first order is the jitter order
-        sequence = sorted(range(n_vertices), key=jitter.__getitem__)
+        remaining = np.argsort([rng.random() for _ in range(n_vertices)], kind="stable")
     else:
         raise ValueError(f"unknown order {order!r}")
 
-    classes: List[MemberBits] = []
-    colors = [-1] * n_vertices
-    for v in sequence:
-        one = np.array([v])
-        c = next((k for k, bits in enumerate(classes) if not bits.blocked(one)[0]), len(classes))
-        if c == len(classes):
-            classes.append(universe.member_bits())
-        classes[c].add(one)
-        colors[v] = c
-    return ColoringResult(num_colors=len(classes), colors=colors, order=order, seed=seed)
+    colors = np.full(n_vertices, -1, dtype=np.int64)
+    num_colors = 0
+    while remaining.size:
+        colors[_pick_apart(remaining, universe)] = num_colors
+        remaining = remaining[colors[remaining] < 0]
+        num_colors += 1
+    return ColoringResult(num_colors=num_colors, colors=colors.tolist(), order=order, seed=seed)

@@ -116,15 +116,8 @@ def is_irreducible(poly, p: int) -> bool:
     return True
 
 
-def _prime_tables(p):
-    add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-    mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-    neg = tuple((-a) % p for a in range(p))
-    inv = tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
-    return add, mul, neg, inv
-
-
-def _extension_tables(p, k, poly):
+def _field_tables(p, k, poly):
+    """add, mul, neg and inv of GF(p)[x] modulo poly, with GF(p) itself modulo x."""
     q = p**k
     digits = [_digits(v, p, k) for v in range(q)]
     add = tuple(
@@ -170,13 +163,9 @@ def make_field(q: int) -> FieldSpec:
     if q not in SUPPORTED_ORDERS:
         raise Unsupported(f"GF({q}) is outside the supported orders {SUPPORTED_ORDERS}")
 
-    if k == 1:
-        poly: Tuple[int, ...] = ()
-        add, mul, neg, inv = _prime_tables(p)
-    else:
-        poly = REDUCTION_POLYS[q]
-        if not is_irreducible(poly, p):
-            raise AssertionError(f"pinned reduction polynomial for GF({q}) is reducible")
-        add, mul, neg, inv = _extension_tables(p, k, poly)
+    poly = REDUCTION_POLYS.get(q, ())
+    if poly and not is_irreducible(poly, p):
+        raise AssertionError(f"pinned reduction polynomial for GF({q}) is reducible")
+    add, mul, neg, inv = _field_tables(p, k, poly or (0, 1))
 
     return FieldSpec(q=q, p=p, k=k, reduction_poly=poly, _add=add, _mul=mul, _neg=neg, _inv=inv)

@@ -105,12 +105,11 @@ def _space_params(s: pg.Subspace) -> Tuple[int, int]:
 
 
 def _sorted_family(family: Iterable[pg.Subspace]) -> Tuple[pg.Subspace, ...]:
-    fam = sorted(set(family), key=lambda s: s.rows)
-    return tuple(fam)
+    return tuple(sorted(set(family), key=lambda s: s.rows))
 
 
-def validate_descriptor(desc: IndSetDescriptor) -> None:
-    """Raise InvalidDescriptor naming the violated invariant, if any."""
+def validate_descriptor(desc: IndSetDescriptor) -> IndSetDescriptor:
+    """desc if it is valid; else raise InvalidDescriptor naming the violated invariant."""
     d, q, n = desc.d, desc.q, desc.n
     _require(d >= 2, f"d must be >= 2, got {d}")
     if desc.family:
@@ -152,6 +151,7 @@ def validate_descriptor(desc: IndSetDescriptor) -> None:
         _require(_pairwise_meet(desc.family, None), "family members must pairwise meet nontrivially")
     else:
         raise InvalidDescriptor(f"unknown variant {desc.variant!r}")
+    return desc
 
 
 def _pairwise_meet(family: Tuple[pg.Subspace, ...], outside: Optional[pg.Subspace]) -> bool:
@@ -162,10 +162,7 @@ def _pairwise_meet(family: Tuple[pg.Subspace, ...], outside: Optional[pg.Subspac
 
 
 def point_pencil(p: pg.Subspace) -> IndSetDescriptor:
-    d, q = _space_params(p)
-    desc = IndSetDescriptor(variant="point_pencil", d=d, q=q, base=p)
-    validate_descriptor(desc)
-    return desc
+    return validate_descriptor(IndSetDescriptor("point_pencil", *_space_params(p), base=p))
 
 
 # F(P, empty family) and the point-pencil F(P) are the same flag set.
@@ -173,43 +170,28 @@ generic_only = point_pencil
 
 
 def dual_point_pencil(h: pg.Subspace) -> IndSetDescriptor:
-    d, q = _space_params(h)
-    desc = IndSetDescriptor(variant="dual_point_pencil", d=d, q=q, base=h)
-    validate_descriptor(desc)
-    return desc
+    return validate_descriptor(IndSetDescriptor("dual_point_pencil", *_space_params(h), base=h))
 
 
 dual_generic_only = dual_point_pencil
 
 
 def point_line(p: pg.Subspace, line: pg.Subspace) -> IndSetDescriptor:
-    d, q = _space_params(p)
-    desc = IndSetDescriptor(variant="point_line", d=d, q=q, base=p, line=line)
-    validate_descriptor(desc)
-    return desc
+    return validate_descriptor(IndSetDescriptor("point_line", *_space_params(p), base=p, line=line))
 
 
 def point_hyperplane(p: pg.Subspace, h: pg.Subspace) -> IndSetDescriptor:
-    d, q = _space_params(p)
-    desc = IndSetDescriptor(variant="point_hyperplane", d=d, q=q, base=p, hyperplane=h)
-    validate_descriptor(desc)
-    return desc
+    return validate_descriptor(IndSetDescriptor("point_hyperplane", *_space_params(p), base=p, hyperplane=h))
 
 
 def point_family(p: pg.Subspace, family: Iterable[pg.Subspace]) -> IndSetDescriptor:
-    d, q = _space_params(p)
-    desc = IndSetDescriptor(variant="point_family", d=d, q=q, base=p,
-                            family=_sorted_family(family))
-    validate_descriptor(desc)
-    return normalize_descriptor(desc)
+    desc = IndSetDescriptor("point_family", *_space_params(p), base=p, family=_sorted_family(family))
+    return normalize_descriptor(validate_descriptor(desc))
 
 
 def hyperplane_family(h: pg.Subspace, family: Iterable[pg.Subspace]) -> IndSetDescriptor:
-    d, q = _space_params(h)
-    desc = IndSetDescriptor(variant="hyperplane_family", d=d, q=q, base=h,
-                            family=_sorted_family(family))
-    validate_descriptor(desc)
-    return normalize_descriptor(desc)
+    desc = IndSetDescriptor("hyperplane_family", *_space_params(h), base=h, family=_sorted_family(family))
+    return normalize_descriptor(validate_descriptor(desc))
 
 
 def line_family(p: pg.Subspace, line: pg.Subspace) -> Tuple[pg.Subspace, ...]:
@@ -376,7 +358,7 @@ def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> L
 def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:
     """The boolean id mask of a set of flags, as classify takes it."""
     mask = np.zeros(len(universe), dtype=bool)
-    mask[np.array([universe.id_of(f) for f in flags], dtype=np.int64)] = True
+    mask[universe.ids_of(list(flags))] = True
     return mask
 
 
@@ -421,10 +403,10 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
 
 def _family_ids_in(universe: FlagUniverse, pos: int, family: Tuple[pg.Subspace, ...]) -> np.ndarray:
     """Per flag, whether its member at chain position pos is in the family."""
-    tids = [universe.table_id_of(pos, s) for s in family]
-    if None in tids:
+    tids = universe.table_ids_of(pos, family)
+    if (tids < 0).any():
         raise InvalidDescriptor("family member is not a subspace of this universe")
-    return np.isin(universe.member_ids[pos], np.array(tids, dtype=np.int64))
+    return np.isin(universe.member_ids[pos], tids)
 
 
 def classify(

@@ -10,11 +10,11 @@ oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members.
-Each table entry is kept once, as its RREF basis, its sorted point ids and
-its point-mask words, all made by the build in uint8 GF(q) arithmetic; no
-Subspace is built (entry builds one on demand).  A flag lo + <w> (w the
-lifted quotient rows) gets its upper id from a key, the RREF basis of its
-upper member as packed base-q row codes, numbered by first occurrence.  A
+Each table is pg.subspace_rows of its rank, and each entry is kept once, as
+its RREF basis, its sorted point ids and its point-mask words, all made in
+uint8 GF(q) arithmetic; no Subspace is built (entry builds one on demand).
+A table id is pg.subspace_index of a basis: a flag lo + <w> (w the lifted
+quotient rows) gets its upper id from its upper member's basis.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry and read off for the flags through their table ids.  A
 closed-form flag count above MAX_FLAGS is refused first.  Every point set
@@ -268,27 +268,16 @@ def _pack_bits(incidence: np.ndarray) -> np.ndarray:
     return np.packbits(incidence, axis=-1, bitorder="little").view("<u8").astype(_WORD)
 
 
-def _meets(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """For each row of mask words, whether it shares a point with mask."""
-    acc = words[:, 0] & mask[0]
-    for w in range(1, words.shape[1]):
-        acc |= words[:, w] & mask[w]
-    return acc != 0
-
-
-def _number_by_first_occurrence(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(ids, first): equal rows share an id, ids count up in order of first
-    occurrence, and first[i] is the index of the first row with id i."""
-    order = np.lexsort(rows.T[::-1])  # stable, so equal rows stay in index order
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = order[starts]
-    renumber = np.empty(first.size, dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(first.size)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = renumber[np.cumsum(starts) - 1]
-    return ids, np.sort(first)
+def _any_word(words: np.ndarray) -> np.ndarray:
+    """Whether each row of words (last axis) has a set bit, say a point.  On
+    short rows .any() costs several times an OR over the word columns; from
+    about 8 words on it is the faster one."""
+    if words.shape[-1] >= 8:
+        return words.any(axis=-1)
+    out = np.zeros(words.shape[:-1], dtype=bool)
+    for w in range(words.shape[-1]):
+        out |= words[..., w] != 0
+    return out
 
 
 def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -342,24 +331,17 @@ def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.n
     return ids, words
 
 
-def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(ids, bases): the flags' upper members by first occurrence, and their RREF bases.
+def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> np.ndarray:
+    """The upper table ids (pg.subspace_rows order) of the flags' upper members.
 
     Flag t * K + j joins the lower basis rows[t] (RREF) with the lift of the
-    quotient basis quotient[j].  Its key is its upper member's RREF basis:
-    rows[t] reduced at the pivot columns of the lifted rows, and those rows.
-    Their base-q codes, sorted and packed into int64 columns, are numbered
-    by _number_by_first_occurrence; _BUILD_CHUNK lower members at a time
-    make their keys, so no per-flag mask is ever held.  A basis is read
-    back from its first key: RREF rows are in descending code order.
+    quotient basis quotient[j].  rows[t] reduced at the pivot columns of the
+    lifted rows, with those rows, is its upper member's RREF basis up to row
+    order, and pg.subspace_index reads its id off that; _BUILD_CHUNK lower
+    members at a time, so no per-flag basis is ever held.
     """
-    q, n = field.q, rows.shape[-1]
     K, gap = quotient.shape[:2]
-    bits = (q**n - 1).bit_length()
-    per_col = (_WORD_BITS - 1) // bits  # codes per int64 column, its sign bit clear
-    rank = rows.shape[1] + gap
-    shifts = bits * (np.arange(rank) % per_col)
-    keys = np.zeros((len(rows) * K, -(-rank // per_col)), dtype=np.int64)
+    ids = []
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
         c = len(r)
@@ -369,13 +351,8 @@ def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> Tupl
         for i in range(gap):
             coef = _neg(field, r[np.arange(c)[:, None], :, pivots[:, :, i]])
             reduced = _add(field, reduced, _mul(field, coef[..., None], w[:, :, i, None, :]))
-        codes = np.sort(np.concatenate((_codes(reduced, q), _codes(w, q)), axis=-1), axis=-1)
-        codes = codes.reshape(c * K, -1).astype(np.int64)
-        for k in range(rank):
-            keys[c0 * K : (c0 + c) * K, k // per_col] |= codes[:, k] << shifts[k]
-    ids, first = _number_by_first_occurrence(keys)
-    codes = keys[first][:, np.arange(rank) // per_col] >> shifts & ((1 << bits) - 1)
-    return ids, (codes[:, ::-1, None] // q ** np.arange(n - 1, -1, -1) % q).astype(np.uint8)
+        ids.append(pg.subspace_index(np.concatenate((reduced, w), axis=2), field.q).ravel())
+    return np.concatenate(ids)
 
 
 class MemberBits:
@@ -449,10 +426,10 @@ class MemberBits:
             shape = (self._sizes[0], self._tids[1].size // self._sizes[0], self.upper.shape[1])
             both = np.take(self.upper, self._tids[1], axis=0).reshape(shape)
             both &= self.lower[:, None, :]
-            return both.any(axis=2).ravel()
+            return _any_word(both).ravel()
         both = np.take(self.lower, np.take(self._tids[0], ids), axis=0)
         both &= np.take(self.upper, np.take(self._tids[1], ids), axis=0)
-        return both.any(axis=1)
+        return _any_word(both)
 
 
 @dataclass(frozen=True)
@@ -479,8 +456,9 @@ class FlagUniverse:
 
     A flag is its pair of table ids: flag i has members
     entry(pos, member_ids[pos][i]), where member_ids[0][i] = i // K for K
-    uppers per lower member, and the upper table lists the distinct upper
-    members in order of first occurrence.  Entry t of table pos has its
+    uppers per lower member.  Each table lists every subspace of its rank
+    in pg.subspace_rows order, so table ids are pg.subspace_index values;
+    the upper ids are int32 when they fit.  Entry t of table pos has its
     (rank, n) uint8 RREF basis _bases[pos][t], its sorted point ids
     _point_ids[pos][t] and their mask words _table_words[pos][t];
     member_ids are the only per-flag arrays.  Ids follow enumerate_flags, so
@@ -491,9 +469,8 @@ class FlagUniverse:
         self.n = n
         self.types = _validate_type(n, J)
         self.field = field
-        q = field.q
         j1 = self.types[0]
-        check_cap(q, flag_binomials(n, J), f"flags of type {self.types} in GF({q})^{n}")
+        check_cap(field.q, flag_binomials(n, J), f"flags of type {self.types} in GF({field.q})^{n}")
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
@@ -505,24 +482,13 @@ class FlagUniverse:
             m, gap = n - j1, self.types[1] - j1
             points = np.array(pg.all_points(m, field), dtype=np.uint8)[:, None]
             quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
-            upper_ids, uppers = _upper_ids(field, lows, quotient)
-            self.member_ids = [np.repeat(self.member_ids[0], len(quotient)), upper_ids]
-            self._bases.append(uppers)
+            self.member_ids = [np.repeat(self.member_ids[0], len(quotient)), _upper_ids(field, lows, quotient)]
+            self._bases.append(pg.subspace_rows(n, self.types[1], field))
         spans = [_span_points(field, bases, self.n_words) for bases in self._bases]
         self._point_ids, self._table_words = [ids for ids, _ in spans], [words for _, words in spans]
         self._size = len(self.member_ids[0])
         self._entries: List[dict] = [{} for _ in self.types]
-        self._entry_of_basis: List[Optional[dict]] = [None for _ in self.types]
         self._through = None
-
-        # popcount -> rank lookup for join-rank tests
-        lut = np.full(self.num_points + 1, -1, dtype=np.int64)
-        for r in range(n + 1):
-            pts = 0 if r == 0 else (q**r - 1) // (q - 1)
-            if pts <= self.num_points:
-                lut[pts] = r
-        self._rank_of_popcount = lut
-
         self._kneser_fast = self.types == (j1, j1 + 1) and n == 2 * j1 + 1
 
     def __len__(self) -> int:
@@ -532,16 +498,21 @@ class FlagUniverse:
         return (self.flag_of(i) for i in range(self._size))
 
     def id_of(self, f: Flag) -> int:
-        tids = [self.table_id_of(pos, s) for pos, s in enumerate(f.chain[: len(self.types)])]
-        if len(f.chain) == len(self.types) and None not in tids:
-            if len(tids) == 1:
-                return tids[0]
+        return int(self.ids_of([f])[0])
+
+    def ids_of(self, flags: Sequence[Flag]) -> np.ndarray:
+        """The ids of flags, with one table lookup per chain position: flag
+        t * K + j is the one of lower entry t whose upper id matches."""
+        ids = self.table_ids_of(0, [f.chain[0] for f in flags]).astype(np.int64)
+        if len(self.types) == 2:
             per_lower = self._size // len(self._bases[0])
-            start = tids[0] * per_lower
-            hit = np.flatnonzero(self.member_ids[1][start : start + per_lower] == tids[1])
-            if hit.size:
-                return start + int(hit[0])
-        raise InvalidArgs(f"flag {f!r} is not in this universe")
+            block = self.member_ids[1][ids[:, None] * per_lower + np.arange(per_lower)]
+            hit = block == self.table_ids_of(1, [f.chain[-1] for f in flags])[:, None]
+            ids = np.where((ids >= 0) & hit.any(axis=1), ids * per_lower + hit.argmax(axis=1), -1)
+        bad = [f for f, i in zip(flags, ids) if i < 0 or len(f.chain) != len(self.types)]
+        if bad:
+            raise InvalidArgs(f"flag {bad[0]!r} is not in this universe")
+        return ids
 
     def flag_of(self, i: int) -> Flag:
         if not 0 <= i < self._size:
@@ -559,12 +530,21 @@ class FlagUniverse:
         return s
 
     def table_id_of(self, pos: int, s: pg.Subspace) -> Optional[int]:
-        """The id of s in member table pos, found by the bytes of its RREF basis; None if absent."""
-        if s.n != self.n or s.field.q != self.field.q:
-            return None
-        if self._entry_of_basis[pos] is None:
-            self._entry_of_basis[pos] = {basis.tobytes(): t for t, basis in enumerate(self._bases[pos])}
-        return self._entry_of_basis[pos].get(np.array(s.rows, dtype=np.uint8).tobytes())
+        """The id of s in member table pos; None if absent."""
+        t = int(self.table_ids_of(pos, [s])[0])
+        return None if t < 0 else t
+
+    def table_ids_of(self, pos: int, subspaces: Sequence[pg.Subspace]) -> np.ndarray:
+        """The id of each subspace in member table pos, -1 where absent: its
+        pg.subspace_index, if it has the table's n, q and rank and the entry
+        there has its rows as RREF basis (so a non-canonical basis is absent)."""
+        table = self._bases[pos]
+        rank = table.shape[1]
+        fits = np.array([s.n == self.n and s.field.q == self.field.q and s.rank == rank for s in subspaces], dtype=bool)
+        rows = np.array([s.rows if ok else table[0] for s, ok in zip(subspaces, fits)], dtype=np.int64)
+        rows = rows.reshape((len(fits),) + table.shape[1:])
+        ids = np.minimum(pg.subspace_index(rows, self.field.q), len(table) - 1)
+        return np.where(fits & (table[ids] == rows).all(axis=(1, 2)), ids, -1)
 
     @cached_property
     def _dual_top(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -611,12 +591,15 @@ class FlagUniverse:
     def _general_row(self, words_a: List[np.ndarray], ids_b) -> np.ndarray:
         """General position of the flag with member masks words_a against the
         flags ids_b: every member pair meets trivially or spans the whole
-        space, decided once per table entry and read off through member_ids."""
-        row = None
+        space, decided once per table entry and read off through member_ids.
+        Ranks ra and rb span the space iff they meet in rank ra + rb - n,
+        which holds (q^(ra+rb-n) - 1) / (q - 1) points."""
+        q, row = self.field.q, None
         for ra, a in zip(self.types, words_a):
             for rb, table, tids in zip(self.types, self._table_words, self.member_ids):
                 pc = _popcount(table & a).sum(axis=1)
-                ok = ((pc == 0) | (ra + rb - self._rank_of_popcount[pc] == self.n))[tids[ids_b]]
+                spanning = (q ** max(ra + rb - self.n, 0) - 1) // (q - 1)
+                ok = ((pc == 0) | (pc == spanning))[tids[ids_b]]
                 row = ok if row is None else (row & ok)
         return row
 
@@ -626,7 +609,7 @@ class FlagUniverse:
         if self._kneser_fast:
             # flag j is adjacent iff pi_j misses tau_i and tau_j misses pi_i
             lo, hi = self._flag_words(i)
-            meet_lo, meet_hi = _meets(self._table_words[0], hi), _meets(self._table_words[1], lo)
+            meet_lo, meet_hi = _any_word(self._table_words[0] & hi), _any_word(self._table_words[1] & lo)
             row = ~(meet_lo[self.member_ids[0][sl]] | meet_hi[self.member_ids[1][sl]])
         else:
             row = self._general_row(self._flag_words(i), sl)
@@ -734,7 +717,7 @@ class FlagUniverse:
         if point < width:
             return ~(self._point_ids[1][self.member_ids[1][ids]] == point).any(axis=1)
         outside = ~self._hyperplane_words[point - width]
-        return _meets(np.take(self._table_words[0], self.member_ids[0][ids], axis=0), outside)
+        return _any_word(np.take(self._table_words[0], self.member_ids[0][ids], axis=0) & outside)
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None

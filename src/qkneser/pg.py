@@ -6,6 +6,10 @@ tuples are equal, so subspaces are hashable dictionary keys.  Vector-space
 rank is used throughout; projective dimension (rank - 1) only shows up in
 reporting layers.
 
+_shapes writes the enumeration order of the rank-r bases once:
+subspace_rows lists them in it, and subspace_index maps a basis back to
+its position, in closed form.
+
 Row reduction has one table-driven implementation for every q.  Only
 join_rank packs GF(2) rows into ints (one per row, kept on the Subspace),
 as the oracle general_position calls it for every member pair.
@@ -19,8 +23,9 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgs
+from .errors import DimensionMismatch, InvalidArgs, TooLarge
 from .gf import FieldSpec
+from .qcalc import gauss
 
 Row = Tuple[int, ...]
 
@@ -210,23 +215,8 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a."""
-    _check_same_space(a, b)
-    if b.rank > a.rank:
-        return False
-    fld = a.field
-    mul, sub = fld.mul, fld.sub
-    pivots = [_pivot_col(r) for r in a.rows]
-    for row in b.rows:
-        cur = list(row)
-        for i, pc in enumerate(pivots):
-            c = cur[pc]
-            if c:
-                arow = a.rows[i]
-                cur = [sub(x, mul(c, y)) for x, y in zip(cur, arow)]
-        if any(cur):
-            return False
-    return True
+    """True iff b is a subspace of a, i.e. a + b has the rank of a."""
+    return join_rank(a, b) == a.rank
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +227,65 @@ def contains(a: Subspace, b: Subspace) -> bool:
 _ROW_BLOCK = 1 << 14
 
 
-def _subspace_row_blocks(n: int, r: int, field: FieldSpec) -> Iterator[np.ndarray]:
-    """The RREF bases of the rank-r subspaces of GF(q)^n, as (k, r, n) uint8
-    blocks: per pivot shape, the free entries take the base-q digits of
-    0, 1, ..., the first free entry the most significant."""
+@lru_cache(maxsize=None)
+def _shapes(n: int, r: int, q: int) -> Tuple[List[Tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+    """The order of the rank-r RREF bases of GF(q)^n, written once, per pivot
+    shape s in lexicographic order: (pivots, keys, first, place).  Basis
+    first[s] + k holds the base-q digits of k in its free entries (row-major,
+    pivot columns left out), the first the most significant; place[s, p, c]
+    is the place value of the free entry in column c of the row with pivot
+    p, else 0.  keys[s] = -sum(2^(n-1-p) over its pivots p) ascend.  Indices
+    are int32 when all fit; past int64 the bases are refused, by the
+    exponent alone when it is large."""
     if not 0 <= r <= n:
         raise InvalidArgs(f"need 0 <= r <= n, got r={r}, n={n}")
-    q = field.q
-    for pivots in combinations(range(n), r):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(r) for c in range(pivots[i] + 1, n) if c not in pivot_set]
-        total = q ** len(free)
-        for k0 in range(0, total, _ROW_BLOCK):
-            k = np.arange(k0, min(k0 + _ROW_BLOCK, total), dtype=np.int64)
+    if r * (n - r) >= 63 or gauss(n, r, q) >= 1 << 63:
+        raise TooLarge(f"more than 2^63 subspaces of rank {r} in GF({q})^{n} exceed an int64 index")
+    pivots = list(combinations(range(n), r))
+    place = np.zeros((len(pivots), n, n), dtype=np.int32 if gauss(n, r, q) < 1 << 31 else np.int64)
+    for s, shape in enumerate(pivots):
+        free = [(p, c) for p in shape for c in range(p + 1, n) if c not in shape]
+        for e, (p, c) in enumerate(reversed(free)):
+            place[s, p, c] = q**e
+    sizes = q ** np.count_nonzero(place, axis=(1, 2)).astype(place.dtype)
+    first = (np.cumsum(sizes) - sizes).astype(place.dtype)
+    # two shapes or more have 0 < r < n, so r(n - r) < 63 keeps n <= 63
+    bits = [sum(1 << (n - 1 - p) for p in shape) for shape in pivots] if len(pivots) > 1 else [0]
+    keys = -np.array(bits, dtype=np.int64)
+    return pivots, keys, first, place
+
+
+def _subspace_row_blocks(n: int, r: int, field: FieldSpec) -> Iterator[np.ndarray]:
+    """subspace_rows in (k, r, n) uint8 blocks of at most _ROW_BLOCK bases."""
+    pivots, _, first, place = _shapes(n, r, field.q)
+    for shape, size, digits in zip(pivots, np.diff(first, append=gauss(n, r, field.q)).tolist(), place):
+        digits = digits[list(shape)]  # row i has pivot shape[i]
+        i, c = np.nonzero(digits)
+        for k0 in range(0, size, _ROW_BLOCK):
+            k = np.arange(k0, min(k0 + _ROW_BLOCK, size), dtype=np.int64)
             block = np.zeros((k.size, r, n), dtype=np.uint8)
-            block[:, np.arange(r), list(pivots)] = 1
-            for i, c in reversed(free):
-                k, block[:, i, c] = np.divmod(k, q)
+            block[:, np.arange(r), list(shape)] = 1
+            block[:, i, c] = k[:, None] // digits[i, c] % field.q
             yield block
+
+
+def subspace_index(rows: np.ndarray, q: int) -> np.ndarray:
+    """The subspace_rows index of each (..., r, n) RREF basis, whose rows may
+    come in any order: the first index of its pivot shape plus the base-q
+    number of its free entries, with _shapes' index width.  Rows that are no
+    RREF basis get some index, so check the basis there where that matters."""
+    r, n = rows.shape[-2:]
+    _, keys, first, place = _shapes(n, r, q)
+    pivots = np.argmax(rows != 0, axis=-1)
+    key = np.zeros(rows.shape[:-2], dtype=np.int64)
+    for k in range(r):
+        key -= np.left_shift(1, n - 1 - pivots[..., k])
+    shape = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    # summed over the rows first: a sum along a short axis is slow, so do one
+    terms = np.zeros(rows.shape[:-2] + (n,), dtype=first.dtype)
+    for k in range(r):
+        terms += rows[..., k, :] * np.take(place.reshape(-1, n), shape * n + pivots[..., k], axis=0)
+    return first[shape] + terms.sum(axis=-1, dtype=first.dtype)
 
 
 def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
@@ -263,11 +294,7 @@ def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
 
 
 def enumerate_subspaces(n: int, r: int, field: FieldSpec) -> Iterator[Subspace]:
-    """All rank-r subspaces of GF(q)^n, each exactly once.
-
-    Order: pivot shapes lexicographically, then the free entries
-    lexicographically by the flattened row-major scalar sequence.
-    """
+    """All rank-r subspaces of GF(q)^n, each exactly once, in _shapes order."""
     for block in _subspace_row_blocks(n, r, field):
         for rows in block.tolist():
             yield Subspace(field, n, tuple(map(tuple, rows)))

@@ -8,11 +8,21 @@ rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .errors import HypothesisViolation, InvalidArgs
+from .errors import HypothesisViolation, InvalidArgs, TooLarge
+
+
+def check_digits(exponent, base: int, what: str) -> None:
+    """Refuse a result below base^exponent, before it is computed, if it could
+    pass Python's int-to-str limit; a base below 2 is left to the computation."""
+    # Python's limit, or its default where the limit is off or absent (before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if base >= 2 and exponent > limit / math.log10(base):
+        raise TooLarge(f"{what} could have more than {limit} digits, the int-to-str limit")
 
 
 def gauss(a: int, b: int, q: int) -> int:
@@ -33,8 +43,9 @@ def gauss(a: int, b: int, q: int) -> int:
 
 def theta(j: int, q: int) -> int:
     """Number of projective points of PG(j, q): (q^(j+1) - 1) / (q - 1)."""
-    if j < 0:
-        raise InvalidArgs(f"need j >= 0, got {j}")
+    if j < 0 or q < 2:
+        raise InvalidArgs(f"need j >= 0 and q >= 2, got j={j}, q={q}")
+    check_digits(j + 1, q, f"theta({j}, {q})")
     return (q ** (j + 1) - 1) // (q - 1)
 
 
@@ -42,6 +53,8 @@ def flag_count(d: int, q: int) -> int:
     """Number of flags of vectorial type {d, d+1} in GF(q)^(2d+1)."""
     if d < 1:
         raise InvalidArgs(f"need d >= 1, got {d}")
+    # [2d+1 d]_q < q^(d(d+1) + 2) and theta(d, q) < q^(d+1)
+    check_digits(d * (d + 1) + d + 3, q, f"the flag count at d={d}, q={q}")
     value = gauss(2 * d + 1, d, q) * theta(d, q)
     # same count through the other factorization; cheap self-check
     assert value == gauss(2 * d + 1, d + 1, q) * theta(d, q)
@@ -64,6 +77,8 @@ class SizeConstants:
 def size_constants(d: int, q: int, alpha: int) -> SizeConstants:
     if d < 2 or q < 2 or alpha < 1:
         raise InvalidArgs(f"need d >= 2, q >= 2, alpha >= 1, got d={d}, q={q}, alpha={alpha}")
+    # each constant is below alpha * q^(d^2 + d + 3), as [a b]_q < q^(b(a-b) + 2)
+    check_digits(d * d + d + 3 + alpha.bit_length(), q, f"the size constants at d={d}, q={q}")
     g0 = gauss(2 * d, d + 1, q) * theta(d, q)
     e0 = g0 + gauss(2 * d - 1, d - 1, q) * q**d
     e1 = alpha * q ** (d * d + d - 2)
@@ -187,6 +202,10 @@ def concentration_bound(q: int, d: int, d0, n0) -> Fraction:
     if d0 <= 0 or n0 <= 0:
         raise InvalidArgs("d0 and n0 must be positive")
     base = d0 / (4 * n0)
+    # log2 bounds of numerator and denominator, 2^(d+1) - 1 < 2^min(d+1, 64)
+    power = 2 ** min(d + 1, 64)
+    bits = (d + 1) * math.log2(2 * q) + power * math.log2(base.numerator), power * math.log2(base.denominator)
+    check_digits(max(bits), 2, f"the concentration bound at d={d}")
     return Fraction(2 * q) ** (d + 1) * base ** (2 ** (d + 1) - 1)
 
 
@@ -215,6 +234,9 @@ def chromatic_thresholds(d: int, alpha: int) -> Tuple[int, int]:
         raise InvalidArgs(f"need d >= 3, got {d}")
     if alpha < 5:
         raise InvalidArgs(f"need alpha >= 5, got {alpha}")
+    # first < 112^(2^(d+1)) and second < 2^(2 bits(alpha) + 3)
+    check_digits(2 ** min(d + 1, 64), 112, f"the thresholds at d={d}")
+    check_digits(2 * alpha.bit_length() + 3, 2, f"the thresholds at alpha={alpha}")
     first = math.ceil(hypothesis_threshold(d))
     second = math.ceil(Fraction(3, 2) * alpha**2 + Fraction(21, 2) * alpha + 17)
     return first, second

@@ -303,6 +303,18 @@ def test_indset_check_refuses_oversized_graph(f2):
         ("calc", "concentration", "--q", "2", "--d", "2", "--d0", "1/0"),
         ("calc", "concentration", "--q", "2", "--d", "2", "--n0", "abc"),
         ("calc", "concentration", "--q", "2", "--d", "2", "--n0", "1/0"),
+        ("calc", "theta", "--j", "2", "--q", "1"),
+        ("calc", "theta", "--j", "2", "--q", "0"),
+        ("calc", "chromatic", "--d", "2", "--q", "1"),
+        # results past the int-to-str limit, refused before they are computed
+        ("calc", "concentration", "--q", "2", "--d", "12"),
+        ("calc", "thresholds", "--d", "12", "--alpha", "5"),
+        ("calc", "theta", "--j", "100000", "--q", "9"),
+        ("calc", "concentration", "--q", "2", "--d", "1000000000000"),
+        ("calc", "gauss", "--a", "100000", "--b", "50000", "--q", "2"),
+        ("calc", "flag-count", "--d", "100", "--q", "9"),
+        ("calc", "constants", "--d", "100", "--q", "9"),
+        ("enumerate", "subspaces", "--n", "16", "--r", "8", "--q", "2"),
     ],
 )
 def test_malformed_arguments_exit_1_without_traceback(argv, tmp_path):

@@ -422,11 +422,19 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "d,q,samples,seed", [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77), (2, 4, 40, 11), (3, 2, 6, 5)]
+    "run",
+    [(2, 2, 300, 7), (2, 3, 20, 3), (2, 4, 2, 77), (2, 4, 40, 11), (3, 2, 6, 5), (2, 3, 1, 4, "degree-random")],
+    ids=lambda run: "-".join(map(str, run)),
 )
-def test_explore_output_matches_golden(d, q, samples, seed):
-    # the recorded stdout pins the samples drawn for a given --seed
+def test_explore_output_matches_golden(run):
+    # the recorded stdout pins the samples drawn for a given --seed, and the
+    # color count of a --greedy-color-order run
+    d, q, samples, seed, *order = run
     argv = ["explore", "--d", str(d), "--q", str(q), "--samples", str(samples), "--seed", str(seed)]
+    name = f"explore_d{d}_q{q}_samples{samples}_seed{seed}"
+    if order:
+        argv += ["--greedy-color-order", order[0]]
+        name += f"_{order[0]}"
     done = subprocess.run([sys.executable, "-m", "qkneser.cli", *argv], capture_output=True, check=True)
-    expected = (GOLDEN / f"explore_d{d}_q{q}_samples{samples}_seed{seed}.json").read_bytes()
+    expected = (GOLDEN / f"{name}.json").read_bytes()
     assert done.stdout == expected

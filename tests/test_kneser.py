@@ -217,22 +217,62 @@ def test_id_of_inverts_flag_of_on_a_sample(u32):
         assert u32.id_of(u32.flag_of(i)) == i
 
 
-# sha256 of the table masks, member ids and dual top masks (see table_digest)
+# sha256 of each table part (see table_parts), so a layout change shows which
+# part moved
 TABLE_DIGESTS = {
-    (2, 2): "4da719ca4638d5271ec04caf514a8d6b35a41a1a340b1e86da1664cae32c4804",
-    (2, 3): "8046e4d10a7b870968326cbeb2bbf11489d3416a91f355e477e898aa18fa1c6b",
-    (3, 2): "76b91261ab8b0979535e6fb20b54ace82b2b624e58841e4e67f8f2307d20052c",
-    (2, 4): "0fb09a3549679423f5b384838f1bb276f2810e76d284362c28f703a720306b6f",
-    (2, 5): "52336bae12df30dfc4fad276f55ca5de125a9b2fe64a04fff230b5a6cc5949aa",
+    (2, 2): {
+        "lower_words": "f4e2ed3fd69fc950c0acf80572b9dda1d67b111d83902dcdcc4d8a5c71774f8b",
+        "upper_words": "6f28280ecaa006ff1d18860dc021d57caf705520855f71ad7bec3966cbab9fa6",
+        "lower_ids": "794c1e88865aacefd774c43cd5a9ff69552bb0e040932f69b6f00a35c9c906b4",
+        "upper_ids": "03475c80ade2141f14c77e84f896f1bc8b6c8bee383e58b98614c81c125fdff7",
+        "dual_top_words": "08073d6eb94a4eb54a5a140765831aab91591461c46b93ca67e235e898baf90f",
+    },
+    (2, 3): {
+        "lower_words": "75c676863a0d0deb57e494ae7a7f7a5a6dbc3c9119285c6252252613c1cc9e6d",
+        "upper_words": "f26275ae821a4e80fc397c189f20690f012ed968bc790b8007b2780cac460c48",
+        "lower_ids": "eeec5d2d5d12ded17bacd82394a904ac709a8dcb7df284cf344185fe079cefc1",
+        "upper_ids": "ba8f2800f87a80ac762812592917f3e05bf56040c654ba20a0391effc5fe5111",
+        "dual_top_words": "5956fa8a07adc3e36e1e40ae9a891e761e232106da1400071f5e96eec4c3a4b3",
+    },
+    (2, 4): {
+        "lower_words": "551787eebbcc3e91112830817f70c748f1f2fa3c9065f9e8b35494fd2413f83b",
+        "upper_words": "c14b2f90e3a9e56bafafde8fabcb636b19b38847639c48e45a851aa4751e4e55",
+        "lower_ids": "a0cded6dba45428de51db86b5e3e72d43fbaa05264edecacafd8fe14eda4091f",
+        "upper_ids": "03bc6902645d5282da2e70a51f09f810d1c2578b3343c203e337e50facca81e6",
+        "dual_top_words": "0c8e6ad73462d596ae1c11ed18363f4e9f57b954320b18762b177f9bbac7d526",
+    },
+    (2, 5): {
+        "lower_words": "6d0960e2bb0b3ee57405263046e6dc790982ef78cc6d8389967f4cd0ba67d29e",
+        "upper_words": "c66b9dec836a49757d19050845c723795151cb66e2f03ad9fcfd16624b4622a7",
+        "lower_ids": "ab30769cdfaf615cb689355aebdb7a34072a3d7e2636e1080976bd65bab72c8c",
+        "upper_ids": "e9d803c208cb72595237af4afae37f2c791cddd117b00c66c8aeace53b16eebf",
+        "dual_top_words": "376e092528e6c8573c87a327f54a932417e20727d2dd4f86d429a77e0d9f0f9e",
+    },
+    (3, 2): {
+        "lower_words": "f994316327218d9181aba5ea20655984f9ee68de9717bdc2b4cc9c7f78b4caf7",
+        "upper_words": "14d4d10103acb9a62adcf80cc28b49c72f9b18b74cc5eea691cb7abd97442814",
+        "lower_ids": "2b1866fb44a7ef87a5527b5142b371a101aa605287125235830dd6ace0e5dc2c",
+        "upper_ids": "9398baf3ebc0a87b37f1c76109c7b797fb7c0d01b4e17709d0320a65342adbe8",
+        "dual_top_words": "c33d8f2e0c3e034a35a24946626a32ad7fb1a44788fcf213a7de191208931a61",
+    },
 }
 
 
-def table_digest(universe):
-    h = hashlib.sha256()
-    for a in [*universe._table_words, *universe.member_ids, universe.dual_top_words]:
-        h.update(repr(a.shape).encode())
+def table_parts(universe):
+    """The sha256 of each table part: shape, then little-endian bytes."""
+    arrays = {
+        "lower_words": universe._table_words[0],
+        "upper_words": universe._table_words[-1],
+        "lower_ids": universe.member_ids[0],
+        "upper_ids": universe.member_ids[-1],
+        "dual_top_words": universe.dual_top_words,
+    }
+    digests = {}
+    for name, a in arrays.items():
+        h = hashlib.sha256(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<")).tobytes())
-    return h.hexdigest()
+        digests[name] = h.hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("d,q", sorted(TABLE_DIGESTS))
@@ -242,16 +282,42 @@ def test_tables_match_golden_digest(d, q, request):
         universe = request.getfixturevalue(fixture)
     else:
         universe = kneser.FlagUniverse(2 * d + 1, (d, d + 1), gf.make_field(q))
-    assert table_digest(universe) == TABLE_DIGESTS[d, q]
+    assert table_parts(universe) == TABLE_DIGESTS[d, q]
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_tables_do_not_depend_on_build_chunk(chunk, f2, monkeypatch):
-    # first-occurrence numbering must carry across chunk boundaries
-    expected = table_digest(kneser.FlagUniverse(5, (1, 3), f2))
+    # each chunk of lower members reads its flags' upper ids on its own
+    expected = table_parts(kneser.FlagUniverse(5, (1, 3), f2))
     monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
-    assert table_digest(kneser.FlagUniverse(5, (1, 3), f2)) == expected
-    assert table_digest(kneser.FlagUniverse(5, (2, 3), gf.make_field(3))) == TABLE_DIGESTS[2, 3]
+    assert table_parts(kneser.FlagUniverse(5, (1, 3), f2)) == expected
+    assert table_parts(kneser.FlagUniverse(5, (2, 3), gf.make_field(3))) == TABLE_DIGESTS[2, 3]
+
+
+@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 3)])
+def test_upper_table_is_pg_enumeration(n, J, q):
+    field = gf.make_field(q)
+    universe = kneser.FlagUniverse(n, J, field)
+    assert np.array_equal(universe._bases[1], pg.subspace_rows(n, J[1], field))
+    # flag i is the i-th flag of enumerate_flags, so its upper basis is that flag's
+    uppers = [f.chain[1].rows for f in kneser.enumerate_flags(n, J, field)]
+    assert [tuple(map(tuple, b)) for b in universe._bases[1][universe.member_ids[1]].tolist()] == uppers
+
+
+def test_table_ids_of_refuses_non_canonical_bases(u22):
+    field, n = u22.field, u22.n
+    entry = u22.entry(1, 5)
+    swapped = pg.Subspace(field, n, entry.rows[::-1])
+    # the same row space through a basis that is not reduced
+    first = tuple(field.add(x, y) for x, y in zip(*entry.rows[:2]))
+    unreduced = pg.Subspace(field, n, (first,) + entry.rows[1:])
+    garbage = pg.Subspace(field, n, ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (0, 0, 0, 0, 0)))
+    assert u22.table_id_of(1, entry) == 5
+    assert [u22.table_id_of(1, s) for s in (swapped, unreduced, garbage)] == [None] * 3
+    assert u22.table_ids_of(1, [entry, swapped, entry]).tolist() == [5, -1, 5]
+    assert u22.table_ids_of(0, []).shape == (0,)
+    with pytest.raises(InvalidArgs):
+        u22.id_of(kneser.Flag((u22.entry(0, 0), swapped)))
 
 
 @pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkneser import gf, pg, qcalc
-from qkneser.errors import DimensionMismatch, InvalidArgs
+from qkneser.errors import DimensionMismatch, InvalidArgs, TooLarge
 
 from conftest import unit_rows
 
@@ -155,6 +155,35 @@ def test_subspace_rows_count_canonical_and_order(q):
             keys = [documented_key(basis, n) for basis in bases]
             assert all(a < b for a, b in zip(keys, keys[1:]))
             assert [s.rows for s in pg.enumerate_subspaces(n, r, fld)] == [tuple(b) for b in bases]
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
+def test_subspace_index_inverts_subspace_rows(q):
+    # every (n, r) the tables use: n = 5 at every q, n = 7 at q = 2
+    fld = gf.make_field(q)
+    rng = np.random.default_rng(q)
+    for n in range(1, 8 if q == 2 else 6):
+        for r in range(n + 1):
+            rows = pg.subspace_rows(n, r, fld)
+            index = pg.subspace_index(rows, q)
+            assert index.dtype == np.int32 and np.array_equal(index, np.arange(len(rows)))
+            # each basis with its rows in its own random order
+            order = np.argsort(rng.random(rows.shape[:2]), axis=1)
+            shuffled = np.take_along_axis(rows, order[..., None], axis=1)
+            assert np.array_equal(pg.subspace_index(shuffled, q), index)
+    # any leading axes
+    rows = pg.subspace_rows(5, 2, fld)[:150].reshape(75, 2, 2, 5)
+    assert np.array_equal(pg.subspace_index(rows, q), np.arange(150).reshape(75, 2))
+
+
+def test_enumeration_past_an_int64_index_is_refused(f2):
+    # one subspace of a large space still fits
+    assert [s.rows for s in pg.enumerate_subspaces(70, 70, f2)] == [pg.full_space(70, f2).rows]
+    assert [s.rows for s in pg.enumerate_subspaces(70, 0, f2)] == [()]
+    with pytest.raises(TooLarge):
+        next(pg.enumerate_subspaces(16, 8, f2))
+    with pytest.raises(TooLarge):
+        next(pg.enumerate_subspaces(200000, 100000, f2))
 
 
 def test_subspace_rows_blocks_split_a_pivot_shape(f3, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qkneser import pg, qcalc
-from qkneser.errors import HypothesisViolation, InvalidArgs
+from qkneser.errors import HypothesisViolation, InvalidArgs, TooLarge
 
 
 def test_gauss_base_cases():
@@ -145,3 +145,24 @@ def test_chromatic_thresholds_values():
         qcalc.chromatic_thresholds(2, 5)
     with pytest.raises(InvalidArgs):
         qcalc.chromatic_thresholds(3, 4)
+
+
+def test_results_past_the_digit_limit_are_refused_before_computing():
+    with pytest.raises(InvalidArgs):
+        qcalc.theta(2, 1)
+    # the largest printable cases still print
+    assert len(str(qcalc.chromatic_thresholds(10, 5)[0])) == 4192
+    assert len(str(qcalc.theta(4505, 9))) == 4299
+    assert len(str(qcalc.concentration_bound(2, 10, Fraction(1, 4), 7).denominator)) == 4189
+    for call in (
+        lambda: qcalc.theta(4506, 9),
+        lambda: qcalc.chromatic_thresholds(11, 5),
+        lambda: qcalc.concentration_bound(2, 11, Fraction(1, 4), 7),
+        # 2^(d+1) is never computed for a huge d
+        lambda: qcalc.chromatic_thresholds(10**12, 5),
+        lambda: qcalc.concentration_bound(2, 10**12, Fraction(1, 4), 7),
+        lambda: qcalc.size_constants(2, 2, 10**5000),
+    ):
+        with pytest.raises(TooLarge):
+            call()
+
