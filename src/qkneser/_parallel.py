@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 from .errors import QKneserError
@@ -33,6 +32,8 @@ def run_blocks(fn: Callable[[T], R], blocks: Sequence[T], threads: int) -> List[
     threads = max(1, min(threads, usable_cpus()))
     if threads == 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays for this import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, blocks))
 

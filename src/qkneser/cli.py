@@ -9,7 +9,6 @@ internal error.  File writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -28,11 +27,20 @@ EXIT_INVALID = 2
 
 def field_table_hash() -> str:
     """Digest of the pinned reduction-polynomial table, for certificate compatibility."""
+    import hashlib  # loads OpenSSL, which only --version needs
     payload = json.dumps(
         {str(q): list(gf.REDUCTION_POLYS.get(q, [])) for q in gf.SUPPORTED_ORDERS},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+class _Version(argparse.Action):
+    """--version, whose field-table digest is computed only when it is asked for."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"qkneser {__version__} (field-table {field_table_hash()})")
+        parser.exit()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,11 +102,8 @@ def _out_json(obj, path) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="qkneser", description="flag Kneser graph toolkit")
-    top.add_argument(
-        "--version",
-        action="version",
-        version=f"qkneser {__version__} (field-table {field_table_hash()})",
-    )
+    top.add_argument("--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+                     help="show program's version number and exit")
     sub = top.add_subparsers(dest="command", required=True)
 
     calc = sub.add_parser("calc", help="exact counts, constants and bound checks")

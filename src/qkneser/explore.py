@@ -134,7 +134,7 @@ def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
     and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).  The
     words are held one row per word, so a step ANDs and ORs whole rows.
     """
-    lo, hi = (words[tids[free]] for words, tids in zip(universe._table_words, universe.member_ids))
+    lo, hi = (universe.per_flag(pos, words, free) for pos, words in enumerate(universe._table_words))
     cols, rows = np.hstack((lo, hi)).T.copy(), np.hstack((hi, lo))
     keep = []
     alive = np.arange(free.size)

@@ -332,27 +332,28 @@ def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
-def _points_off(points: np.ndarray, tids: np.ndarray, in_set: np.ndarray, num_points: int) -> List[int]:
-    """Points on no table entry (row of point ids) that a flag outside the set
-    uses.  An entry is full when all its flags, as many for each, are in the
-    set; every point is on as many entries, so those are counted on full ones."""
-    full = np.bincount(tids[in_set], minlength=len(points)) == tids.size // len(points)
+def _points_off(universe: FlagUniverse, pos: int, points: np.ndarray, in_set: np.ndarray) -> List[int]:
+    """Points on no entry (row of point ids) of table pos that a flag outside
+    the set uses.  An entry is full when all its flags, as many for each,
+    are in the set; every point is on as many entries, so count full ones."""
+    tids = universe.member_ids(pos, np.flatnonzero(in_set))
+    full = np.bincount(tids, minlength=len(points)) == len(universe) // len(points)
     if not full.any():
         return []
-    on_full = np.bincount(points[full].ravel(), minlength=num_points)
-    return np.flatnonzero(on_full == points.size // num_points).tolist()
+    on_full = np.bincount(points[full].ravel(), minlength=universe.num_points)
+    return np.flatnonzero(on_full == points.size // universe.num_points).tolist()
 
 
 def pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Point bits whose full point-pencil lies inside the selected flags:
     the points on no lower member of a flag outside the set."""
-    return _points_off(universe._point_ids[0], universe.member_ids[0], in_set, universe.num_points)
+    return _points_off(universe, 0, universe._point_ids[0], in_set)
 
 
 def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
     """Dual-point bits (H^perp) whose full dual pencil lies inside the set:
     the points on the dual of no upper member of a flag outside the set."""
-    return _points_off(universe.dual_top_ids, universe.member_ids[-1], in_set, universe.num_points)
+    return _points_off(universe, 1, universe.dual_top_ids, in_set)
 
 
 def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:
@@ -380,24 +381,23 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
 
     Membership is decided by the descriptor predicate (P in pi, L in tau, P
     in tau in H, tau in H as H^perp in tau^perp), evaluated once per table
-    entry and read off through member_ids; a family is a set of table ids.
-    The flag set is never materialized.
+    entry and read off through FlagUniverse.per_flag; a family is a set of
+    table ids.  The flag set is never materialized.
     """
     lower, upper = universe._point_ids
-    lo_ids, hi_ids = universe.member_ids
     if desc.is_point_based():
-        generic = _entries_holding(lower, universe, desc.base)[lo_ids]
+        generic = universe.per_flag(0, _entries_holding(lower, universe, desc.base))
         if desc.variant == "point_line":
-            in_family = _entries_holding(upper, universe, desc.line)[hi_ids]
+            in_family = universe.per_flag(1, _entries_holding(upper, universe, desc.line))
         elif desc.variant == "point_hyperplane":
             held = _entries_holding(upper, universe, desc.base)
             held &= _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.hyperplane))
-            in_family = held[hi_ids]
+            in_family = universe.per_flag(1, held)
         else:
             in_family = _family_ids_in(universe, 1, desc.family)
         return generic, in_family & ~generic
 
-    generic = _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.base))[hi_ids]
+    generic = universe.per_flag(1, _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.base)))
     return generic, _family_ids_in(universe, 0, desc.family) & ~generic
 
 
@@ -406,7 +406,7 @@ def _family_ids_in(universe: FlagUniverse, pos: int, family: Tuple[pg.Subspace, 
     tids = universe.table_ids_of(pos, family)
     if (tids < 0).any():
         raise InvalidDescriptor("family member is not a subspace of this universe")
-    return np.isin(universe.member_ids[pos], tids)
+    return universe.per_flag(pos, np.isin(np.arange(len(universe._bases[pos])), tids))
 
 
 def classify(
@@ -433,13 +433,13 @@ def classify(
     points, dual_points = candidates
     for bit in points:
         p = _point_subspace(universe, bit)
-        generic = _entries_holding(universe._point_ids[0], universe, p)[universe.member_ids[0]]
+        generic = universe.per_flag(0, _entries_holding(universe._point_ids[0], universe, p))
         desc = _match_family(in_set, universe, point_family, p, generic, 1)
         if desc is not None:
             return desc
     for bit in dual_points:
         x = _point_subspace(universe, bit)
-        generic = _entries_holding(universe.dual_top_ids, universe, x)[universe.member_ids[1]]
+        generic = universe.per_flag(1, _entries_holding(universe.dual_top_ids, universe, x))
         desc = _match_family(in_set, universe, hyperplane_family, pg.dual(x), generic, 0)
         if desc is not None:
             return desc
@@ -452,7 +452,7 @@ def _match_family(
     """make(base, the table entries at chain position pos of the set's flags
     outside generic), if that descriptor describes exactly the set; else
     None.  With no such flags, make normalizes to the pencil of base."""
-    tids = np.unique(universe.member_ids[pos][in_set & ~generic])
+    tids = np.unique(universe.member_ids(pos, np.flatnonzero(in_set & ~generic)))
     try:
         desc = make(base, [universe.entry(pos, t) for t in tids.tolist()])
     except InvalidDescriptor:

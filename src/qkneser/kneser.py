@@ -135,9 +135,11 @@ def flag_binomials(n: int, J: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return (n, J[0]), (n - J[0], J[-1] - J[0])
 
 
-def check_cap(q: int, binomials: Sequence[Tuple[int, int]], what: str, cap: int = MAX_FLAGS) -> None:
-    """Refuse a product of Gaussian binomials [a b]_q above cap before
-    anything is built; as [a b]_q >= q^(b(a-b)), a large exponent alone refuses."""
+def check_cap(q: int, binomials: Sequence[Tuple[int, int]], what: str, cap: Optional[int] = None) -> None:
+    """Refuse a product of Gaussian binomials [a b]_q above cap (MAX_FLAGS as
+    it is at the call by default) before anything is built; as
+    [a b]_q >= q^(b(a-b)), a large exponent alone refuses."""
+    cap = MAX_FLAGS if cap is None else cap
     # q^e > cap once 2^e is, i.e. from e = cap.bit_length() on; an invalid
     # [a b] has a negative exponent and is left to gauss to refuse
     huge = sum(b * (a - b) for a, b in binomials) >= cap.bit_length()
@@ -280,6 +282,22 @@ def _any_word(words: np.ndarray) -> np.ndarray:
     return out
 
 
+def _holds(words: np.ndarray, tids: np.ndarray, p: int) -> np.ndarray:
+    """Whether entry tids[i] of the table with mask words words holds point p;
+    a gather from the flat table, as np.take of a column first copies it."""
+    flat = tids.astype(np.intp) * words.shape[1] + p // _WORD_BITS
+    return words.ravel().take(flat) & _BIT_WEIGHTS[p % _WORD_BITS] != 0
+
+
+def _point_tally(points: np.ndarray, tids: np.ndarray, width: int) -> np.ndarray:
+    """Per point below width, how many of the entries tids hold it (row t of
+    points lists entry t's point ids), gathered _MEMBER_CHUNK at a time."""
+    counts = np.zeros(width, dtype=np.int64)
+    for c0 in range(0, tids.size, _MEMBER_CHUNK):
+        counts += np.bincount(points.take(tids[c0 : c0 + _MEMBER_CHUNK], axis=0).ravel(), minlength=width)
+    return counts
+
+
 def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Quotient vectors vecs (..., k, n - j) lifted to GF(q)^n: placed in the
     non-pivot columns, in increasing order, of the RREF bases rows (..., j, n)."""
@@ -371,7 +389,7 @@ class MemberBits:
     """
 
     def __init__(self, universe: "FlagUniverse"):
-        self._tids = universe.member_ids
+        self._universe = universe
         self._points = universe._point_ids
         self._through = universe.entries_through_points()
         self._sizes = [ids.shape[0] for ids in universe._point_ids]
@@ -406,7 +424,7 @@ class MemberBits:
             chunk = ids[c0 : c0 + _MEMBER_CHUNK]
             for pos, bits in enumerate((self.lower, self.upper)):
                 # members that share an opposite entry share its row
-                uniq, inv = np.unique(self._tids[1 - pos][chunk], return_inverse=True)
+                uniq, inv = np.unique(self._universe.member_ids(1 - pos, chunk), return_inverse=True)
                 apart = self._apart(pos, self._points[1 - pos][uniq])
                 k = 0
                 while k < chunk.size:
@@ -421,14 +439,14 @@ class MemberBits:
 
     def blocked(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
         """For each flag of ids (of every flag by default), whether it is adjacent to some member."""
+        universe = self._universe
         if ids is None:
-            # member_ids[0] is i // K (FlagUniverse), so each lower row serves the next K flags
-            shape = (self._sizes[0], self._tids[1].size // self._sizes[0], self.upper.shape[1])
-            both = np.take(self.upper, self._tids[1], axis=0).reshape(shape)
+            # a lower id is i // K (FlagUniverse), so each lower row serves the next K flags
+            both = universe.per_flag(1, self.upper).reshape((self._sizes[0], universe._per_lower, self.upper.shape[1]))
             both &= self.lower[:, None, :]
             return _any_word(both).ravel()
-        both = np.take(self.lower, np.take(self._tids[0], ids), axis=0)
-        both &= np.take(self.upper, np.take(self._tids[1], ids), axis=0)
+        both = universe.per_flag(0, self.lower, ids)
+        both &= universe.per_flag(1, self.upper, ids)
         return _any_word(both)
 
 
@@ -455,14 +473,15 @@ class FlagUniverse:
     """Dense id <-> flag bijection over two member tables.
 
     A flag is its pair of table ids: flag i has members
-    entry(pos, member_ids[pos][i]), where member_ids[0][i] = i // K for K
-    uppers per lower member.  Each table lists every subspace of its rank
-    in pg.subspace_rows order, so table ids are pg.subspace_index values;
-    the upper ids are int32 when they fit.  Entry t of table pos has its
-    (rank, n) uint8 RREF basis _bases[pos][t], its sorted point ids
-    _point_ids[pos][t] and their mask words _table_words[pos][t];
-    member_ids are the only per-flag arrays.  Ids follow enumerate_flags, so
-    they are stable across runs; certificates reference flags by bases.
+    entry(pos, member_ids(pos, i)).  Its lower id is i // K for K uppers
+    per lower member, so only the upper ids are stored, int32 when they
+    fit: they are the only per-flag array.  Each table lists every subspace
+    of its rank in pg.subspace_rows order, so table ids are
+    pg.subspace_index values.  Entry t of table pos has its (rank, n) uint8
+    RREF basis _bases[pos][t], its sorted point ids _point_ids[pos][t] and
+    their mask words _table_words[pos][t]; per_flag reads a per-entry array
+    off for flags.  Ids follow enumerate_flags, so they are stable across
+    runs; certificates reference flags by bases.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
@@ -476,17 +495,18 @@ class FlagUniverse:
 
         lows = pg.subspace_rows(n, j1, field)
         self._bases = [lows]
-        self.member_ids = [np.arange(len(lows), dtype=np.int64)]
+        self._per_lower = 1
         if len(self.types) == 2:
             # the quotient bases in enumerate_superspaces order: the points for gap 1
             m, gap = n - j1, self.types[1] - j1
             points = np.array(pg.all_points(m, field), dtype=np.uint8)[:, None]
             quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
-            self.member_ids = [np.repeat(self.member_ids[0], len(quotient)), _upper_ids(field, lows, quotient)]
+            self._per_lower = len(quotient)
+            self._upper = _upper_ids(field, lows, quotient)
             self._bases.append(pg.subspace_rows(n, self.types[1], field))
         spans = [_span_points(field, bases, self.n_words) for bases in self._bases]
         self._point_ids, self._table_words = [ids for ids, _ in spans], [words for _, words in spans]
-        self._size = len(self.member_ids[0])
+        self._size = len(lows) * self._per_lower
         self._entries: List[dict] = [{} for _ in self.types]
         self._through = None
         self._kneser_fast = self.types == (j1, j1 + 1) and n == 2 * j1 + 1
@@ -505,8 +525,8 @@ class FlagUniverse:
         t * K + j is the one of lower entry t whose upper id matches."""
         ids = self.table_ids_of(0, [f.chain[0] for f in flags]).astype(np.int64)
         if len(self.types) == 2:
-            per_lower = self._size // len(self._bases[0])
-            block = self.member_ids[1][ids[:, None] * per_lower + np.arange(per_lower)]
+            per_lower = self._per_lower
+            block = self.member_ids(1, ids[:, None] * per_lower + np.arange(per_lower))
             hit = block == self.table_ids_of(1, [f.chain[-1] for f in flags])[:, None]
             ids = np.where((ids >= 0) & hit.any(axis=1), ids * per_lower + hit.argmax(axis=1), -1)
         bad = [f for f, i in zip(flags, ids) if i < 0 or len(f.chain) != len(self.types)]
@@ -517,7 +537,29 @@ class FlagUniverse:
     def flag_of(self, i: int) -> Flag:
         if not 0 <= i < self._size:
             raise InvalidArgs(f"flag id {i} outside [0, {self._size})")
-        return Flag(tuple(self.entry(pos, int(tids[i])) for pos, tids in enumerate(self.member_ids)))
+        return Flag(tuple(self.entry(pos, int(self.member_ids(pos, i))) for pos in range(len(self.types))))
+
+    def member_ids(self, pos: int, ids=slice(None)) -> np.ndarray:
+        """The table ids of the flags' members at chain position pos, for an
+        id, an id array or a slice of ids (every flag by default): flag i's
+        lower id is i // K; upper ids are stored, so a slice of them is a view."""
+        if pos:
+            return self._upper[ids]
+        return (np.arange(self._size)[ids] if isinstance(ids, slice) else np.asarray(ids)) // self._per_lower
+
+    def per_flag(self, pos: int, table: np.ndarray, ids=slice(None)) -> np.ndarray:
+        """table[member_ids(pos, ids)] for a per-entry array table.  Over a
+        slice of ids, a lower table is repeated K times instead of gathered,
+        and a 1-d upper table is indexed by the view of the upper ids:
+        np.take would copy the int32 ids to intp, 8 B per flag."""
+        if not isinstance(ids, slice):
+            return table.take(self.member_ids(pos, ids), axis=0)
+        if pos:
+            upper = self._upper[ids]
+            return table[upper] if table.ndim == 1 else table.take(upper, axis=0)
+        start, stop, _ = ids.indices(self._size)
+        k = self._per_lower
+        return table[start // k : -(-stop // k)].repeat(k, axis=0)[start % k : start % k + stop - start]
 
     # -- per-entry tables ----------------------------------------------------
 
@@ -572,47 +614,50 @@ class FlagUniverse:
         """Per table, packed bits of the entries through each point (built lazily).
 
         Row p of table pos holds bit t (little-endian within each byte) iff
-        entry t contains point p.
+        entry t contains point p.  The rows are packed _BUILD_CHUNK entries,
+        rounded up to whole bytes, at a time.
         """
         if self._through is None:
-            self._through = []
-            for ids in self._point_ids:
-                through = np.zeros((self.num_points, len(ids)), dtype=bool)
-                through[ids, np.arange(len(ids))[:, None]] = True
-                self._through.append(np.packbits(through, axis=1, bitorder="little"))
+            step = -(-_BUILD_CHUNK // 8) * 8
+            self._through = [np.empty((self.num_points, (len(ids) + 7) // 8), np.uint8) for ids in self._point_ids]
+            for ids, through in zip(self._point_ids, self._through):
+                for c0 in range(0, len(ids), step):
+                    incidence = np.zeros((self.num_points, min(step, len(ids) - c0)), dtype=bool)
+                    incidence[ids[c0 : c0 + step], np.arange(incidence.shape[1])[:, None]] = True
+                    through[:, c0 // 8 : c0 // 8 + step // 8] = np.packbits(incidence, axis=1, bitorder="little")
         return self._through
 
     # -- adjacency -----------------------------------------------------------
 
     def _flag_words(self, i: int) -> List[np.ndarray]:
         """The mask words of flag i's members, one row per chain position."""
-        return [words[tids[i]] for words, tids in zip(self._table_words, self.member_ids)]
+        return [self.per_flag(pos, words, i) for pos, words in enumerate(self._table_words)]
 
     def _general_row(self, words_a: List[np.ndarray], ids_b) -> np.ndarray:
         """General position of the flag with member masks words_a against the
         flags ids_b: every member pair meets trivially or spans the whole
-        space, decided once per table entry and read off through member_ids.
+        space, decided once per table entry and read off through per_flag.
         Ranks ra and rb span the space iff they meet in rank ra + rb - n,
         which holds (q^(ra+rb-n) - 1) / (q - 1) points."""
         q, row = self.field.q, None
         for ra, a in zip(self.types, words_a):
-            for rb, table, tids in zip(self.types, self._table_words, self.member_ids):
+            for pos, (rb, table) in enumerate(zip(self.types, self._table_words)):
                 pc = _popcount(table & a).sum(axis=1)
                 spanning = (q ** max(ra + rb - self.n, 0) - 1) // (q - 1)
-                ok = ((pc == 0) | (pc == spanning))[tids[ids_b]]
+                ok = self.per_flag(pos, (pc == 0) | (pc == spanning), ids_b)
                 row = ok if row is None else (row & ok)
         return row
 
     def adjacency_row(self, i: int, start: int = 0) -> np.ndarray:
         """Boolean adjacency of flag i against flags start..N-1 (self excluded)."""
-        sl = slice(start, self._size)
+        later = slice(start, self._size)
         if self._kneser_fast:
             # flag j is adjacent iff pi_j misses tau_i and tau_j misses pi_i
             lo, hi = self._flag_words(i)
             meet_lo, meet_hi = _any_word(self._table_words[0] & hi), _any_word(self._table_words[1] & lo)
-            row = ~(meet_lo[self.member_ids[0][sl]] | meet_hi[self.member_ids[1][sl]])
+            row = ~(self.per_flag(0, meet_lo, later) | self.per_flag(1, meet_hi, later))
         else:
-            row = self._general_row(self._flag_words(i), sl)
+            row = self._general_row(self._flag_words(i), later)
         if start <= i:
             row[i - start] = False
         return row
@@ -628,10 +673,7 @@ class FlagUniverse:
     def _gather(self, ids: np.ndarray) -> List[np.ndarray]:
         """Per chain position, the (n_words, m) mask words of the flags ids,
         word-major, gathered from the tables."""
-        return [
-            np.ascontiguousarray(np.take(words, tids[ids], axis=0).T)
-            for words, tids in zip(self._table_words, self.member_ids)
-        ]
+        return [np.ascontiguousarray(self.per_flag(pos, words, ids).T) for pos, words in enumerate(self._table_words)]
 
     def star_plan(self, ids: Sequence[int]) -> StarPlan:
         """Star groups of an id list and the blocks that check_pairwise_independent scans.
@@ -646,10 +688,12 @@ class FlagUniverse:
         later b with pi_b not in H: otherwise P lies in pi_a and tau_b, or
         pi_b + tau_a lies in H, so it is not the whole space and pi_b meets
         tau_a.  As pi_b lies in tau_b, the pairs inside a group are skipped
-        too.  The counts are one bincount of the point ids of each pi and
-        tau^perp, less the group's at each step; ties go to the first point.
-        Groups and columns come from the flags' own entries, so the plan is
-        sound for any id list.  Other types get no groups.
+        too.  A star point p below width = n_words * 64 is the point p of pi,
+        and width + x the dual point x of tau^perp.  The counts are one
+        bincount per side over every flag's point ids, gathered _MEMBER_CHUNK
+        flags at a time, less the group's at each step; ties go to the first
+        point.  Groups and columns come from the flags' own entries, so the
+        plan is sound for any id list.  Other types get no groups.
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
@@ -657,33 +701,34 @@ class FlagUniverse:
         groups: List[np.ndarray] = []
         points: List[int] = []
         if self._kneser_fast and m > 1:
-            # the points of pi, then those of tau^perp offset by width; np.take
-            # gathers short rows several times faster than fancy indexing
             width = self.n_words * _WORD_BITS
-            lo = np.take(self._point_ids[0], self.member_ids[0][ids], axis=0)
-            dual_hi = np.take(self.dual_top_ids, self.member_ids[1][ids], axis=0) + width
-            star_points = np.concatenate((lo, dual_hi), axis=1)
-            counts = np.bincount(star_points.ravel(), minlength=2 * width)
+            sides = [(self._point_ids[0], self._table_words[0], self.member_ids(0, ids)),
+                     (self.dual_top_ids, self.dual_top_words, self.member_ids(1, ids))]
+
+            def tally(rows) -> np.ndarray:
+                return np.concatenate([_point_tally(pts, tids[rows], width) for pts, _, tids in sides])
+
+            counts = tally(slice(None))
             while True:
-                point = int(np.argmax(counts))
+                point = int(counts.argmax())
                 if counts[point] < 2:
                     break
-                # a flag holds each of its points once, so its row is hit at most once
-                members = np.flatnonzero(star_points.ravel() == point) // star_points.shape[1]
-                members = members[free[members]]
+                _, words, tids = sides[point // width]
+                members = (free & _holds(words, tids, point % width)).nonzero()[0]
                 groups.append(members)
                 points.append(point)
                 free[members] = False
-                counts -= np.bincount(star_points[members].ravel(), minlength=counts.size)
-        rest = np.nonzero(free)[0]
-        order = np.concatenate(groups + [rest])
+                if np.count_nonzero(free) < 2:  # no point is on two free flags: skip the last tally
+                    break
+                counts -= tally(members)
+        order = np.concatenate(groups + [free.nonzero()[0]])
 
         blocks: List[Tuple[int, int, np.ndarray]] = []
         pair_tests = 0
         start = 0
         for g, point in zip(groups, points):
             stop = start + g.size
-            cols = stop + np.flatnonzero(self._star_columns(point, ids[order[stop:]]))
+            cols = stop + self._star_columns(point, ids[order[stop:]]).nonzero()[0]
             pair_tests += g.size * cols.size
             if cols.size:
                 step = max(1, _BLOCK_PAIRS // cols.size)
@@ -715,9 +760,9 @@ class FlagUniverse:
         """
         width = self.n_words * _WORD_BITS
         if point < width:
-            return ~(self._point_ids[1][self.member_ids[1][ids]] == point).any(axis=1)
+            return ~_holds(self._table_words[1], self.member_ids(1, ids), point)
         outside = ~self._hyperplane_words[point - width]
-        return _any_word(np.take(self._table_words[0], self.member_ids[0][ids], axis=0) & outside)
+        return _any_word(self.per_flag(0, self._table_words[0], ids) & outside)
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None

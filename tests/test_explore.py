@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkneser import cli, explore, gf, indsets, kneser, pg, qcalc
+from qkneser import cli, cover, explore, gf, indsets, kneser, pg, qcalc
 from qkneser.errors import InvalidArgs, NotIndependent, TooLarge
 
 from conftest import unit_rows
@@ -23,7 +24,7 @@ def u24():
 @lru_cache(maxsize=None)
 def _flag_int_masks(universe, pos):
     table = [int.from_bytes(row.tobytes(), "little") for row in universe._table_words[pos].astype("<u8")]
-    return [table[t] for t in universe.member_ids[pos].tolist()]
+    return [table[t] for t in universe.member_ids(pos).tolist()]
 
 
 def reference_greedy(seed_ids, order, universe):
@@ -406,16 +407,22 @@ def test_probe_reports_known_family_sizes(u22):
 
 def test_probe_does_not_import_numpy_random():
     # numpy.random adds several MB of resident memory to every probe, and
-    # multiprocessing about 12 ms of import to a forked one
+    # multiprocessing about 12 ms of import to a forked one; hashlib loads
+    # OpenSSL (3.5 MB) and concurrent.futures takes about 5 ms to import, and
+    # only --version and a threaded pair scan need them
+    unused = ["numpy.random", "multiprocessing", "hashlib", "_hashlib", "concurrent.futures"]
     code = (
         "import os, sys\n"
-        "from qkneser import explore\n"
+        "from qkneser import cli, explore\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "explore.conjecture_probe(2, 2, 3, master_seed=1)\n"
-        "print('numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "code = cli.main(['cover', 'verify'])\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules], file=sys.stderr)\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False False"
+    cert = json.dumps(cover.build_cover(2, 2).to_json())
+    done = subprocess.run([sys.executable, "-c", code], input=cert, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout)["valid"]
+    assert done.stderr.strip() == "0 []"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -293,8 +293,8 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
         noise = np.array([rng.random() < density for _ in range(len(universe))])
         sets += [noise, noise | sets[0], noise | sets[1]]
     # one row of mask words per flag: its lower member, and the dual of its upper member
-    lower = universe._table_words[0][universe.member_ids[0]]
-    dual_upper = universe.dual_top_words[universe.member_ids[1]]
+    lower = universe._table_words[0][universe.member_ids(0)]
+    dual_upper = universe.dual_top_words[universe.member_ids(1)]
     found = 0
     for in_set in sets:
         got = indsets.pencil_base_candidates(in_set, universe)
@@ -332,10 +332,10 @@ def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
     found = 0
     for in_set in sets:
         got = indsets.pencil_base_candidates(in_set, universe)
-        lower = universe._point_ids[0], universe.member_ids[0]
+        lower = universe._point_ids[0], universe.member_ids(0)
         assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
         got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
-        dual_upper = universe.dual_top_ids, universe.member_ids[1]
+        dual_upper = universe.dual_top_ids, universe.member_ids(1)
         assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
         found += len(got) + len(got_dual)
     assert found

@@ -2,6 +2,7 @@ import hashlib
 import io
 import operator
 import random
+import tracemalloc
 from functools import reduce
 from itertools import product
 from math import comb
@@ -263,8 +264,8 @@ def table_parts(universe):
     arrays = {
         "lower_words": universe._table_words[0],
         "upper_words": universe._table_words[-1],
-        "lower_ids": universe.member_ids[0],
-        "upper_ids": universe.member_ids[-1],
+        "lower_ids": universe.member_ids(0),
+        "upper_ids": universe.member_ids(1),
         "dual_top_words": universe.dual_top_words,
     }
     digests = {}
@@ -301,7 +302,7 @@ def test_upper_table_is_pg_enumeration(n, J, q):
     assert np.array_equal(universe._bases[1], pg.subspace_rows(n, J[1], field))
     # flag i is the i-th flag of enumerate_flags, so its upper basis is that flag's
     uppers = [f.chain[1].rows for f in kneser.enumerate_flags(n, J, field)]
-    assert [tuple(map(tuple, b)) for b in universe._bases[1][universe.member_ids[1]].tolist()] == uppers
+    assert [tuple(map(tuple, b)) for b in universe._bases[1][universe.member_ids(1)].tolist()] == uppers
 
 
 def test_table_ids_of_refuses_non_canonical_bases(u22):
@@ -342,6 +343,20 @@ def test_universe_refuses_large_graphs_before_building(f2, monkeypatch):
     with pytest.raises(TooLarge):
         kneser.FlagUniverse(9, (4, 5), f2)
     assert qcalc.flag_count(2, 5) <= kneser.MAX_FLAGS < qcalc.flag_count(2, 7)
+
+
+def test_flag_cap_is_read_when_called(f2, monkeypatch):
+    # (2,2) has 1,085 flags
+    monkeypatch.setattr(kneser, "MAX_FLAGS", 1_000)
+    with pytest.raises(TooLarge, match="more than 1000 flags"):
+        kneser.FlagUniverse(5, (2, 3), f2)
+    # an explicit cap is checked instead of MAX_FLAGS
+    with pytest.raises(TooLarge, match="more than 500 vertices"):
+        kneser.export_dimacs(5, (2, 3), f2, io.StringIO(), cap=500)
+    monkeypatch.setattr(kneser, "MAX_FLAGS", 1_085)
+    out = io.StringIO()
+    assert len(kneser.export_dimacs(5, (2, 3), f2, out, cap=1_085)) == 1_085
+    assert out.getvalue().startswith("p edge 1085 ")
 
 
 def test_neighbors_degree_constant(u22):
@@ -393,8 +408,8 @@ def reference_pair_scan(universe, ids):
 def star_words(universe):
     """Per flag, the mask words of its lower member and of the dual of its
     upper member, side by side: the points that star_plan groups by."""
-    lower = universe._table_words[0][universe.member_ids[0]]
-    dual_upper = universe.dual_top_words[universe.member_ids[1]]
+    lower = universe._table_words[0][universe.member_ids(0)]
+    dual_upper = universe.dual_top_words[universe.member_ids(1)]
     return np.concatenate((lower, dual_upper), axis=1)
 
 
@@ -579,8 +594,8 @@ def reference_star_plan(universe, ids):
     free = np.ones(m, dtype=bool)
     groups, points = [], []
     if m > 1:
-        lower = universe._table_words[0][universe.member_ids[0][ids]]
-        dual_upper = universe.dual_top_words[universe.member_ids[1][ids]]
+        lower = universe._table_words[0][universe.member_ids(0)[ids]]
+        dual_upper = universe.dual_top_words[universe.member_ids(1)[ids]]
         words = np.concatenate((lower, dual_upper), axis=1)
         incidence = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
         counts = incidence.sum(axis=0, dtype=np.int32)
@@ -602,13 +617,13 @@ def reference_star_plan(universe, ids):
         later = ids[order[stop:]]
         if point < width:
             tau_misses = (hi_words[:, point // 64] >> np.uint64(point % 64)) & np.uint64(1) == 0
-            keep = tau_misses[universe.member_ids[1][later]]
+            keep = tau_misses[universe.member_ids(1)[later]]
         else:
             # H is the dual of the star's point; its mask comes from the definition
             x = pg.all_points(universe.n, universe.field)[point - width]
             in_h = kneser.subspace_point_mask(pg.dual(pg.rref([x], universe.n, universe.field)))
             outside = ~np.frombuffer(in_h.to_bytes(universe.n_words * 8, "little"), dtype="<u8")
-            keep = (lo_words & outside).any(axis=1)[universe.member_ids[0][later]]
+            keep = (lo_words & outside).any(axis=1)[universe.member_ids(0)[later]]
         cols = stop + np.flatnonzero(keep)
         pair_tests += g.size * cols.size
         if cols.size:
@@ -644,13 +659,43 @@ def test_star_plan_matches_reference_on_pinned_classes(q, u23):
 
 
 @pytest.mark.parametrize("name", ["u23", "u32"])
-def test_star_plan_matches_reference_on_random_ids(name, request):
+def test_star_plan_matches_reference_on_random_ids(name, request, monkeypatch):
     universe = request.getfixturevalue(name)
     rng = random.Random(29)
-    for size in (0, 1, 2, 50, 400, 3000):
-        ids = rng.sample(range(len(universe)), size)
-        assert_plan_matches_reference(universe, ids)
-        assert_plan_matches_reference(universe, sorted(ids))
+    # a few flags can leave two that share a point after the first group; a
+    # small chunk counts the star points of a list over many chunks
+    for chunk in (kneser._MEMBER_CHUNK, 7):
+        monkeypatch.setattr(kneser, "_MEMBER_CHUNK", chunk)
+        for size in (0, 1, 2, 50, 400, 3000) + (4, 5, 6) * 10:
+            ids = rng.sample(range(len(universe)), size)
+            assert_plan_matches_reference(universe, ids)
+            assert_plan_matches_reference(universe, sorted(ids))
+
+
+def traced_peak_and_kept(fn):
+    """(peak, kept): the bytes traced while fn runs, at most and after it returns."""
+    tracemalloc.start()
+    try:
+        kept = fn()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak, size
+
+
+def test_star_plan_and_universe_allocation_bounds(u32):
+    # a star plan gathers no (m x 2 theta) star-point matrix: 2.83 MiB before,
+    # 0.62 MiB after; a build keeps no lower id per flag: 3.93 -> 2.58 MiB
+    cert = cover.build_cover(3, 2)
+    for desc in (cert.classes[0], cover.dualize_cover(cert).classes[0]):
+        ids = np.flatnonzero(np.logical_or(*indsets.descriptor_masks(desc, u32)))
+        u32.star_plan(ids)  # builds the lazy tables it reads
+        peak, _ = traced_peak_and_kept(lambda: u32.star_plan(ids))
+        assert peak < 1.5 * 2**20, desc.variant
+    # u32 has filled the caches of pg that a build reads
+    _, kept = traced_peak_and_kept(lambda: kneser.FlagUniverse(7, (3, 4), u32.field))
+    assert kept < 3 * 2**20
 
 
 def test_star_plan_counts_every_pair(u22):
@@ -750,6 +795,29 @@ def test_popcount_helper():
     assert list(kneser._popcount(arr)) == [0, 1, 2, 1, 64]
 
 
+def dense_entries_through_points(universe):
+    """entries_through_points from one dense (points x entries) incidence per table."""
+    rows = []
+    for ids in universe._point_ids:
+        through = np.zeros((universe.num_points, len(ids)), dtype=bool)
+        through[ids, np.arange(len(ids))[:, None]] = True
+        rows.append(np.packbits(through, axis=1, bitorder="little"))
+    return rows
+
+
+@pytest.mark.parametrize("name,chunk", [("u22", None), ("u23", None), ("u32", None), ("u22", 13), ("u23", 1)])
+def test_entries_through_points_match_dense_construction(name, chunk, request, monkeypatch):
+    # the rows are packed a chunk of entries at a time; a chunk that is not a
+    # whole number of bytes is rounded up to one
+    universe = request.getfixturevalue(name)
+    if chunk is not None:
+        monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
+        universe = kneser.FlagUniverse(universe.n, universe.types, universe.field)
+    for got, expected in zip(universe.entries_through_points(), dense_entries_through_points(universe), strict=True):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_entries_through_points_match_point_masks(u22):
     for pos, rows in enumerate(u22.entries_through_points()):
         masks = [kneser.subspace_point_mask(s) for s in table(u22, pos)]
@@ -761,7 +829,7 @@ def test_entries_through_points_match_point_masks(u22):
 def member_rows_reference(universe, members):
     """Bit k of lower[t] (upper[u]): entry t (u) misses the opposite member of members[k]."""
     lo_words, hi_words = universe._table_words
-    lo_tids, hi_tids = universe.member_ids
+    lo_tids, hi_tids = universe.member_ids(0), universe.member_ids(1)
     lower = ~(lo_words[:, None, :] & hi_words[hi_tids[members]][None]).any(axis=2)
     upper = ~(hi_words[:, None, :] & lo_words[lo_tids[members]][None]).any(axis=2)
     return lower, upper
@@ -786,8 +854,8 @@ def test_member_bits_blocked_matches_adjacency(u22, u23, chunk, monkeypatch):
         bits = universe.member_bits()
         members = []
         adjacent = np.zeros(len(universe), dtype=bool)
-        # blocked() reads the lower rows on this layout, without member_ids[0]
-        assert np.array_equal(universe.member_ids[0], everyone // (len(universe) // bits.lower.shape[0]))
+        # blocked() with no ids repeats each lower row over the next K flags
+        assert np.array_equal(universe.member_ids(0), everyone // (len(universe) // bits.lower.shape[0]))
         assert not bits.blocked(everyone).any() and not bits.blocked().any()
         for k in sizes:
             batch = rng.sample(range(len(universe)), k)
@@ -855,12 +923,13 @@ def arrays_in(value):
 
 
 def test_member_ids_are_the_only_per_flag_arrays(u23):
-    # build every lazy cache first
+    # build every lazy cache first; a lower id is i // K, so only the upper ids are stored
     u23.dual_top_words, u23._hyperplane_words, u23.entries_through_points()
     u23.star_plan(range(0, len(u23), 7))
-    assert [ids.shape for ids in u23.member_ids] == [(len(u23),)] * 2
+    assert u23.member_ids(1).shape == (len(u23),) and u23.member_ids(1).dtype == np.int32
+    assert u23.member_ids(1).base is u23._upper  # a view, not a copy
     for name, value in vars(u23).items():
-        if name == "member_ids":
+        if name == "_upper":
             continue
         for array in arrays_in(value):
             assert array.shape[0] != len(u23), name

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import pickle
 import signal
@@ -37,7 +38,8 @@ def test_run_blocks_clamps_threads(monkeypatch):
         def map(self, fn, blocks):
             return map(fn, blocks)
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", SerialPool)
+    # run_blocks imports ThreadPoolExecutor when it first runs threads
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     double = lambda b: 2 * b  # noqa: E731
     assert _parallel.run_blocks(double, [1, 2, 3], threads=10_000) == [2, 4, 6]
