@@ -298,8 +298,7 @@ def _cmd_indset(args) -> int:
     universe = kneser.FlagUniverse(desc.n, (desc.d, desc.d + 1), gf.make_field(desc.q))
     threads = getattr(args, "threads", None) or _parallel.usable_cpus()
     generic, special = indsets.descriptor_masks(desc, universe)
-    member = generic | special
-    ids = np.flatnonzero(member)
+    ids = np.sort(np.concatenate((generic, special)))
     independent = universe.check_pairwise_independent(ids, threads=threads) is None
     total = int(ids.size)
     if args.ind_op == "build":
@@ -308,14 +307,14 @@ def _cmd_indset(args) -> int:
             _write_json_atomic([indsets.flag_to_json(f) for f in flags], args.out)
         _emit({
             "variant": desc.variant,
-            "generic": int(np.count_nonzero(generic)),
-            "special": int(np.count_nonzero(special)),
+            "generic": int(generic.size),
+            "special": int(special.size),
             "total": total,
             "independent": independent,
         })
         return EXIT_OK
     out = {"variant": desc.variant, "total": total, "independent": independent}
-    result = indsets.classify(member, universe)
+    result = indsets.classify(ids, universe)
     out["classified"] = (
         indsets.descriptor_to_json(result)
         if isinstance(result, indsets.IndSetDescriptor)

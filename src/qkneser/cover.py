@@ -8,7 +8,8 @@ lexicographic order of canonical forms; any bijection works, this one is
 reproducible).  Each line l' of U meeting W then contributes the class
 F(nu(l'), l'); the construction uses up every point of U, so no bare
 point-pencil classes remain.  The verifier accepts arbitrary certificates,
-including ones with point-pencil classes supplied externally.
+including ones with point-pencil classes supplied externally.  A class is
+the sorted ids of its parts, so only the coverage tally spans all flags.
 """
 
 from __future__ import annotations
@@ -222,11 +223,9 @@ def verify_cover(
     bad_classes = []
     for i, desc in enumerate(cert.classes):
         generic, special = descriptor_masks(desc, universe)
-        member = generic | special
-        covered |= member
-        ids = np.flatnonzero(member)
-        n_gen = int(np.count_nonzero(generic))
-        n_spec = int(np.count_nonzero(special))
+        ids = np.sort(np.concatenate((generic, special)))
+        covered[ids] = True
+        n_gen, n_spec = int(generic.size), int(special.size)
         expected_spec = _expected_special(desc)
         ok = n_gen == g0 and (expected_spec is None or n_spec == expected_spec)
         if not ok:

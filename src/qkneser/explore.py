@@ -192,10 +192,8 @@ def _probe_block(header: SampleStats, universe: FlagUniverse, block: range) -> S
         ids = _greedy_complete_ids([seed_flag], rng, universe)
         size = len(ids)
         stats.size_histogram[size] += 1
-        in_set = np.zeros(len(universe), dtype=bool)
-        in_set[ids] = True
-        points = indsets.pencil_base_candidates(in_set, universe)
-        dual_points = indsets.dual_pencil_base_candidates(in_set, universe)
+        points = indsets.pencil_base_candidates(ids, universe)
+        dual_points = indsets.dual_pencil_base_candidates(ids, universe)
         if points:
             stats.with_point_pencil += 1
         elif dual_points:
@@ -204,7 +202,7 @@ def _probe_block(header: SampleStats, universe: FlagUniverse, block: range) -> S
             stats.trichotomy_small += 1
         else:
             stats.unstructured_large.append((size, stats.master_seed * 1_000_003 + i))
-        result = indsets.classify(in_set, universe, (points, dual_points))
+        result = indsets.classify(ids, universe, (points, dual_points))
         key = result.variant if isinstance(result, indsets.IndSetDescriptor) else "unstructured"
         stats.classified_variants[key] += 1
     return stats

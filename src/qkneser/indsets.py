@@ -12,10 +12,11 @@ variant names; descriptors are normalized to the most specific variant, and
 the extensionally identical pair point_pencil/generic_only collapses to
 point_pencil (likewise for the dual pair).
 
-A set of flags is an array of FlagUniverse ids: find_adjacent_pair,
-is_independent, find_extension and is_maximal take ids and the universe
-and answer in ids.  Flag objects appear only in build, the definitional
-construction, in id_mask, which maps its output to ids, and in the JSON
+A set of flags is a sorted array of FlagUniverse ids: find_adjacent_pair,
+is_independent, find_extension, is_maximal, classify and the pencil
+candidates take ids and the universe and answer in ids, and
+descriptor_masks gives a descriptor's two parts as ids.  Flag objects
+appear only in build, the definitional construction, and in the JSON
 writer.
 """
 
@@ -288,11 +289,16 @@ def family_size_bound(d: int, q: int) -> int:
 
 
 def _id_array(ids: Iterable[int], universe: FlagUniverse) -> np.ndarray:
-    """ids as a sorted, duplicate-free int64 array; an id outside the universe raises InvalidArgs."""
-    out = np.unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64))
+    """ids as a sorted, duplicate-free int64 array; ids that are not integers
+    (a boolean mask, floats, strings, Flags) or outside the universe raise InvalidArgs."""
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if arr.size and (arr.ndim != 1 or arr.dtype.kind not in "iu"):
+        raise InvalidArgs(f"flag ids must be a flat sequence of integers, got {arr.dtype} of shape {arr.shape}")
+    out = arr.astype(np.int64)
+    if np.any(out[1:] <= out[:-1]):  # np.unique costs tens of µs even on sorted ids
+        out = np.unique(out)
     if out.size and (out[0] < 0 or out[-1] >= len(universe)):
-        bad = out[0] if out[0] < 0 else out[-1]
-        raise InvalidArgs(f"flag id {int(bad)} outside [0, {len(universe)})")
+        raise InvalidArgs(f"flag id {int(out[0] if out[0] < 0 else out[-1])} outside [0, {len(universe)})")
     return out
 
 
@@ -314,13 +320,11 @@ def find_extension(ids: Iterable[int], universe: FlagUniverse) -> Optional[int]:
     """
     ids = _id_array(ids, universe)
     bits = universe.member_bits(ids)
-    in_set = np.zeros(len(universe), dtype=bool)
-    in_set[ids] = True
     for c0 in range(0, len(universe), _SCAN_CHUNK):
         chunk = np.arange(c0, min(c0 + _SCAN_CHUNK, len(universe)))
-        free = np.flatnonzero(~in_set[chunk] & ~bits.blocked(chunk))
+        free = np.setdiff1d(chunk[~bits.blocked(chunk)], ids, assume_unique=True)
         if free.size:
-            return c0 + int(free[0])
+            return int(free[0])
     return None
 
 
@@ -332,133 +336,104 @@ def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
-def _points_off(universe: FlagUniverse, pos: int, points: np.ndarray, in_set: np.ndarray) -> List[int]:
-    """Points on no entry (row of point ids) of table pos that a flag outside
-    the set uses.  An entry is full when all its flags, as many for each,
-    are in the set; every point is on as many entries, so count full ones."""
-    tids = universe.member_ids(pos, np.flatnonzero(in_set))
-    full = np.bincount(tids, minlength=len(points)) == len(universe) // len(points)
+def _points_off(universe: FlagUniverse, pos: int, ids: np.ndarray) -> List[int]:
+    """Points on no entry of table pos (on no dual of one, for the upper table)
+    that a flag outside the set ids uses.  An entry is full when all its flags,
+    as many for each, are in ids; every point is on as many, so count full ones."""
+    points = universe.dual_top_ids if pos else universe._point_ids[0]
+    full = np.bincount(universe.member_ids(pos, ids), minlength=len(points)) == len(universe) // len(points)
     if not full.any():
         return []
     on_full = np.bincount(points[full].ravel(), minlength=universe.num_points)
     return np.flatnonzero(on_full == points.size // universe.num_points).tolist()
 
 
-def pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
-    """Point bits whose full point-pencil lies inside the selected flags:
+def pencil_base_candidates(ids: Iterable[int], universe: FlagUniverse) -> List[int]:
+    """Point bits whose full point-pencil lies inside the set of flag ids:
     the points on no lower member of a flag outside the set."""
-    return _points_off(universe, 0, universe._point_ids[0], in_set)
+    return _points_off(universe, 0, _id_array(ids, universe))
 
 
-def dual_pencil_base_candidates(in_set: np.ndarray, universe: FlagUniverse) -> List[int]:
-    """Dual-point bits (H^perp) whose full dual pencil lies inside the set:
-    the points on the dual of no upper member of a flag outside the set."""
-    return _points_off(universe, 1, universe.dual_top_ids, in_set)
+def dual_pencil_base_candidates(ids: Iterable[int], universe: FlagUniverse) -> List[int]:
+    """Dual-point bits (H^perp) whose full dual pencil lies inside the set of
+    flag ids: the points on the dual of no upper member of a flag outside it."""
+    return _points_off(universe, 1, _id_array(ids, universe))
 
 
-def id_mask(flags: Iterable[Flag], universe: FlagUniverse) -> np.ndarray:
-    """The boolean id mask of a set of flags, as classify takes it."""
-    mask = np.zeros(len(universe), dtype=bool)
-    mask[universe.ids_of(list(flags))] = True
-    return mask
+def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
+    """Which entries of a table (rows of point-mask words) hold s: those with
+    the bit of each of its basis rows, which are normalized and so are points."""
+    points = [pg.point_index(universe.n, universe.field)[row] for row in s.rows]
+    return np.logical_and.reduce([words[:, p // 64] & np.uint64(1 << p % 64) != 0 for p in points])
 
 
-def _point_subspace(universe: FlagUniverse, bit: int) -> pg.Subspace:
-    row = pg.all_points(universe.n, universe.field)[bit]
-    return pg.Subspace(universe.field, universe.n, (row,))
-
-
-def _entries_holding(points: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
-    """Which table entries (rows of distinct point ids) hold s: those whose
-    row is hit by each of its basis rows, which are normalized and so are points."""
-    index, flat = pg.point_index(universe.n, universe.field), points.ravel()
-    hits = np.concatenate([np.flatnonzero(flat == index[row]) for row in s.rows])
-    return np.bincount(hits // points.shape[1], minlength=len(points)) == s.rank
+def _on_base(universe: FlagUniverse, pos: int, x: pg.Subspace) -> np.ndarray:
+    """Per entry of table pos, whether it is generic for the base point x (a
+    lower entry through x) or hyperplane x^perp (an upper entry inside it)."""
+    return _entries_holding(universe.dual_top_words if pos else universe._table_words[0], universe, x)
 
 
 def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np.ndarray, np.ndarray]:
-    """(generic, special) membership over all universe flags, vectorized.
+    """(generic, special): the sorted flag ids of the described set's two parts.
 
-    Membership is decided by the descriptor predicate (P in pi, L in tau, P
-    in tau in H, tau in H as H^perp in tau^perp), evaluated once per table
-    entry and read off through FlagUniverse.per_flag; a family is a set of
-    table ids.  The flag set is never materialized.
-    """
-    lower, upper = universe._point_ids
-    if desc.is_point_based():
-        generic = universe.per_flag(0, _entries_holding(lower, universe, desc.base))
-        if desc.variant == "point_line":
-            in_family = universe.per_flag(1, _entries_holding(upper, universe, desc.line))
-        elif desc.variant == "point_hyperplane":
-            held = _entries_holding(upper, universe, desc.base)
-            held &= _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.hyperplane))
-            in_family = universe.per_flag(1, held)
-        else:
-            in_family = _family_ids_in(universe, 1, desc.family)
-        return generic, in_family & ~generic
-
-    generic = universe.per_flag(1, _entries_holding(universe.dual_top_ids, universe, pg.dual(desc.base)))
-    return generic, _family_ids_in(universe, 0, desc.family) & ~generic
-
-
-def _family_ids_in(universe: FlagUniverse, pos: int, family: Tuple[pg.Subspace, ...]) -> np.ndarray:
-    """Per flag, whether its member at chain position pos is in the family."""
-    tids = universe.table_ids_of(pos, family)
-    if (tids < 0).any():
-        raise InvalidDescriptor("family member is not a subspace of this universe")
-    return universe.per_flag(pos, np.isin(np.arange(len(universe._bases[pos])), tids))
+    Each predicate (P in pi, L in tau, P in tau in H, tau in H as H^perp in
+    tau^perp) is decided once per table entry, and a part's flags are read
+    off its entries (FlagUniverse.flags_with); a family is a set of table
+    ids.  The special part is the flags of the family entries whose other
+    member is not generic."""
+    pos = 0 if desc.is_point_based() else 1
+    on_base = _on_base(universe, pos, pg.dual(desc.base) if pos else desc.base)
+    if desc.variant == "point_line":
+        family = np.flatnonzero(_entries_holding(universe._table_words[1], universe, desc.line))
+    elif desc.variant == "point_hyperplane":
+        held = _entries_holding(universe._table_words[1], universe, desc.base)
+        family = np.flatnonzero(held & _on_base(universe, 1, pg.dual(desc.hyperplane)))
+    else:
+        family = universe.table_ids_of(1 - pos, desc.family)
+        if (family < 0).any():
+            raise InvalidDescriptor("family member is not a subspace of this universe")
+    special = universe.flags_with(1 - pos, family)
+    special = special[~on_base[universe.member_ids(pos, special)]]
+    return universe.flags_with(pos, np.flatnonzero(on_base)), special
 
 
-def classify(
-    in_set: np.ndarray,
-    universe: FlagUniverse,
-    candidates: Optional[Tuple[List[int], List[int]]] = None,
-):
-    """Recover a structured descriptor from a set of flags, if possible.
+def classify(ids: Iterable[int], universe: FlagUniverse, candidates: Optional[Tuple[List[int], List[int]]] = None):
+    """Recover a structured descriptor from a set of flag ids, if possible.
 
-    The set is given as its boolean id mask over the universe (see id_mask).
     candidates, if the caller has them, are its pencil_base_candidates and
     dual_pencil_base_candidates.  Guaranteed only for sets produced by build
     and for maximal independent sets above the e1 threshold; returns
     UNSTRUCTURED otherwise whenever no base is detected or the special part
     does not validate.
     """
-    in_set = np.asarray(in_set)
-    if in_set.dtype != bool or in_set.shape != (len(universe),):
-        raise InvalidArgs(f"classify needs a boolean mask of {len(universe)} flag ids")
-    if not in_set.any():
+    ids = _id_array(ids, universe)
+    if not ids.size:
         return UNSTRUCTURED
     if candidates is None:
-        candidates = pencil_base_candidates(in_set, universe), dual_pencil_base_candidates(in_set, universe)
-    points, dual_points = candidates
-    for bit in points:
-        p = _point_subspace(universe, bit)
-        generic = universe.per_flag(0, _entries_holding(universe._point_ids[0], universe, p))
-        desc = _match_family(in_set, universe, point_family, p, generic, 1)
-        if desc is not None:
-            return desc
-    for bit in dual_points:
-        x = _point_subspace(universe, bit)
-        generic = universe.per_flag(1, _entries_holding(universe.dual_top_ids, universe, x))
-        desc = _match_family(in_set, universe, hyperplane_family, pg.dual(x), generic, 0)
-        if desc is not None:
-            return desc
+        candidates = _points_off(universe, 0, ids), _points_off(universe, 1, ids)
+    for pos, bits in enumerate(candidates):
+        for bit in bits:
+            x = pg.Subspace(universe.field, universe.n, (pg.all_points(universe.n, universe.field)[bit],))
+            desc = _match_family(ids, universe, pos, x)
+            if desc is not None:
+                return desc
     return UNSTRUCTURED
 
 
-def _match_family(
-    in_set: np.ndarray, universe: FlagUniverse, make, base: pg.Subspace, generic: np.ndarray, pos: int
-) -> Optional[IndSetDescriptor]:
-    """make(base, the table entries at chain position pos of the set's flags
-    outside generic), if that descriptor describes exactly the set; else
-    None.  With no such flags, make normalizes to the pencil of base."""
-    tids = np.unique(universe.member_ids(pos, np.flatnonzero(in_set & ~generic)))
+def _match_family(ids: np.ndarray, universe: FlagUniverse, pos: int, x: pg.Subspace) -> Optional[IndSetDescriptor]:
+    """The family descriptor at base point x (pos 0) or hyperplane x^perp (pos
+    1) whose family is the other members of the flags of ids not generic for
+    it, if it describes exactly the set (else None); it may be a pencil."""
+    outside = ids[~_on_base(universe, pos, x)[universe.member_ids(pos, ids)]]
+    family = [universe.entry(1 - pos, t) for t in np.unique(universe.member_ids(1 - pos, outside)).tolist()]
     try:
-        desc = make(base, [universe.entry(pos, t) for t in tids.tolist()])
+        desc = hyperplane_family(pg.dual(x), family) if pos else point_family(x, family)
     except InvalidDescriptor:
         return None
     gen, spec = descriptor_masks(desc, universe)
-    return desc if np.array_equal(gen | spec, in_set) else None
+    # the parts are disjoint, so a sort joins them (a hashed union1d costs more)
+    same = gen.size + spec.size == ids.size and np.array_equal(np.sort(np.concatenate((gen, spec))), ids)
+    return desc if same else None
 
 
 def dualize_descriptor(desc: IndSetDescriptor) -> IndSetDescriptor:

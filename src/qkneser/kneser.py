@@ -16,10 +16,11 @@ uint8 GF(q) arithmetic; no Subspace is built (entry builds one on demand).
 A table id is pg.subspace_index of a basis: a flag lo + <w> (w the lifted
 quotient rows) gets its upper id from its upper member's basis.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
-table entry and read off for the flags through their table ids.  A
-closed-form flag count above MAX_FLAGS is refused first.  Every point set
-(of a table entry, of the dual of a top entry, of a hyperplane x^perp) is
-spanned from a basis by _span_points; _dual_rows gives the duals' bases.
+table entry, and the flags of the entries that hold it are read off by
+flags_with, as sorted ids.  A closed-form flag count above MAX_FLAGS is
+refused first.  Every point set (of a table entry, of the dual of a top
+entry, of a hyperplane x^perp) is spanned from a basis by _span_points;
+_dual_rows gives the duals' bases.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
@@ -475,13 +476,15 @@ class FlagUniverse:
     A flag is its pair of table ids: flag i has members
     entry(pos, member_ids(pos, i)).  Its lower id is i // K for K uppers
     per lower member, so only the upper ids are stored, int32 when they
-    fit: they are the only per-flag array.  Each table lists every subspace
-    of its rank in pg.subspace_rows order, so table ids are
-    pg.subspace_index values.  Entry t of table pos has its (rank, n) uint8
-    RREF basis _bases[pos][t], its sorted point ids _point_ids[pos][t] and
-    their mask words _table_words[pos][t]; per_flag reads a per-entry array
-    off for flags.  Ids follow enumerate_flags, so they are stable across
-    runs; certificates reference flags by bases.
+    fit, with their int32 inverse (_upper_flags, built on first use): these
+    are the only per-flag arrays.  Each table lists every subspace of its
+    rank in pg.subspace_rows order, so table ids are pg.subspace_index
+    values.  Entry t of table pos has its (rank, n) uint8 RREF basis
+    _bases[pos][t], its sorted point ids _point_ids[pos][t] and their mask
+    words _table_words[pos][t]; per_flag reads a per-entry array off for
+    flags, and flags_with lists the flags of some entries.  Ids follow
+    enumerate_flags, so they are stable across runs; certificates reference
+    flags by bases.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
@@ -546,6 +549,32 @@ class FlagUniverse:
         if pos:
             return self._upper[ids]
         return (np.arange(self._size)[ids] if isinstance(ids, slice) else np.asarray(ids)) // self._per_lower
+
+    def flags_with(self, pos: int, tids) -> np.ndarray:
+        """The sorted ids of the flags whose member at chain position pos is
+        one of the table entries tids: lower entry t has flags t * K ..
+        t * K + K - 1, and upper entry u those in row u of _upper_flags."""
+        tids = np.unique(np.asarray(tids, dtype=np.int64))
+        if pos:
+            return np.sort(self._upper_flags[tids].ravel()).astype(np.int64)
+        return (tids[:, None] * self._per_lower + np.arange(self._per_lower)).ravel()
+
+    @cached_property
+    def _upper_flags(self) -> np.ndarray:
+        """Row u holds the ascending ids of the flags of upper entry u (built
+        lazily; each upper entry has as many).  The flags of _BUILD_CHUNK lower
+        entries at a time are sorted by upper id and appended to their rows."""
+        filled = np.zeros(len(self._bases[1]), dtype=np.int64)
+        out = np.empty((filled.size, self._size // filled.size), dtype=np.int32)
+        step = _BUILD_CHUNK * self._per_lower
+        for c0 in range(0, self._size, step):
+            upper = self._upper[c0 : c0 + step]
+            order = np.argsort(upper, kind="stable")
+            ranked = upper[order]
+            # the k-th flag of row u in this run goes k slots past its earlier flags
+            out[ranked, filled[ranked] + np.arange(ranked.size) - np.searchsorted(ranked, ranked)] = c0 + order
+            filled += np.bincount(upper, minlength=filled.size)
+        return out
 
     def per_flag(self, pos: int, table: np.ndarray, ids=slice(None)) -> np.ndarray:
         """table[member_ids(pos, ids)] for a per-entry array table.  Over a

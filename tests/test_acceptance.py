@@ -190,7 +190,7 @@ def test_criterion_09_maximality(d, q, u22, u23):
     universe = u22 if q == 2 else u23
     p, ell, hyp = standard_objects(field, d)
     line_set, hyper_set, pencil_set = (
-        np.flatnonzero(indsets.id_mask(indsets.build(desc).all, universe)).tolist()
+        np.sort(universe.ids_of(list(indsets.build(desc).all))).tolist()
         for desc in (indsets.point_line(p, ell), indsets.point_hyperplane(p, hyp), indsets.generic_only(p))
     )
     ok = indsets.is_maximal(line_set, universe)

@@ -97,7 +97,7 @@ def test_line_and_hyperplane_specials_have_equal_size(f2, f3):
 
 def built_ids(desc, universe):
     """The ids of the flags that the oracle build makes for desc."""
-    return np.flatnonzero(indsets.id_mask(indsets.build(desc).all, universe)).tolist()
+    return np.sort(universe.ids_of(list(indsets.build(desc).all))).tolist()
 
 
 def test_built_sets_are_independent(f2, f3, u22, u23):
@@ -229,35 +229,53 @@ def test_descriptor_masks_match_build(name, q, request):
         for d in (desc, indsets.dualize_descriptor(desc)):
             split = indsets.build(d)
             generic, special = indsets.descriptor_masks(d, universe)
-            assert np.array_equal(generic, indsets.id_mask(split.generic, universe)), variant
-            assert np.array_equal(special, indsets.id_mask(split.special, universe)), variant
+            assert np.array_equal(generic, np.sort(universe.ids_of(list(split.generic)))), variant
+            assert np.array_equal(special, np.sort(universe.ids_of(list(split.special)))), variant
 
 
 def test_classify_round_trips(f2, u22):
     for name, desc in all_variant_descriptors(f2, 2).items():
         split = indsets.build(desc)
-        result = indsets.classify(indsets.id_mask(split.all, u22), u22)
+        result = indsets.classify(u22.ids_of(list(split.all)), u22)
         assert isinstance(result, IndSetDescriptor), name
         assert result == desc, name
 
 
 def test_classify_unstructured(u22):
-    assert indsets.classify(indsets.id_mask([u22.flag_of(3)], u22), u22) is UNSTRUCTURED
-    assert indsets.classify(indsets.id_mask([], u22), u22) is UNSTRUCTURED
+    assert indsets.classify([3], u22) is UNSTRUCTURED
+    assert indsets.classify([], u22) is UNSTRUCTURED
 
 
-def test_classify_rejects_a_non_mask(u22):
-    with pytest.raises(InvalidArgs):
-        indsets.classify([u22.flag_of(3)], u22)
-    with pytest.raises(InvalidArgs):
-        indsets.classify(np.ones(len(u22) - 1, dtype=bool), u22)
+ID_TAKING = [
+    indsets.find_adjacent_pair,
+    indsets.is_independent,
+    indsets.find_extension,
+    indsets.is_maximal,
+    indsets.classify,
+    indsets.pencil_base_candidates,
+    indsets.dual_pencil_base_candidates,
+]
+
+
+@pytest.mark.parametrize("fn", ID_TAKING, ids=lambda fn: fn.__name__)
+def test_id_taking_functions_reject_non_integer_ids(fn, u22):
+    mask = np.zeros(len(u22), dtype=bool)
+    mask[[5, 900]] = True
+    bad = [mask, [True, False], [1.7, 2.2], np.array([1.0, 2.0]), ["5", "900"],
+           [u22.flag_of(5), u22.flag_of(900)], [[5, 900]], [2**70], [-1], [len(u22)]]
+    for ids in bad:
+        with pytest.raises(InvalidArgs):
+            fn(ids, u22)
+    # integer ids of any width, in any order, are accepted
+    for ids in ([900, 5], np.array([5, 900], dtype=np.int32), np.array([5, 900], dtype=np.uint16), []):
+        fn(ids, u22)
 
 
 def test_classify_dualized_point_line(f2, u22):
     p, ell, _ = standard_objects(f2, 2)
     split = indsets.build(indsets.point_line(p, ell))
     dual_set = {kneser.dual_flag(f) for f in split.all}
-    result = indsets.classify(indsets.id_mask(dual_set, u22), u22)
+    result = indsets.classify(u22.ids_of(list(dual_set)), u22)
     assert isinstance(result, IndSetDescriptor)
     assert result.variant == "hyperplane_family"
     assert result.base == pg.dual(p)
@@ -288,7 +306,9 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
             indsets.dual_point_pencil(pg.dual(p)),
             indsets.point_line(p, pg.rref([list(p.rows[0]), list(other)], 5, field)),
         ):
-            sets.append(indsets.id_mask(indsets.build(desc).all, universe))
+            in_set = np.zeros(len(universe), dtype=bool)
+            in_set[universe.ids_of(list(indsets.build(desc).all))] = True
+            sets.append(in_set)
     for density in (0.0, 0.3, 0.9, 1.0):
         noise = np.array([rng.random() < density for _ in range(len(universe))])
         sets += [noise, noise | sets[0], noise | sets[1]]
@@ -297,9 +317,9 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
     dual_upper = universe.dual_top_words[universe.member_ids(1)]
     found = 0
     for in_set in sets:
-        got = indsets.pencil_base_candidates(in_set, universe)
+        got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
         assert got == per_flag_candidates(in_set, lower, universe.num_points)
-        got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
+        got_dual = indsets.dual_pencil_base_candidates(np.flatnonzero(in_set), universe)
         assert got_dual == per_flag_candidates(in_set, dual_upper, universe.num_points)
         found += len(got) + len(got_dual)
     assert found
@@ -321,20 +341,21 @@ def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
     for row in rng.sample(pg.all_points(n, field), 2):
         p = pg.Subspace(field, n, (row,))
         for desc in (indsets.point_pencil(p), indsets.dual_point_pencil(pg.dual(p))):
-            generic, special = indsets.descriptor_masks(desc, universe)
-            sets.append(generic | special)
+            in_set = np.zeros(len(universe), dtype=bool)
+            in_set[np.concatenate(indsets.descriptor_masks(desc, universe))] = True
+            sets.append(in_set)
     pencil_ids = np.flatnonzero(sets[0]).tolist()
-    sets.append(indsets.id_mask([], universe))
+    sets.append(np.zeros(len(universe), dtype=bool))
     sets[-1][explore._greedy_complete_ids(pencil_ids, random.Random(1), universe)] = True
     noise = np.frombuffer(rng.randbytes(len(universe)), dtype=np.uint8)
     for dense in [noise < k for k in (0, 3, 128, 253)] + [np.ones(len(universe), dtype=bool)]:
         sets += [dense, dense | sets[0], dense | sets[1], dense & sets[2]]
     found = 0
     for in_set in sets:
-        got = indsets.pencil_base_candidates(in_set, universe)
+        got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
         lower = universe._point_ids[0], universe.member_ids(0)
         assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
-        got_dual = indsets.dual_pencil_base_candidates(in_set, universe)
+        got_dual = indsets.dual_pencil_base_candidates(np.flatnonzero(in_set), universe)
         dual_upper = universe.dual_top_ids, universe.member_ids(1)
         assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
         found += len(got) + len(got_dual)
@@ -450,5 +471,5 @@ def test_descriptor_json_requires_canonical_bases(f2):
 def test_classify_round_trips_23(f3, u23):
     for name, desc in all_variant_descriptors(f3, 2).items():
         split = indsets.build(desc)
-        result = indsets.classify(indsets.id_mask(split.all, u23), u23)
+        result = indsets.classify(u23.ids_of(list(split.all)), u23)
         assert result == desc, name

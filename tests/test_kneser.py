@@ -519,7 +519,7 @@ def test_star_scan_matches_reference(name, request):
     universe = request.getfixturevalue(name)
     cert = cover.build_cover(2, universe.field.q)
     classes = [
-        np.nonzero(np.logical_or(*indsets.descriptor_masks(c, universe)))[0].tolist()
+        np.sort(np.concatenate(indsets.descriptor_masks(c, universe))).tolist()
         for c in cert.classes
     ]
     rng = random.Random(17)
@@ -557,7 +557,7 @@ def test_tiled_scan_blocks_match_reference(u22, tiles, monkeypatch):
     adjacency = np.array([u22.adjacency_row(i) for i in range(len(u22))])
     rng = random.Random(23)
     desc = cover.build_cover(2, 2).classes[0]
-    members = np.nonzero(np.logical_or(*indsets.descriptor_masks(desc, u22)))[0].tolist()
+    members = np.sort(np.concatenate(indsets.descriptor_masks(desc, u22))).tolist()
     cases = []
     for ids in (rng.sample(range(len(u22)), 300), members + rng.sample(range(len(u22)), 40)):
         plan = u22.star_plan(ids)
@@ -653,7 +653,7 @@ def test_star_plan_matches_reference_on_pinned_classes(q, u23):
     cert = cover.build_cover(2, q)
     grouped = 0
     for c in cert.classes + cover.dualize_cover(cert).classes:
-        ids = np.flatnonzero(np.logical_or(*indsets.descriptor_masks(c, universe)))
+        ids = np.sort(np.concatenate(indsets.descriptor_masks(c, universe)))
         grouped += len(assert_plan_matches_reference(universe, ids).group_sizes)
     assert grouped >= 2 * len(cert.classes)
 
@@ -689,13 +689,43 @@ def test_star_plan_and_universe_allocation_bounds(u32):
     # 0.62 MiB after; a build keeps no lower id per flag: 3.93 -> 2.58 MiB
     cert = cover.build_cover(3, 2)
     for desc in (cert.classes[0], cover.dualize_cover(cert).classes[0]):
-        ids = np.flatnonzero(np.logical_or(*indsets.descriptor_masks(desc, u32)))
+        ids = np.sort(np.concatenate(indsets.descriptor_masks(desc, u32)))
         u32.star_plan(ids)  # builds the lazy tables it reads
         peak, _ = traced_peak_and_kept(lambda: u32.star_plan(ids))
         assert peak < 1.5 * 2**20, desc.variant
     # u32 has filled the caches of pg that a build reads
     _, kept = traced_peak_and_kept(lambda: kneser.FlagUniverse(7, (3, 4), u32.field))
     assert kept < 3 * 2**20
+
+
+def test_descriptor_masks_allocation_bound(u32):
+    # a class's parts are id arrays read off per-entry predicates: with a
+    # boolean mask over all flags per part, this traced 693 KiB
+    cert = cover.build_cover(3, 2)
+    for desc in (cert.classes[0], cover.dualize_cover(cert).classes[0]):
+        indsets.descriptor_masks(desc, u32)  # builds the lazy tables it reads
+        peak, _ = traced_peak_and_kept(lambda: indsets.descriptor_masks(desc, u32))
+        assert peak < 400 * 2**10, desc.variant
+
+
+@pytest.mark.parametrize("name", ["u22", "u23", "u32", "u13"])
+def test_flags_with_matches_definition(name, request):
+    # (1, 3) in GF(3)^5 has a gap of two ranks: 13 lower entries per upper one
+    if name == "u13":
+        universe = kneser.FlagUniverse(5, (1, 3), gf.make_field(3))
+    else:
+        universe = request.getfixturevalue(name)
+    rng = random.Random(31)
+    for pos in range(2):
+        entries = len(universe._bases[pos])
+        cases = [[], list(range(entries)), rng.sample(range(entries), 1), rng.sample(range(entries), entries // 3)]
+        for tids in cases:
+            got = universe.flags_with(pos, tids)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(np.isin(universe.member_ids(pos), tids)))
+    index = universe._upper_flags
+    assert index.dtype == np.int32
+    assert np.array_equal(np.sort(index.ravel()), np.arange(len(universe)))
 
 
 def test_star_plan_counts_every_pair(u22):
@@ -923,13 +953,15 @@ def arrays_in(value):
 
 
 def test_member_ids_are_the_only_per_flag_arrays(u23):
-    # build every lazy cache first; a lower id is i // K, so only the upper ids are stored
-    u23.dual_top_words, u23._hyperplane_words, u23.entries_through_points()
+    # build every lazy cache first; a lower id is i // K, so only the upper ids
+    # and their inverse, the upper-to-flags index of flags_with, are stored
+    u23.dual_top_words, u23._hyperplane_words, u23.entries_through_points(), u23.flags_with(1, [0])
     u23.star_plan(range(0, len(u23), 7))
     assert u23.member_ids(1).shape == (len(u23),) and u23.member_ids(1).dtype == np.int32
     assert u23.member_ids(1).base is u23._upper  # a view, not a copy
+    assert u23._upper_flags.size == len(u23) and u23._upper_flags.dtype == np.int32
     for name, value in vars(u23).items():
-        if name == "_upper":
+        if name in ("_upper", "_upper_flags"):
             continue
         for array in arrays_in(value):
             assert array.shape[0] != len(u23), name
