@@ -17,7 +17,7 @@ functools.wraps timer), the samples all run in the caller, so that whatever
 the wrapper records covers every sample.
 
 The greedy takes the flags in the stable argsort order of one random 64-bit
-key each, split by key value.  The head, the flags keyed below
+key each, drawn a run at a time, split by key value.  The head, the flags keyed below
 floor(_HEAD * 2^64 / N), is dense: led by the seed, _pick_apart keeps its
 first flag, drops every later one adjacent to it, and repeats, so the seed
 stays whole.  One blocked pass over every flag, on the member bits of the
@@ -42,7 +42,7 @@ import numpy as np
 from . import _parallel, indsets, qcalc
 from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
-from .kneser import DEFAULT_VERTEX_CAP, FlagUniverse, check_cap, flag_binomials
+from .kneser import _MEMBER_CHUNK, DEFAULT_VERTEX_CAP, FlagUniverse, check_cap, flag_binomials
 
 # expected flags in the head of a greedy completion (see above)
 _HEAD = 4096
@@ -97,6 +97,14 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
+def _draw_keys(rng: random.Random, n: int) -> np.ndarray:
+    """np.frombuffer(rng.randbytes(8 * n), "<u8"), drawn in runs: randbytes takes whole 32-bit words."""
+    keys = np.empty(n, dtype="<u8")
+    for c0 in range(0, n, _MEMBER_CHUNK):
+        keys[c0 : c0 + _MEMBER_CHUNK] = np.frombuffer(rng.randbytes(8 * min(_MEMBER_CHUNK, n - c0)), dtype="<u8")
+    return keys
+
+
 def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: FlagUniverse) -> List[int]:
     ids = sorted(set(int(i) for i in seed_ids))
     if ids:
@@ -104,7 +112,7 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
         if hit is not None:
             raise NotIndependent(f"seed set contains the adjacent pair {hit}")
     n = len(universe)
-    keys = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+    keys = _draw_keys(rng, n)
     free = np.ones(n, dtype=bool)
     free[ids] = False
     # the head: the flags keyed below t, every flag once _HEAD reaches n
@@ -132,17 +140,19 @@ def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
 
     Keep free[0], drop every later flag adjacent to it, and repeat; flags a
     and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).  The
-    words are held one row per word, so a step ANDs and ORs whole rows.
+    words are held once, one row per word, so a step ANDs and ORs whole rows.
     """
-    lo, hi = (universe.per_flag(pos, words, free) for pos, words in enumerate(universe._table_words))
-    cols, rows = np.hstack((lo, hi)).T.copy(), np.hstack((hi, lo))
+    w = universe.n_words
+    cols = np.empty((2 * w, free.size), dtype=np.uint64)  # lo words, then hi words; "clip" takes unbuffered
+    for pos, words in enumerate(universe._table_words):
+        np.take(words.T, universe.member_ids(pos, free), axis=1, out=cols[pos * w : pos * w + w], mode="clip")
     keep = []
     alive = np.arange(free.size)
     while alive.size:
         k, rest = alive[0], alive[1:]
         keep.append(k)
         meets = np.take(cols, rest, axis=1)
-        meets &= rows[k][:, None]
+        meets &= np.roll(cols[:, k], w)[:, None]  # flag k's hi words, then its lo words
         alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
     return free[keep]
 
@@ -169,7 +179,7 @@ def conjecture_probe(
     )
     # build the lazy tables the samples read here, so the workers share them
     universe.entries_through_points()
-    universe.dual_top_ids
+    universe.polarity
     # a wrapper's records of a forked block would end with its process
     wrapped = any(hasattr(step, "__wrapped__") for step in (_greedy_complete_ids, indsets.classify))
     workers = 1 if wrapped else _parallel.usable_cpus()

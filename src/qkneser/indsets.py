@@ -15,9 +15,10 @@ point_pencil (likewise for the dual pair).
 A set of flags is a sorted array of FlagUniverse ids: find_adjacent_pair,
 is_independent, find_extension, is_maximal, classify and the pencil
 candidates take ids and the universe and answer in ids, and
-descriptor_masks gives a descriptor's two parts as ids.  Flag objects
-appear only in build, the definitional construction, and in the JSON
-writer.
+descriptor_masks gives a descriptor's two parts as ids.  The dual side
+reads the lower table through the polarity sigma: upper entry u lies in
+H iff lower entry sigma(u) holds H^perp.  Flag objects appear only in
+build, the definitional construction, and in the JSON writer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import InvalidArgs, InvalidDescriptor
 from .gf import FieldSpec, make_field
-from .kneser import Flag, FlagUniverse, check_cap, flag_binomials, subspace_point_mask
+from .kneser import Flag, FlagUniverse, _sorted_distinct, check_cap, flag_binomials, subspace_point_mask
 
 # flags per step of the maximality scan
 _SCAN_CHUNK = 8192
@@ -295,8 +296,8 @@ def _id_array(ids: Iterable[int], universe: FlagUniverse) -> np.ndarray:
     if arr.size and (arr.ndim != 1 or arr.dtype.kind not in "iu"):
         raise InvalidArgs(f"flag ids must be a flat sequence of integers, got {arr.dtype} of shape {arr.shape}")
     out = arr.astype(np.int64)
-    if np.any(out[1:] <= out[:-1]):  # np.unique costs tens of µs even on sorted ids
-        out = np.unique(out)
+    if np.any(out[1:] <= out[:-1]):  # a sort costs tens of µs even on sorted ids
+        out = _sorted_distinct(out)
     if out.size and (out[0] < 0 or out[-1] >= len(universe)):
         raise InvalidArgs(f"flag id {int(out[0] if out[0] < 0 else out[-1])} outside [0, {len(universe)})")
     return out
@@ -339,9 +340,11 @@ def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
 def _points_off(universe: FlagUniverse, pos: int, ids: np.ndarray) -> List[int]:
     """Points on no entry of table pos (on no dual of one, for the upper table)
     that a flag outside the set ids uses.  An entry is full when all its flags,
-    as many for each, are in ids; every point is on as many, so count full ones."""
-    points = universe.dual_top_ids if pos else universe._point_ids[0]
-    full = np.bincount(universe.member_ids(pos, ids), minlength=len(points)) == len(universe) // len(points)
+    as many for each, are in ids; every point is on as many, so count full
+    ones.  The dual of upper entry u is lower entry sigma(u)."""
+    points = universe._lower_points
+    tids = universe.polarity[0][universe.member_ids(1, ids)] if pos else universe.member_ids(0, ids)
+    full = np.bincount(tids, minlength=len(points)) == len(universe) // len(points)
     if not full.any():
         return []
     on_full = np.bincount(points[full].ravel(), minlength=universe.num_points)
@@ -369,8 +372,10 @@ def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) 
 
 def _on_base(universe: FlagUniverse, pos: int, x: pg.Subspace) -> np.ndarray:
     """Per entry of table pos, whether it is generic for the base point x (a
-    lower entry through x) or hyperplane x^perp (an upper entry inside it)."""
-    return _entries_holding(universe.dual_top_words if pos else universe._table_words[0], universe, x)
+    lower entry through x) or hyperplane x^perp (an upper entry u inside it:
+    its dual, lower entry sigma(u), holds x)."""
+    through = _entries_holding(universe._table_words[0], universe, x)
+    return through[universe.polarity[0]] if pos else through
 
 
 def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np.ndarray, np.ndarray]:
@@ -425,7 +430,7 @@ def _match_family(ids: np.ndarray, universe: FlagUniverse, pos: int, x: pg.Subsp
     1) whose family is the other members of the flags of ids not generic for
     it, if it describes exactly the set (else None); it may be a pencil."""
     outside = ids[~_on_base(universe, pos, x)[universe.member_ids(pos, ids)]]
-    family = [universe.entry(1 - pos, t) for t in np.unique(universe.member_ids(1 - pos, outside)).tolist()]
+    family = [universe.entry(1 - pos, t) for t in _sorted_distinct(universe.member_ids(1 - pos, outside)).tolist()]
     try:
         desc = hyperplane_family(pg.dual(x), family) if pos else point_family(x, family)
     except InvalidDescriptor:

@@ -11,16 +11,16 @@ oracle exhaustively.
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members.
 Each table is pg.subspace_rows of its rank, and each entry is kept once, as
-its RREF basis, its sorted point ids and its point-mask words, all made in
-uint8 GF(q) arithmetic; no Subspace is built (entry builds one on demand).
-A table id is pg.subspace_index of a basis: a flag lo + <w> (w the lifted
+its RREF basis and its point-mask words (a lower entry also as its sorted
+point ids), made in uint8 GF(q) arithmetic; no Subspace is built.  A
+table id is pg.subspace_index of a basis: a flag lo + <w> (w the lifted
 quotient rows) gets its upper id from its upper member's basis.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry, and the flags of the entries that hold it are read off by
 flags_with, as sorted ids.  A closed-form flag count above MAX_FLAGS is
-refused first.  Every point set (of a table entry, of the dual of a top
-entry, of a hyperplane x^perp) is spanned from a basis by _span_points;
-_dual_rows gives the duals' bases.
+refused first.  In rank 2d+1, polarity maps upper entry tau to the lower
+id of tau^perp (sigma, by pg.dual_index) and back, so the dual side of a
+check reads the lower table.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  For type
 {d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
@@ -53,6 +53,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import pg, qcalc
+from .pg import _add, _mul, _neg
 from .errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 from .gf import FieldSpec
 from ._parallel import run_blocks
@@ -216,37 +217,6 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return _POP8[b].sum(axis=-1, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """GF(q) addition and multiplication tables as uint8 arrays."""
-    elems = range(field.q)
-    add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
-    mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
-    return add, mul
-
-
-def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """table[a, b] for broadcast uint8 arrays, as one flat take (faster than a 2-d index)."""
-    return table.ravel().take(a * np.uint8(table.shape[0]) + b)  # q * q <= 81 fits uint8
-
-
-# GF(q) arithmetic on broadcast uint8 arrays: XOR adds in characteristic 2 and
-# AND multiplies in GF(2); every other sum and product is a table take.
-# -a is (p - 1) * a.
-
-
-def _add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a ^ b if field.p == 2 else _op(_field_arrays(field)[0], a, b)
-
-
-def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a & b if field.q == 2 else _op(_field_arrays(field)[1], a, b)
-
-
-def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
-    return a if field.p == 2 else _mul(field, np.uint8(field.p - 1), a)
-
-
 def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
     """Base-q codes of the vectors along the last axis (int32 Horner loop)."""
     code = np.zeros(vecs.shape[:-1], dtype=np.int32)
@@ -264,11 +234,6 @@ def _point_of_code(n: int, field: FieldSpec) -> np.ndarray:
     for a in range(1, field.q):
         lookup[_codes(_mul(field, np.uint8(a), pts), field.q)] = np.arange(len(pts), dtype=np.int32)
     return lookup
-
-
-def _pack_bits(incidence: np.ndarray) -> np.ndarray:
-    """uint64 words of a boolean array whose last axis is a whole number of words."""
-    return np.packbits(incidence, axis=-1, bitorder="little").view("<u8").astype(_WORD)
 
 
 def _any_word(words: np.ndarray) -> np.ndarray:
@@ -290,6 +255,12 @@ def _holds(words: np.ndarray, tids: np.ndarray, p: int) -> np.ndarray:
     return words.ravel().take(flat) & _BIT_WEIGHTS[p % _WORD_BITS] != 0
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """a sorted, without repeats: a plain np.unique imports numpy.ma (numpy 2.4)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def _point_tally(points: np.ndarray, tids: np.ndarray, width: int) -> np.ndarray:
     """Per point below width, how many of the entries tids hold it (row t of
     points lists entry t's point ids), gathered _MEMBER_CHUNK at a time."""
@@ -299,33 +270,9 @@ def _point_tally(points: np.ndarray, tids: np.ndarray, width: int) -> np.ndarray
     return counts
 
 
-def _lift(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Quotient vectors vecs (..., k, n - j) lifted to GF(q)^n: placed in the
-    non-pivot columns, in increasing order, of the RREF bases rows (..., j, n)."""
-    is_pivot = np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=bool)
-    np.put_along_axis(is_pivot, np.argmax(rows != 0, axis=-1), True, axis=-1)
-    free = np.argsort(is_pivot, axis=-1, kind="stable")[..., None, : vecs.shape[-1]]
-    lifted = np.zeros(vecs.shape[:-1] + rows.shape[-1:], dtype=np.uint8)
-    np.put_along_axis(lifted, free, vecs, axis=-1)
-    return lifted
-
-
-def _dual_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Bases (N, n - j, n) of the orthogonal complements of the row spaces of
-    the (N, j, n) RREF bases rows, as pg.dual has them before its RREF: for
-    each non-pivot column c, the unit vector e_c with -rows[i][c] at the
-    pivot column of row i."""
-    N, j, n = rows.shape
-    duals = _lift(rows, np.broadcast_to(np.eye(n - j, dtype=np.uint8), (N, n - j, n - j)))
-    coef = np.take_along_axis(rows, np.argmax(duals, axis=-1)[:, None, :], axis=-1)  # rows[i][c]
-    pivots = np.argmax(rows != 0, axis=-1)[:, None, :]
-    np.put_along_axis(duals, pivots, _neg(field, coef).transpose(0, 2, 1), axis=-1)
-    return duals
-
-
-def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.ndarray, np.ndarray]:
+def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int, keep_ids: bool = True):
     """(ids, words): the sorted point ids of the row spaces of the (N, j, n)
-    bases rows, and the point-mask words set from those ids.
+    bases rows (None unless keep_ids), and the point-mask words set from them.
 
     Each chunk of _BUILD_CHUNK bases is spanned, one row at a time: the span
     of rows 0..i is every vector of the span of rows 0..i-1 plus every
@@ -335,7 +282,7 @@ def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.n
     q, j = field.q, rows.shape[1]
     elems = np.arange(q, dtype=np.uint8)[None, :, None]
     point_of = _point_of_code(rows.shape[-1], field)
-    ids = np.empty((len(rows), (q**j - 1) // (q - 1)), dtype=np.int32)
+    ids = np.empty((len(rows), (q**j - 1) // (q - 1)), dtype=np.int32) if keep_ids else None
     words = np.empty((len(rows), n_words), dtype=_WORD)
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
@@ -343,11 +290,18 @@ def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int) -> Tuple[np.n
         for i in range(j):
             multiples = _mul(field, elems, r[:, None, i, :])
             span = _add(field, span[:, :, None], multiples[:, None]).reshape(len(r), -1, r.shape[2])
-        ids[c0 : c0 + len(r)] = np.sort(point_of[_codes(span[:, 1:], q)], axis=1)[:, :: q - 1]
+        points = np.sort(point_of[_codes(span[:, 1:], q)], axis=1)[:, :: q - 1]
+        if keep_ids:
+            ids[c0 : c0 + len(r)] = points
         incidence = np.zeros((len(r), n_words * _WORD_BITS), dtype=bool)
-        incidence[np.arange(len(r))[:, None], ids[c0 : c0 + len(r)]] = True
-        words[c0 : c0 + len(r)] = _pack_bits(incidence)
+        incidence[np.arange(len(r))[:, None], points] = True
+        words[c0 : c0 + len(r)] = np.packbits(incidence, axis=-1, bitorder="little").view("<u8")
     return ids, words
+
+
+def _word_bits(words: np.ndarray, num_points: int) -> np.ndarray:
+    """The (entries, points) bits of rows of mask words, as uint8 0 or 1."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, count=num_points, bitorder="little")
 
 
 def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> np.ndarray:
@@ -364,7 +318,8 @@ def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> np.n
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
         c = len(r)
-        w = _lift(r[:, None], np.broadcast_to(quotient, (c,) + quotient.shape))  # (c, K, gap, n)
+        w = np.zeros((c,) + quotient.shape[:2] + r.shape[2:], dtype=np.uint8)  # (c, K, gap, n)
+        np.put_along_axis(w, pg._free_columns(r)[:, None, None, :], quotient, axis=-1)  # the lifted rows
         pivots = np.argmax(w != 0, axis=-1)  # each row of w is zero at the others' pivots
         reduced = np.broadcast_to(r[:, None], (c, K) + r.shape[1:])
         for i in range(gap):
@@ -391,20 +346,22 @@ class MemberBits:
 
     def __init__(self, universe: "FlagUniverse"):
         self._universe = universe
-        self._points = universe._point_ids
         self._through = universe.entries_through_points()
-        self._sizes = [ids.shape[0] for ids in universe._point_ids]
+        self._sizes = [len(words) for words in universe._table_words]
         self.lower, self.upper = (np.zeros((n, 0), dtype=_WORD) for n in self._sizes)
         self.size = 0
 
-    def _apart(self, pos: int, points: np.ndarray) -> np.ndarray:
-        """apart[r, t]: entry t of table pos holds none of the point ids points[r]."""
-        out = np.empty((points.shape[0], self._sizes[pos]), dtype=bool)
-        for r0 in range(0, points.shape[0], _WORD_BITS):
-            r = points[r0 : r0 + _WORD_BITS]
-            meet = np.bitwise_or.reduce(self._through[pos][r], axis=1)
+    def _apart(self, pos: int, tids: np.ndarray) -> np.ndarray:
+        """apart[r, t]: entry t of table pos misses entry tids[r] of the other
+        table, whose points are read off its mask words 64 entries at a time."""
+        words, num_points = self._universe._table_words[1 - pos], self._universe.num_points
+        out = np.empty((tids.size, self._sizes[pos]), dtype=bool)
+        for r0 in range(0, tids.size, _WORD_BITS):
+            r = tids[r0 : r0 + _WORD_BITS]
+            points = np.nonzero(_word_bits(words[r], num_points))[1].reshape(r.size, -1)
+            meet = np.bitwise_or.reduce(self._through[pos][points], axis=1)
             meet = np.unpackbits(meet, axis=1, count=self._sizes[pos], bitorder="little")
-            np.equal(meet, 0, out=out[r0 : r0 + r.shape[0]])
+            np.equal(meet, 0, out=out[r0 : r0 + r.size])
         return out
 
     def add(self, ids: Sequence[int]) -> None:
@@ -426,7 +383,7 @@ class MemberBits:
             for pos, bits in enumerate((self.lower, self.upper)):
                 # members that share an opposite entry share its row
                 uniq, inv = np.unique(self._universe.member_ids(1 - pos, chunk), return_inverse=True)
-                apart = self._apart(pos, self._points[1 - pos][uniq])
+                apart = self._apart(pos, uniq)
                 k = 0
                 while k < chunk.size:
                     # the next members, whose bits share word w; einsum's
@@ -438,14 +395,14 @@ class MemberBits:
                     k += run.shape[0]
             self.size += chunk.size
 
-    def blocked(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """For each flag of ids (of every flag by default), whether it is adjacent to some member."""
+    def blocked(self, ids=None) -> np.ndarray:
+        """Whether each flag of ids (an id array or slice; all, in chunks, by default) is adjacent to a member."""
         universe = self._universe
         if ids is None:
-            # a lower id is i // K (FlagUniverse), so each lower row serves the next K flags
-            both = universe.per_flag(1, self.upper).reshape((self._sizes[0], universe._per_lower, self.upper.shape[1]))
-            both &= self.lower[:, None, :]
-            return _any_word(both).ravel()
+            out = np.empty(len(universe), dtype=bool)
+            for c0 in range(0, len(universe), _MEMBER_CHUNK):
+                out[c0 : c0 + _MEMBER_CHUNK] = self.blocked(slice(c0, c0 + _MEMBER_CHUNK))
+            return out
         both = universe.per_flag(0, self.lower, ids)
         both &= universe.per_flag(1, self.upper, ids)
         return _any_word(both)
@@ -480,9 +437,9 @@ class FlagUniverse:
     are the only per-flag arrays.  Each table lists every subspace of its
     rank in pg.subspace_rows order, so table ids are pg.subspace_index
     values.  Entry t of table pos has its (rank, n) uint8 RREF basis
-    _bases[pos][t], its sorted point ids _point_ids[pos][t] and their mask
-    words _table_words[pos][t]; per_flag reads a per-entry array off for
-    flags, and flags_with lists the flags of some entries.  Ids follow
+    _bases[pos][t] and its point-mask words _table_words[pos][t], lower entry
+    t its sorted point ids _lower_points[t]; per_flag reads a per-entry array
+    off for flags, and flags_with lists the flags of some entries.  Ids follow
     enumerate_flags, so they are stable across runs; certificates reference
     flags by bases.
     """
@@ -507,8 +464,8 @@ class FlagUniverse:
             self._per_lower = len(quotient)
             self._upper = _upper_ids(field, lows, quotient)
             self._bases.append(pg.subspace_rows(n, self.types[1], field))
-        spans = [_span_points(field, bases, self.n_words) for bases in self._bases]
-        self._point_ids, self._table_words = [ids for ids, _ in spans], [words for _, words in spans]
+        self._lower_points, words = _span_points(field, lows, self.n_words)
+        self._table_words = [words] + [_span_points(field, b, self.n_words, keep_ids=False)[1] for b in self._bases[1:]]
         self._size = len(lows) * self._per_lower
         self._entries: List[dict] = [{} for _ in self.types]
         self._through = None
@@ -554,7 +511,7 @@ class FlagUniverse:
         """The sorted ids of the flags whose member at chain position pos is
         one of the table entries tids: lower entry t has flags t * K ..
         t * K + K - 1, and upper entry u those in row u of _upper_flags."""
-        tids = np.unique(np.asarray(tids, dtype=np.int64))
+        tids = _sorted_distinct(np.asarray(tids, dtype=np.int64))
         if pos:
             return np.sort(self._upper_flags[tids].ravel()).astype(np.int64)
         return (tids[:, None] * self._per_lower + np.arange(self._per_lower)).ravel()
@@ -618,41 +575,27 @@ class FlagUniverse:
         return np.where(fits & (table[ids] == rows).all(axis=(1, 2)), ids, -1)
 
     @cached_property
-    def _dual_top(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(ids, words) of the duals of the top table entries (built lazily)."""
-        return _span_points(self.field, _dual_rows(self.field, self._bases[-1]), self.n_words)
-
-    @property
-    def dual_top_ids(self) -> np.ndarray:
-        """Row t holds the sorted point ids of the dual of top table entry t."""
-        return self._dual_top[0]
-
-    @property
-    def dual_top_words(self) -> np.ndarray:
-        """Row t holds the mask words of the dual of top table entry t."""
-        return self._dual_top[1]
-
-    @cached_property
-    def _hyperplane_words(self) -> np.ndarray:
-        """Row x holds the mask words of the hyperplane x^perp (built lazily):
-        the span of the dual of point x, taken as a rank-1 basis."""
-        points = np.array(pg.all_points(self.n, self.field), dtype=np.uint8)[:, None]
-        return _span_points(self.field, _dual_rows(self.field, points), self.n_words)[1]
+    def polarity(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(sigma, its inverse), int32, built lazily: sigma[u] is the lower id of tau_u^perp."""
+        if not self._kneser_fast:
+            raise InvalidType(f"the polarity needs type {{d, d+1}} in rank 2d+1, got {self.types}")
+        top, step = self._bases[1], _BUILD_CHUNK
+        sigma = np.concatenate([pg.dual_index(top[c0 : c0 + step], self.field) for c0 in range(0, len(top), step)])
+        return sigma.astype(np.int32), np.argsort(sigma).astype(np.int32)
 
     def entries_through_points(self) -> List[np.ndarray]:
         """Per table, packed bits of the entries through each point (built lazily).
 
         Row p of table pos holds bit t (little-endian within each byte) iff
-        entry t contains point p.  The rows are packed _BUILD_CHUNK entries,
-        rounded up to whole bytes, at a time.
+        entry t contains point p.  The rows are unpacked from the mask words
+        and packed _BUILD_CHUNK entries, rounded up to whole bytes, at a time.
         """
         if self._through is None:
             step = -(-_BUILD_CHUNK // 8) * 8
-            self._through = [np.empty((self.num_points, (len(ids) + 7) // 8), np.uint8) for ids in self._point_ids]
-            for ids, through in zip(self._point_ids, self._through):
-                for c0 in range(0, len(ids), step):
-                    incidence = np.zeros((self.num_points, min(step, len(ids) - c0)), dtype=bool)
-                    incidence[ids[c0 : c0 + step], np.arange(incidence.shape[1])[:, None]] = True
+            self._through = [np.empty((self.num_points, (len(w) + 7) // 8), np.uint8) for w in self._table_words]
+            for words, through in zip(self._table_words, self._through):
+                for c0 in range(0, len(words), step):
+                    incidence = _word_bits(words[c0 : c0 + step], self.num_points).T
                     through[:, c0 // 8 : c0 // 8 + step // 8] = np.packbits(incidence, axis=1, bitorder="little")
         return self._through
 
@@ -712,15 +655,15 @@ class FlagUniverse:
         those flags a group, until no point is shared by two of them.  The
         point is either a point P of every lower member pi (a pi-star) or the
         dual point H^perp of a hyperplane H holding every upper member tau
-        (an H-star).  A pi-star's rows are tested only against the later
-        flags b with P not in tau_b, and an H-star's rows only against the
+        (an H-star; H^perp is on each lower entry sigma(tau)).  A pi-star's
+        rows are tested only against the later flags b with P not in tau_b, and an H-star's rows only against the
         later b with pi_b not in H: otherwise P lies in pi_a and tau_b, or
         pi_b + tau_a lies in H, so it is not the whole space and pi_b meets
         tau_a.  As pi_b lies in tau_b, the pairs inside a group are skipped
         too.  A star point p below width = n_words * 64 is the point p of pi,
         and width + x the dual point x of tau^perp.  The counts are one
-        bincount per side over every flag's point ids, gathered _MEMBER_CHUNK
-        flags at a time, less the group's at each step; ties go to the first
+        bincount per side over the point ids of every flag's pi or sigma(tau),
+        _MEMBER_CHUNK flags at a time, less the group's; ties go to the first
         point.  Groups and columns come from the flags' own entries, so the
         plan is sound for any id list.  Other types get no groups.
         """
@@ -731,19 +674,18 @@ class FlagUniverse:
         points: List[int] = []
         if self._kneser_fast and m > 1:
             width = self.n_words * _WORD_BITS
-            sides = [(self._point_ids[0], self._table_words[0], self.member_ids(0, ids)),
-                     (self.dual_top_ids, self.dual_top_words, self.member_ids(1, ids))]
+            sides = [self.member_ids(0, ids), self.polarity[0][self.member_ids(1, ids)]]
 
             def tally(rows) -> np.ndarray:
-                return np.concatenate([_point_tally(pts, tids[rows], width) for pts, _, tids in sides])
+                return np.concatenate([_point_tally(self._lower_points, tids[rows], width) for tids in sides])
 
             counts = tally(slice(None))
             while True:
                 point = int(counts.argmax())
                 if counts[point] < 2:
                     break
-                _, words, tids = sides[point // width]
-                members = (free & _holds(words, tids, point % width)).nonzero()[0]
+                tids = sides[point // width]
+                members = (free & _holds(self._table_words[0], tids, point % width)).nonzero()[0]
                 groups.append(members)
                 points.append(point)
                 free[members] = False
@@ -784,14 +726,13 @@ class FlagUniverse:
 
         point numbers star_plan's star points: below n_words * 64 it is the
         point P of a pi-star, which prunes the flags whose tau holds P; from
-        there on it is the dual point of the hyperplane H of an H-star, which
-        prunes the flags whose pi lies in H.
+        there on it is the dual point x of the hyperplane H of an H-star, which
+        prunes the flags whose pi lies in H: whose upper entry sigma^-1(pi) holds x.
         """
         width = self.n_words * _WORD_BITS
         if point < width:
             return ~_holds(self._table_words[1], self.member_ids(1, ids), point)
-        outside = ~self._hyperplane_words[point - width]
-        return _any_word(self.per_flag(0, self._table_words[0], ids) & outside)
+        return ~_holds(self._table_words[1], self.polarity[1][self.member_ids(0, ids)], point - width)
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
@@ -835,13 +776,16 @@ class FlagUniverse:
 
     def adjacent_pairs(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Every adjacent pair of ids as sorted (min, max) caller positions, for type
-        {d, d+1} in rank 2d+1: star_plan(ids) on the tiles of check_pairwise_independent."""
+        {d, d+1} in rank 2d+1: star_plan(ids) on the tiles of check_pairwise_independent.
+        Two row tiles of ids or fewer are one triangle (cheaper below about 150)."""
         if not self._kneser_fast:
             raise InvalidType(f"adjacent_pairs needs type {{d, d+1}} in rank 2d+1, got {self.types}")
         ids = np.asarray(ids, dtype=np.int64)
-        plan = self.star_plan(ids)
-        sub = self._gather(ids[plan.order])
-        codes = [c for block in plan.blocks for c in self._block_pairs(sub, plan.order, block)]
+        plan = self.star_plan(ids) if ids.size > 2 * _TILE_ROWS else None
+        order = np.arange(ids.size) if plan is None else plan.order
+        blocks = [(0, ids.size - 1, order[1:])] if plan is None else plan.blocks
+        sub = self._gather(ids[order])
+        codes = [c for block in blocks for c in self._block_pairs(sub, order, block)]
         return np.divmod(np.sort(np.concatenate(codes + [np.empty(0, dtype=np.int64)])), ids.size)
 
     def _tiled_pair_scan(self, sub, order: np.ndarray, block: Tuple[int, int, np.ndarray]) -> Optional[Tuple[int, int]]:

@@ -12,7 +12,8 @@ its position, in closed form.
 
 Row reduction has one table-driven implementation for every q.  Only
 join_rank packs GF(2) rows into ints (one per row, kept on the Subspace),
-as the oracle general_position calls it for every member pair.
+as the oracle general_position calls it for every member pair, and
+dual_index reduces whole arrays of bases in uint8 GF(q) arithmetic.
 """
 
 from __future__ import annotations
@@ -291,6 +292,66 @@ def subspace_index(rows: np.ndarray, q: int) -> np.ndarray:
 def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
     """The (N, r, n) uint8 RREF bases of all rank-r subspaces, in enumerate_subspaces order."""
     return np.concatenate(list(_subspace_row_blocks(n, r, field)))
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GF(q) addition and multiplication tables, and the inverses (0 at 0), as uint8 arrays."""
+    elems = range(field.q)
+    add = np.array([[field.add(a, b) for b in elems] for a in elems], dtype=np.uint8)
+    mul = np.array([[field.mul(a, b) for b in elems] for a in elems], dtype=np.uint8)
+    return add, mul, np.array([field.inv(a) if a else 0 for a in elems], dtype=np.uint8)
+
+
+def _op(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table[a, b] for broadcast uint8 arrays, as one flat take (faster than a 2-d index)."""
+    return table.ravel().take(a * np.uint8(table.shape[0]) + b)  # q * q <= 81 fits uint8
+
+
+# GF(q) arithmetic on broadcast uint8 arrays: XOR adds in characteristic 2 and
+# AND multiplies in GF(2); every other sum and product is a table take.
+# -a is (p - 1) * a.
+def _add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a ^ b if field.p == 2 else _op(_field_arrays(field)[0], a, b)
+
+
+def _mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a & b if field.q == 2 else _op(_field_arrays(field)[1], a, b)
+
+
+def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    return a if field.p == 2 else _mul(field, np.uint8(field.p - 1), a)
+
+
+def _free_columns(rows: np.ndarray) -> np.ndarray:
+    """The non-pivot columns (..., n - j), increasing, of the (..., j, n) RREF bases rows."""
+    is_free = np.ones(rows.shape[:-2] + rows.shape[-1:], dtype=bool)
+    np.put_along_axis(is_free, np.argmax(rows != 0, axis=-1), False, axis=-1)
+    return np.nonzero(is_free)[-1].reshape(is_free.shape[:-1] + (-1,))
+
+
+def dual_index(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """The subspace_index of the orthogonal complement of each (N, j, n) RREF
+    basis, spanned as dual has it before its RREF (per non-pivot column c, e_c
+    with -bases[i][c] at the pivot of row i; the free columns are read once)
+    and reduced: step i moves the row with the leftmost leading column among
+    rows i.. to row i, scales that column to 1 and clears it in the others."""
+    free, at = _free_columns(bases), np.arange(len(bases))
+    coef = np.take_along_axis(bases, free[:, None, :], axis=-1)  # bases[i][c]
+    rows = np.zeros((len(bases), free.shape[1], bases.shape[2]), dtype=np.uint8)
+    np.put_along_axis(rows, free[:, :, None], 1, axis=-1)
+    np.put_along_axis(rows, np.argmax(bases != 0, axis=-1)[:, None, :], _neg(field, coef).transpose(0, 2, 1), axis=-1)
+    for i in range(rows.shape[1]):
+        lead = np.argmax(rows[:, i:] != 0, axis=-1)
+        r = np.argmin(lead, axis=-1)
+        c = lead[at, r]
+        pivot = rows[at, i + r]
+        rows[at, i + r] = rows[:, i]
+        rows[:, i] = pivot = _mul(field, _field_arrays(field)[2][pivot[at, c]][:, None], pivot)
+        coef = _neg(field, rows[at, :, c])
+        coef[:, i] = 0
+        rows = _add(field, rows, _mul(field, coef[:, :, None], pivot[:, None, :]))
+    return subspace_index(rows, field.q)
 
 
 def enumerate_subspaces(n: int, r: int, field: FieldSpec) -> Iterator[Subspace]:

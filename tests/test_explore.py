@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import lru_cache, partial, wraps
 from pathlib import Path
 
@@ -356,6 +357,67 @@ def test_adjacent_pairs_match_brute_force(name, sizes, request):
         assert witness == ((ids[expected[0][0]], ids[expected[0][1]]) if expected else None)
 
 
+def star_plan_pairs(universe, ids):
+    """Every adjacent pair of ids, from the tiles of star_plan(ids)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    plan = universe.star_plan(ids)
+    sub = universe._gather(ids[plan.order])
+    codes = [c for block in plan.blocks for c in universe._block_pairs(sub, plan.order, block)]
+    return np.divmod(np.sort(np.concatenate(codes + [np.empty(0, dtype=np.int64)])), ids.size)
+
+
+def test_adjacent_pairs_skip_the_star_plan_only_below_the_cutoff(u23, monkeypatch):
+    # up to two row tiles of ids are one triangle block, without a star plan;
+    # on both sides of the cutoff the pairs are those of the plan's tiles
+    cutoff = 2 * kneser._TILE_ROWS
+    plan, planned = u23.star_plan, []
+    monkeypatch.setattr(u23, "star_plan", lambda ids: planned.append(len(ids)) or plan(ids))
+    pencil = pencil_ids(u23, u23.field)
+    rng = random.Random(12)
+    pairs = 0
+    for size in (0, 1, 2, 60, cutoff - 1, cutoff, cutoff + 1, cutoff + 40, 600):
+        # random flags, and half of them from a pencil, whose plan prunes pairs
+        half = rng.sample(pencil, size // 2) + rng.sample(range(len(u23)), size - size // 2)
+        for ids in (rng.sample(range(len(u23)), size), half):
+            planned.clear()
+            got = u23.adjacent_pairs(ids)
+            assert planned == ([len(ids)] if len(ids) > cutoff else [])
+            expected = star_plan_pairs(u23, ids)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True)), size
+            pairs += expected[0].size
+    assert pairs
+
+
+def test_draw_keys_match_one_shot_randbytes():
+    for n in (0, 1, 4095, 4096, 4097, 3 * 4096 + 5):
+        one_shot = np.frombuffer(random.Random(n).randbytes(8 * n), dtype="<u8")
+        rng = random.Random(n)
+        assert explore._draw_keys(rng, n).tobytes() == one_shot.tobytes()
+        # the stream goes on where the one-shot draw leaves it
+        follow = random.Random(n)
+        follow.randbytes(8 * n)
+        assert rng.getrandbits(32) == follow.getrandbits(32)
+
+
+def test_greedy_sample_allocation_bound(u24):
+    # one (2,4) sample keeps no 8N-byte key int or bytes, no N x words member
+    # rows and one word-major copy of the head's words: 3.26 MiB before, about
+    # 2.2-2.5 MiB after
+    universe = u24
+    universe.entries_through_points()
+    explore._greedy_complete_ids([0], random.Random(1), universe)  # lazy tables and caches
+    for i in range(4):
+        rng = random.Random(11 * 1_000_003 + i)
+        seed = rng.randrange(len(universe))
+        tracemalloc.start()
+        try:
+            explore._greedy_complete_ids([seed], rng, universe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8 * 2**20, i
+
+
 class _TiedKeys:
     """Stands in for random.Random: its keys repeat 5 values, so most are tied."""
 
@@ -403,11 +465,12 @@ def test_probe_reports_known_family_sizes(u22):
 
 
 def test_probe_does_not_import_numpy_random():
-    # numpy.random adds several MB of resident memory to every probe, and
+    # numpy.random adds several MB of resident memory to every probe,
+    # numpy.ma (imported by a plain np.unique) about 17 ms to every verify, and
     # multiprocessing about 12 ms of import to a forked one; hashlib loads
     # OpenSSL (3.5 MB) and concurrent.futures takes about 5 ms to import, and
     # only --version and a threaded pair scan need them
-    unused = ["numpy.random", "multiprocessing", "hashlib", "_hashlib", "concurrent.futures"]
+    unused = ["numpy.random", "multiprocessing", "hashlib", "_hashlib", "concurrent.futures", "numpy.ma"]
     code = (
         "import os, sys\n"
         "from qkneser import cli, explore\n"

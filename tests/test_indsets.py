@@ -312,9 +312,12 @@ def test_pencil_candidates_match_per_flag_scan(name, q, request):
     for density in (0.0, 0.3, 0.9, 1.0):
         noise = np.array([rng.random() < density for _ in range(len(universe))])
         sets += [noise, noise | sets[0], noise | sets[1]]
-    # one row of mask words per flag: its lower member, and the dual of its upper member
+    # one row of mask words per flag: its lower member, and the dual of its
+    # upper member, whose words come from the definition
     lower = universe._table_words[0][universe.member_ids(0)]
-    dual_upper = universe.dual_top_words[universe.member_ids(1)]
+    duals = [kneser.subspace_point_mask(pg.dual(universe.entry(1, u))) for u in range(len(universe._bases[1]))]
+    dual_words = np.array([[m >> (64 * w) & (2**64 - 1) for w in range(universe.n_words)] for m in duals], np.uint64)
+    dual_upper = dual_words[universe.member_ids(1)]
     found = 0
     for in_set in sets:
         got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
@@ -353,10 +356,10 @@ def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
     found = 0
     for in_set in sets:
         got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
-        lower = universe._point_ids[0], universe.member_ids(0)
+        lower = universe._lower_points, universe.member_ids(0)
         assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
         got_dual = indsets.dual_pencil_base_candidates(np.flatnonzero(in_set), universe)
-        dual_upper = universe.dual_top_ids, universe.member_ids(1)
+        dual_upper = universe._lower_points[universe.polarity[0]], universe.member_ids(1)
         assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
         found += len(got) + len(got_dual)
     assert found

@@ -165,15 +165,29 @@ def test_table_masks_match_point_masks(name, request):
         assert all(universe.entry(pos, t) is s for t, s in enumerate(entries))
 
 
+def word_point_ids(universe, pos):
+    """The sorted point ids of each entry of table pos, read off its mask words."""
+    bits = np.unpackbits(universe._table_words[pos].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return [np.flatnonzero(row).tolist() for row in bits]
+
+
 @pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)])
 def test_point_ids_match_subspace_point_ids(n, J, q):
     field = gf.make_field(q)
     universe = kneser.FlagUniverse(n, J, field)
     tables = [table(universe, pos) for pos in range(len(J))]
+    # only the lower table keeps its point ids; every table has its words
+    assert universe._lower_points.tolist() == [list(pg.subspace_point_ids(s)) for s in tables[0]]
     for pos, entries in enumerate(tables):
-        assert universe._point_ids[pos].tolist() == [list(pg.subspace_point_ids(s)) for s in entries]
+        assert word_point_ids(universe, pos) == [list(pg.subspace_point_ids(s)) for s in entries]
         assert [universe.table_id_of(pos, s) for s in entries] == list(range(len(entries)))
-    assert universe.dual_top_ids.tolist() == [list(pg.subspace_point_ids(pg.dual(s))) for s in tables[-1]]
+    # the dual of every top entry, by its index among the subspaces of its rank
+    duals = [pg.dual(s) for s in tables[-1]]
+    rows = np.array([s.rows for s in duals], dtype=np.uint8)
+    assert pg.dual_index(universe._bases[-1], field).tolist() == pg.subspace_index(rows, q).tolist()
+    if J == ((n - 1) // 2, (n + 1) // 2):
+        dual_points = universe._lower_points[universe.polarity[0]].tolist()
+        assert dual_points == [list(pg.subspace_point_ids(s)) for s in duals]
     # a subspace of another rank, or with the same basis over another field, is in no table
     other_field = gf.make_field(3 if q == 2 else 2)
     for pos, entries in enumerate(tables):
@@ -199,7 +213,7 @@ def test_universe_build_makes_no_flags(monkeypatch):
     subspaces = count_calls(monkeypatch, pg.Subspace)
     for n, J, q, size in [(5, (2, 3), 3, 15730), (7, (3, 4), 2, 177165)]:
         u = kneser.FlagUniverse(n, J, gf.make_field(q))
-        u.dual_top_words
+        u.polarity
         assert len(u) == size and not flags and not subspaces
         # a flag builds its two entries, and the lower entry its upper one
         # is built from, once
@@ -219,7 +233,8 @@ def test_id_of_inverts_flag_of_on_a_sample(u32):
 
 
 # sha256 of each table part (see table_parts), so a layout change shows which
-# part moved
+# part moved; the dual-top words are the lower words at sigma, and match the
+# table of the duals' words that they replace
 TABLE_DIGESTS = {
     (2, 2): {
         "lower_words": "f4e2ed3fd69fc950c0acf80572b9dda1d67b111d83902dcdcc4d8a5c71774f8b",
@@ -266,8 +281,9 @@ def table_parts(universe):
         "upper_words": universe._table_words[-1],
         "lower_ids": universe.member_ids(0),
         "upper_ids": universe.member_ids(1),
-        "dual_top_words": universe.dual_top_words,
     }
+    if universe._kneser_fast:
+        arrays["dual_top_words"] = dual_top_words(universe)
     digests = {}
     for name, a in arrays.items():
         h = hashlib.sha256(repr(a.shape).encode())
@@ -288,7 +304,8 @@ def test_tables_match_golden_digest(d, q, request):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_tables_do_not_depend_on_build_chunk(chunk, f2, monkeypatch):
-    # each chunk of lower members reads its flags' upper ids on its own
+    # each chunk of lower members reads its flags' upper ids on its own, and
+    # each chunk of upper entries its sigma
     expected = table_parts(kneser.FlagUniverse(5, (1, 3), f2))
     monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
     assert table_parts(kneser.FlagUniverse(5, (1, 3), f2)) == expected
@@ -405,11 +422,16 @@ def reference_pair_scan(universe, ids):
     return None
 
 
+def dual_top_words(universe):
+    """Row u holds the mask words of the dual of upper entry u: lower entry sigma(u)."""
+    return universe._table_words[0][universe.polarity[0]]
+
+
 def star_words(universe):
     """Per flag, the mask words of its lower member and of the dual of its
     upper member, side by side: the points that star_plan groups by."""
     lower = universe._table_words[0][universe.member_ids(0)]
-    dual_upper = universe.dual_top_words[universe.member_ids(1)]
+    dual_upper = dual_top_words(universe)[universe.member_ids(1)]
     return np.concatenate((lower, dual_upper), axis=1)
 
 
@@ -427,29 +449,97 @@ def test_dual_rows_span_the_duals(q):
     for n, j in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 4)]:
         rows = pg.subspace_rows(n, j, field)
         rows = rows[rng.choice(len(rows), min(len(rows), 60), replace=False)]
-        duals = kneser._dual_rows(field, rows)
-        assert duals.shape == (len(rows), n - j, n)
-        for basis, dual in zip(rows.tolist(), duals.tolist()):
-            assert pg.rref(dual, n, field) == pg.dual(pg.rref(basis, n, field))
+        # dual_index spans and reduces the duals in uint8 arithmetic, in any field
+        expected = np.array([pg.dual(pg.rref(basis, n, field)).rows for basis in rows.tolist()], dtype=np.uint8)
+        assert expected.shape == (len(rows), n - j, n)
+        assert np.array_equal(pg.dual_index(rows, field), pg.subspace_index(expected, q))
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_dual_index_matches_dual_on_sampled_bases(q):
+    # no universe and no table: random bases, reduced by pg.rref
+    field = gf.make_field(q)
+    rng = random.Random(q)
+    for d in (2, 3):
+        n = 2 * d + 1
+        for j in (d, d + 1):
+            spaces = []
+            while len(spaces) < 60:
+                s = pg.rref([[rng.randrange(q) for _ in range(n)] for _ in range(j)], n, field)
+                if s.rank == j:
+                    spaces.append(s)
+            rows = np.array([s.rows for s in spaces], dtype=np.uint8)
+            duals = np.array([pg.dual(s).rows for s in spaces], dtype=np.uint8)
+            assert pg.dual_index(rows, field).tolist() == pg.subspace_index(duals, q).tolist()
+            # the polarity is an involution
+            assert pg.dual_index(duals, field).tolist() == pg.subspace_index(rows, q).tolist()
 
 
 @pytest.mark.parametrize("name", ["u22", "u23"])
 def test_hyperplane_words_match_dual_points(name, request):
+    """The H-star column rule: lower entry t lies in the hyperplane x^perp,
+    whose words come from the definition, iff upper entry sigma^-1(t) holds x."""
     universe = request.getfixturevalue(name)
-    words = universe._hyperplane_words.astype("<u8")
-    assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
+    hyperplanes = [
         kneser.subspace_point_mask(pg.dual(pg.rref([point], universe.n, universe.field)))
         for point in pg.all_points(universe.n, universe.field)
     ]
+    lower = [kneser.subspace_point_mask(s) for s in table(universe, 0)]
+    upper = [kneser.subspace_point_mask(s) for s in table(universe, 1)]
+    inverse = universe.polarity[1].tolist()
+    for x, h in enumerate(hyperplanes):
+        assert [m & ~h == 0 for m in lower] == [upper[u] >> x & 1 == 1 for u in inverse]
 
 
 @pytest.mark.parametrize("name", ["u22", "u23"])
 def test_dual_top_words_match_duals(name, request):
     universe = request.getfixturevalue(name)
-    words = universe.dual_top_words.astype("<u8")
+    words = dual_top_words(universe).astype("<u8")
     assert [int.from_bytes(row.tobytes(), "little") for row in words] == [
         kneser.subspace_point_mask(pg.dual(s)) for s in table(universe, 1)
     ]
+
+
+@pytest.mark.parametrize("name", ["u22", "u23", "u32", "u24", "u25"])
+def test_polarity_is_the_dual_of_each_upper_entry(name, request):
+    if name in ("u24", "u25"):
+        universe = kneser.FlagUniverse(5, (2, 3), gf.make_field(int(name[-1])))
+    else:
+        universe = request.getfixturevalue(name)
+    sigma, inverse = universe.polarity
+    assert sigma.dtype == inverse.dtype == np.int32
+    assert np.array_equal(np.sort(sigma), np.arange(sigma.size)) and sigma.size == len(universe._bases[1])
+    assert np.array_equal(inverse[sigma], np.arange(sigma.size))
+    upper = range(sigma.size) if name in ("u22", "u23", "u32") else random.Random(7).sample(range(sigma.size), 300)
+    for u in upper:
+        expected = list(pg.subspace_point_ids(pg.dual(universe.entry(1, u))))
+        assert universe._lower_points[sigma[u]].tolist() == expected
+
+
+def test_polarity_needs_kneser_type(f2):
+    # in GF(2)^5 the duals of the rank-3 entries are lines, not lower entries
+    universe = kneser.FlagUniverse(5, (1, 3), f2)
+    with pytest.raises(InvalidType):
+        universe.polarity
+    with pytest.raises(InvalidType):
+        indsets.dual_pencil_base_candidates(range(len(universe)), universe)
+
+
+@pytest.mark.parametrize("d,q", [(2, 3), (3, 2)])
+def test_flag_polarity_maps_cover_classes_to_dual_classes(d, q, request):
+    # (pi, tau) -> (tau^perp, pi^perp) is (sigma(u), sigma^-1(t)) in table ids
+    universe = request.getfixturevalue(f"u{d}{q}")
+    sigma, inverse = universe.polarity
+    cert = cover.build_cover(d, q)
+    for desc, dual in zip(cert.classes, cover.dualize_cover(cert).classes, strict=True):
+        ids = np.sort(np.concatenate(indsets.descriptor_masks(desc, universe)))
+        lower, upper = sigma[universe.member_ids(1, ids)], inverse[universe.member_ids(0, ids)]
+        per_lower = len(universe) // len(sigma)
+        block = universe.member_ids(1, lower[:, None] * per_lower + np.arange(per_lower))
+        mapped = lower * per_lower + np.argmax(block == upper[:, None], axis=1)
+        assert (block == upper[:, None]).any(axis=1).all()
+        expected = np.sort(np.concatenate(indsets.descriptor_masks(dual, universe)))
+        assert np.array_equal(np.sort(mapped), expected), desc.variant
 
 
 def test_star_rule_sound_against_definition(u22):
@@ -595,7 +685,7 @@ def reference_star_plan(universe, ids):
     groups, points = [], []
     if m > 1:
         lower = universe._table_words[0][universe.member_ids(0)[ids]]
-        dual_upper = universe.dual_top_words[universe.member_ids(1)[ids]]
+        dual_upper = dual_top_words(universe)[universe.member_ids(1)[ids]]
         words = np.concatenate((lower, dual_upper), axis=1)
         incidence = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
         counts = incidence.sum(axis=0, dtype=np.int32)
@@ -686,7 +776,8 @@ def traced_peak_and_kept(fn):
 
 def test_star_plan_and_universe_allocation_bounds(u32):
     # a star plan gathers no (m x 2 theta) star-point matrix: 2.83 MiB before,
-    # 0.62 MiB after; a build keeps no lower id per flag: 3.93 -> 2.58 MiB
+    # 0.62 MiB after; a build keeps no lower id per flag: 3.93 -> 2.58 MiB, and
+    # no upper point ids: 2.58 -> 1.91 MiB
     cert = cover.build_cover(3, 2)
     for desc in (cert.classes[0], cover.dualize_cover(cert).classes[0]):
         ids = np.sort(np.concatenate(indsets.descriptor_masks(desc, u32)))
@@ -695,7 +786,7 @@ def test_star_plan_and_universe_allocation_bounds(u32):
         assert peak < 1.5 * 2**20, desc.variant
     # u32 has filled the caches of pg that a build reads
     _, kept = traced_peak_and_kept(lambda: kneser.FlagUniverse(7, (3, 4), u32.field))
-    assert kept < 3 * 2**20
+    assert kept < 2.25 * 2**20
 
 
 def test_descriptor_masks_allocation_bound(u32):
@@ -828,7 +919,7 @@ def test_popcount_helper():
 def dense_entries_through_points(universe):
     """entries_through_points from one dense (points x entries) incidence per table."""
     rows = []
-    for ids in universe._point_ids:
+    for ids in (universe._lower_points, np.array(word_point_ids(universe, 1))):
         through = np.zeros((universe.num_points, len(ids)), dtype=bool)
         through[ids, np.arange(len(ids))[:, None]] = True
         rows.append(np.packbits(through, axis=1, bitorder="little"))
@@ -955,7 +1046,7 @@ def arrays_in(value):
 def test_member_ids_are_the_only_per_flag_arrays(u23):
     # build every lazy cache first; a lower id is i // K, so only the upper ids
     # and their inverse, the upper-to-flags index of flags_with, are stored
-    u23.dual_top_words, u23._hyperplane_words, u23.entries_through_points(), u23.flags_with(1, [0])
+    u23.polarity, u23.entries_through_points(), u23.flags_with(1, [0])
     u23.star_plan(range(0, len(u23), 7))
     assert u23.member_ids(1).shape == (len(u23),) and u23.member_ids(1).dtype == np.int32
     assert u23.member_ids(1).base is u23._upper  # a view, not a copy
