@@ -287,8 +287,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_graph(args) -> int:
     fld = gf.make_field(args.q)
     n, J = _parse_type(args)
-    universe = _write_atomic(args.out, lambda fh: kneser.export_dimacs(n, J, fld, fh, cap=args.cap))
-    _emit({"vertices": len(universe), "out": args.out})
+    vertices = _write_atomic(args.out, lambda fh: kneser.export_dimacs(n, J, fld, fh, cap=args.cap))
+    _emit({"vertices": vertices, "out": args.out})
     return EXIT_OK
 
 

@@ -316,8 +316,8 @@ def is_independent(ids: Iterable[int], universe: FlagUniverse) -> bool:
 def find_extension(ids: Iterable[int], universe: FlagUniverse) -> Optional[int]:
     """First flag id outside the set that extends it, or None if the set is maximal.
 
-    The set's member bits (FlagUniverse.member_bits, type {d, d+1} in rank
-    2d+1 only) test every flag, a chunk of ids at a time.
+    The set's member bits (FlagUniverse.member_bits) test every flag, a
+    chunk of ids at a time.
     """
     ids = _id_array(ids, universe)
     bits = universe.member_bits(ids)

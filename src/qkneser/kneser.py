@@ -2,45 +2,45 @@
 
 general_position is the definition: every cross pair of flag members meets
 trivially or spans the whole space, decided by matrix-rank computations.  It
-is the oracle.  Every bulk test runs on FlagUniverse, whose kernels work on
-point-set bitmasks; for type {d, d+1} in rank 2d+1 they use the fast rule
-(the two "meet of opposite members is zero" conditions), so verification is
-a stream of word ANDs.  The test suite cross-checks the kernels against the
-oracle exhaustively.
+is the oracle.  Every bulk test runs on FlagUniverse, the flags of type
+{d, d+1} in rank 2d+1, whose kernels work on point-set bitmasks with the
+fast rule (the two "meet of opposite members is zero" conditions), so
+verification is a stream of word ANDs.  The test suite cross-checks the
+kernels against the oracle exhaustively.
 
 FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members.
 Each table is pg.subspace_rows of its rank, and each entry is kept once, as
 its RREF basis and its point-mask words (a lower entry also as its sorted
 point ids), made in uint8 GF(q) arithmetic; no Subspace is built.  A
-table id is pg.subspace_index of a basis: a flag lo + <w> (w the lifted
-quotient rows) gets its upper id from its upper member's basis.  A
+table id is pg.subspace_index of a basis: a flag lo + <w> (w a lifted point
+of the quotient) gets its upper id from its upper member's basis.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry, and the flags of the entries that hold it are read off by
 flags_with, as sorted ids.  A closed-form flag count above MAX_FLAGS is
-refused first.  In rank 2d+1, polarity maps upper entry tau to the lower
-id of tau^perp (sigma, by pg.dual_index) and back, so the dual side of a
-check reads the lower table.
+refused first.  The polarity maps upper entry tau to the lower id of
+tau^perp (sigma, by pg.dual_index) and back, so the dual side of a check
+reads the lower table.
 
-FlagUniverse.check_pairwise_independent is the bulk check.  For type
-{d, d+1} in rank 2d+1 it first groups the flags into stars: flags whose
-lower members pi share a point P, or whose upper members tau lie in one
-hyperplane H.  A star's flags are then tested only against the later flags
-that its point does not prove non-adjacent: those with P outside tau, or
-with pi outside H.  One tiled block kernel runs the remaining pairs on mask
-words gathered from the tables, with its blocks shared out by run_blocks.
-Its tiles give the witness, or every adjacent pair (adjacent_pairs).
-Other types test every pair with a scalar row loop, on the one
-general-position rule that adjacency_row and adjacent_to_any also use.
+FlagUniverse.check_pairwise_independent is the bulk check.  It first groups
+the flags into stars: flags whose lower members pi share a point P, or whose
+upper members tau lie in one hyperplane H.  A star's flags are then tested
+only against the later flags that its point does not prove non-adjacent:
+those with P outside tau, or with pi outside H.  One tiled block kernel runs
+the remaining pairs on mask words gathered from the tables, with its blocks
+shared out by run_blocks.  Its tiles give the witness, or every adjacent
+pair (adjacent_pairs).
 
-MemberBits (FlagUniverse.member_bits) tests flags against a growing set, for
-type {d, d+1} in rank 2d+1 only.  Each member sets one bit in the row of
-every lower table entry disjoint from its upper member, and in the row of
-every upper table entry disjoint from its lower member, so a flag is
-adjacent to some member iff the AND of its two rows is nonzero.  The greedy
-completion in explore and the maximality scan in indsets.find_extension
-both use it; adjacent_to_any, which tests one flag against a set on the
-general-position rule, is its reference.
+MemberBits (FlagUniverse.member_bits) tests flags against a growing set.
+Each member sets one bit in the row of every lower table entry disjoint from
+its upper member, and in the row of every upper table entry disjoint from
+its lower member, so a flag is adjacent to some member iff the AND of its
+two rows is nonzero.  The greedy completion in explore and the maximality
+scan in indsets.find_extension both use it.
+
+export_dimacs writes any type's graph: {d, d+1} in rank 2d+1 from the
+universe's adjacency rows, every other type from the point masks of
+enumerate_flags, on the general-position rule as point counts of meets.
 """
 
 from __future__ import annotations
@@ -332,16 +332,16 @@ def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> np.n
 class MemberBits:
     """Adjacency to a growing member set, tested on the two member tables.
 
-    For type {d, d+1} in rank 2d+1, flags a and b are adjacent iff lo(a) is
-    disjoint from hi(b) and lo(b) is disjoint from hi(a).  Member k sets bit
-    k of lower[t] for every lower table entry t disjoint from its upper
-    member, and bit k of upper[u] for every upper table entry u disjoint
-    from its lower member.  Flag c is then adjacent to some member iff
-    lower[lo_tid(c)] & upper[hi_tid(c)] has a set bit.  The entries that
-    meet a member's entry are the OR of the entries through its points
-    (FlagUniverse.entries_through_points), so a member costs its point
-    count times one bit row per table.  Members are cheapest added in
-    batches: add writes up to 64 members' bits with one weighted sum.
+    Flags a and b are adjacent iff lo(a) is disjoint from hi(b) and lo(b)
+    is disjoint from hi(a).  Member k sets bit k of lower[t] for every lower
+    table entry t disjoint from its upper member, and bit k of upper[u] for
+    every upper table entry u disjoint from its lower member.  Flag c is
+    then adjacent to some member iff lower[lo_tid(c)] & upper[hi_tid(c)]
+    has a set bit.  The entries that meet a member's entry are the OR of
+    the entries through its points (FlagUniverse.entries_through_points),
+    so a member costs its point count times one bit row per table.  Members
+    are cheapest added in batches: add writes up to 64 members' bits with
+    one weighted sum.
     """
 
     def __init__(self, universe: "FlagUniverse"):
@@ -428,7 +428,8 @@ class StarPlan:
 
 
 class FlagUniverse:
-    """Dense id <-> flag bijection over two member tables.
+    """Dense id <-> flag bijection over the two member tables of type {d, d+1}
+    in rank 2d+1, the only type it builds (the graphs of the theorem).
 
     A flag is its pair of table ids: flag i has members
     entry(pos, member_ids(pos, i)).  Its lower id is i // K for K uppers
@@ -447,29 +448,26 @@ class FlagUniverse:
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
         self.n = n
         self.types = _validate_type(n, J)
+        d = self.types[0]
+        if self.types != (d, d + 1) or n != 2 * d + 1:
+            raise InvalidType(f"a flag universe needs type {{d, d+1}} in rank 2d+1, got {self.types} in rank {n}")
         self.field = field
-        j1 = self.types[0]
         check_cap(field.q, flag_binomials(n, J), f"flags of type {self.types} in GF({field.q})^{n}")
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
-        lows = pg.subspace_rows(n, j1, field)
-        self._bases = [lows]
-        self._per_lower = 1
-        if len(self.types) == 2:
-            # the quotient bases in enumerate_superspaces order: the points for gap 1
-            m, gap = n - j1, self.types[1] - j1
-            points = np.array(pg.all_points(m, field), dtype=np.uint8)[:, None]
-            quotient = points if gap == 1 else pg.subspace_rows(m, gap, field)
-            self._per_lower = len(quotient)
-            self._upper = _upper_ids(field, lows, quotient)
-            self._bases.append(pg.subspace_rows(n, self.types[1], field))
+        lows = pg.subspace_rows(n, d, field)
+        # the upper members over a lower one, in enumerate_superspaces order:
+        # its joins with the lifted points of the quotient GF(q)^(d+1)
+        quotient = np.array(pg.all_points(d + 1, field), dtype=np.uint8)[:, None]
+        self._per_lower = len(quotient)
+        self._upper = _upper_ids(field, lows, quotient)
+        self._bases = [lows, pg.subspace_rows(n, d + 1, field)]
         self._lower_points, words = _span_points(field, lows, self.n_words)
-        self._table_words = [words] + [_span_points(field, b, self.n_words, keep_ids=False)[1] for b in self._bases[1:]]
+        self._table_words = [words, _span_points(field, self._bases[1], self.n_words, keep_ids=False)[1]]
         self._size = len(lows) * self._per_lower
-        self._entries: List[dict] = [{} for _ in self.types]
+        self._entries: List[dict] = [{}, {}]
         self._through = None
-        self._kneser_fast = self.types == (j1, j1 + 1) and n == 2 * j1 + 1
 
     def __len__(self) -> int:
         return self._size
@@ -483,13 +481,11 @@ class FlagUniverse:
     def ids_of(self, flags: Sequence[Flag]) -> np.ndarray:
         """The ids of flags, with one table lookup per chain position: flag
         t * K + j is the one of lower entry t whose upper id matches."""
-        ids = self.table_ids_of(0, [f.chain[0] for f in flags]).astype(np.int64)
-        if len(self.types) == 2:
-            per_lower = self._per_lower
-            block = self.member_ids(1, ids[:, None] * per_lower + np.arange(per_lower))
-            hit = block == self.table_ids_of(1, [f.chain[-1] for f in flags])[:, None]
-            ids = np.where((ids >= 0) & hit.any(axis=1), ids * per_lower + hit.argmax(axis=1), -1)
-        bad = [f for f, i in zip(flags, ids) if i < 0 or len(f.chain) != len(self.types)]
+        lower, per_lower = self.table_ids_of(0, [f.chain[0] for f in flags]).astype(np.int64), self._per_lower
+        block = self.member_ids(1, lower[:, None] * per_lower + np.arange(per_lower))
+        hit = block == self.table_ids_of(1, [f.chain[-1] for f in flags])[:, None]
+        ids = np.where((lower >= 0) & hit.any(axis=1), lower * per_lower + hit.argmax(axis=1), -1)
+        bad = [f for f, i in zip(flags, ids) if i < 0 or len(f.chain) != 2]
         if bad:
             raise InvalidArgs(f"flag {bad[0]!r} is not in this universe")
         return ids
@@ -497,7 +493,7 @@ class FlagUniverse:
     def flag_of(self, i: int) -> Flag:
         if not 0 <= i < self._size:
             raise InvalidArgs(f"flag id {i} outside [0, {self._size})")
-        return Flag(tuple(self.entry(pos, int(self.member_ids(pos, i))) for pos in range(len(self.types))))
+        return Flag(tuple(self.entry(pos, int(self.member_ids(pos, i))) for pos in range(2)))
 
     def member_ids(self, pos: int, ids=slice(None)) -> np.ndarray:
         """The table ids of the flags' members at chain position pos, for an
@@ -577,8 +573,6 @@ class FlagUniverse:
     @cached_property
     def polarity(self) -> Tuple[np.ndarray, np.ndarray]:
         """(sigma, its inverse), int32, built lazily: sigma[u] is the lower id of tau_u^perp."""
-        if not self._kneser_fast:
-            raise InvalidType(f"the polarity needs type {{d, d+1}} in rank 2d+1, got {self.types}")
         top, step = self._bases[1], _BUILD_CHUNK
         sigma = np.concatenate([pg.dual_index(top[c0 : c0 + step], self.field) for c0 in range(0, len(top), step)])
         return sigma.astype(np.int32), np.argsort(sigma).astype(np.int32)
@@ -601,44 +595,16 @@ class FlagUniverse:
 
     # -- adjacency -----------------------------------------------------------
 
-    def _flag_words(self, i: int) -> List[np.ndarray]:
-        """The mask words of flag i's members, one row per chain position."""
-        return [self.per_flag(pos, words, i) for pos, words in enumerate(self._table_words)]
-
-    def _general_row(self, words_a: List[np.ndarray], ids_b) -> np.ndarray:
-        """General position of the flag with member masks words_a against the
-        flags ids_b: every member pair meets trivially or spans the whole
-        space, decided once per table entry and read off through per_flag.
-        Ranks ra and rb span the space iff they meet in rank ra + rb - n,
-        which holds (q^(ra+rb-n) - 1) / (q - 1) points."""
-        q, row = self.field.q, None
-        for ra, a in zip(self.types, words_a):
-            for pos, (rb, table) in enumerate(zip(self.types, self._table_words)):
-                pc = _popcount(table & a).sum(axis=1)
-                spanning = (q ** max(ra + rb - self.n, 0) - 1) // (q - 1)
-                ok = self.per_flag(pos, (pc == 0) | (pc == spanning), ids_b)
-                row = ok if row is None else (row & ok)
-        return row
-
     def adjacency_row(self, i: int, start: int = 0) -> np.ndarray:
-        """Boolean adjacency of flag i against flags start..N-1 (self excluded)."""
+        """Boolean adjacency of flag i against flags start..N-1 (self excluded):
+        flag j is adjacent iff pi_j misses tau_i and tau_j misses pi_i."""
         later = slice(start, self._size)
-        if self._kneser_fast:
-            # flag j is adjacent iff pi_j misses tau_i and tau_j misses pi_i
-            lo, hi = self._flag_words(i)
-            meet_lo, meet_hi = _any_word(self._table_words[0] & hi), _any_word(self._table_words[1] & lo)
-            row = ~(self.per_flag(0, meet_lo, later) | self.per_flag(1, meet_hi, later))
-        else:
-            row = self._general_row(self._flag_words(i), later)
+        lo_words, hi_words = self._table_words
+        lo, hi = self.per_flag(0, lo_words, i), self.per_flag(1, hi_words, i)
+        row = ~(self.per_flag(0, _any_word(lo_words & hi), later) | self.per_flag(1, _any_word(hi_words & lo), later))
         if start <= i:
             row[i - start] = False
         return row
-
-    def count_edges(self) -> int:
-        total = 0
-        for i in range(self._size - 1):
-            total += int(np.count_nonzero(self.adjacency_row(i, i + 1)))
-        return total
 
     # -- pairwise independence over id subsets -------------------------------
 
@@ -665,14 +631,14 @@ class FlagUniverse:
         bincount per side over the point ids of every flag's pi or sigma(tau),
         _MEMBER_CHUNK flags at a time, less the group's; ties go to the first
         point.  Groups and columns come from the flags' own entries, so the
-        plan is sound for any id list.  Other types get no groups.
+        plan is sound for any id list.
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
         free = np.ones(m, dtype=bool)
         groups: List[np.ndarray] = []
         points: List[int] = []
-        if self._kneser_fast and m > 1:
+        if m > 1:
             width = self.n_words * _WORD_BITS
             sides = [self.member_ids(0, ids), self.polarity[0][self.member_ids(1, ids)]]
 
@@ -740,46 +706,37 @@ class FlagUniverse:
         """Exhaustive pair scan; returns the first adjacent (id_a, id_b) or None.
 
         "First" means smallest position pair in the given order, so callers
-        that pass canonically sorted ids get reproducible witnesses.  For type
-        {d, d+1} in rank 2d+1 the scan tests only the pairs of star_plan(ids)
-        (or of the given plan, which must come from these ids); the pairs it
-        skips are provably not adjacent, so the witness is the same as that
-        of a scan of every pair.  Its blocks run through run_blocks; each
-        reports its smallest adjacent (min, max) caller position pair, and
-        the smallest over all blocks is the row-major first pair whatever the
-        thread count.  Other types test every pair.
+        that pass canonically sorted ids get reproducible witnesses.  The
+        scan tests only the pairs of star_plan(ids) (or of the given plan,
+        which must come from these ids); the pairs it skips are provably not
+        adjacent, so the witness is the same as that of a scan of every pair.
+        Its blocks run through run_blocks; each reports its smallest adjacent
+        (min, max) caller position pair, and the smallest over all blocks is
+        the row-major first pair whatever the thread count.
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
         if m < 2:
             return None
-        if not self._kneser_fast:
-            found = self._scalar_pair_scan(ids)
-        else:
-            if plan is None:
-                plan = self.star_plan(ids)
-            elif plan.order.size != m:
-                raise InvalidArgs(f"plan covers {plan.order.size} ids, got {m}")
-            if not plan.blocks:
-                return None
-            order = plan.order
-            sub = self._gather(ids[order])
-            hits = [
-                h
-                for h in run_blocks(lambda b: self._tiled_pair_scan(sub, order, b), plan.blocks, threads)
-                if h is not None
-            ]
-            found = min(hits) if hits else None
-        if found is None:
+        if plan is None:
+            plan = self.star_plan(ids)
+        elif plan.order.size != m:
+            raise InvalidArgs(f"plan covers {plan.order.size} ids, got {m}")
+        if not plan.blocks:
             return None
-        return int(ids[found[0]]), int(ids[found[1]])
+        order = plan.order
+        sub = self._gather(ids[order])
+        run = run_blocks(lambda b: self._tiled_pair_scan(sub, order, b), plan.blocks, threads)
+        hits = [h for h in run if h is not None]
+        if not hits:
+            return None
+        a, b = min(hits)
+        return int(ids[a]), int(ids[b])
 
     def adjacent_pairs(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Every adjacent pair of ids as sorted (min, max) caller positions, for type
-        {d, d+1} in rank 2d+1: star_plan(ids) on the tiles of check_pairwise_independent.
-        Two row tiles of ids or fewer are one triangle (cheaper below about 150)."""
-        if not self._kneser_fast:
-            raise InvalidType(f"adjacent_pairs needs type {{d, d+1}} in rank 2d+1, got {self.types}")
+        """Every adjacent pair of ids as sorted (min, max) caller positions:
+        star_plan(ids) on the tiles of check_pairwise_independent.  Two row
+        tiles of ids or fewer are one triangle (cheaper below about 150)."""
         ids = np.asarray(ids, dtype=np.int64)
         plan = self.star_plan(ids) if ids.size > 2 * _TILE_ROWS else None
         order = np.arange(ids.size) if plan is None else plan.order
@@ -827,52 +784,62 @@ class FlagUniverse:
                 a, b = order[r + rs], order[c[k]]
                 yield np.minimum(a, b) * order.size + np.maximum(a, b)
 
-    # perfbench/spans.py wraps this name by attribute, so it stays as an alias;
+    # perfbench/spans.py wraps these names by attribute, so they stay, kept
+    # only for it until its spans read the package's own (ROADMAP item 1);
     # the star-pruned scan has the one kernel above
-    _row_pair_scan = _tiled_pair_scan
+    _row_pair_scan = _scalar_pair_scan = _tiled_pair_scan
 
-    def _scalar_pair_scan(self, ids: np.ndarray) -> Optional[Tuple[int, int]]:
-        # general-type fallback; only small universes take this path
-        for a in range(ids.size - 1):
-            adj = self._general_row(self._flag_words(int(ids[a])), ids[a + 1 :])
-            if adj.any():
-                return a, a + 1 + int(np.argmax(adj))
-        return None
+    def adjacent_to_any(self, i: int, ids: np.ndarray) -> bool:
+        return bool(self.adjacency_row(i)[ids].any())  # kept only for perfbench/spans.py, as above
 
     def member_bits(self, ids: Sequence[int] = ()) -> MemberBits:
-        """The member-bit tables of the flags ids (type {d, d+1} in rank 2d+1)."""
-        if not self._kneser_fast:
-            raise InvalidType(f"member bits need type {{d, d+1}} in rank 2d+1, got {self.types}")
+        """The member-bit tables of the flags ids."""
         bits = MemberBits(self)
         bits.add(ids)
         return bits
 
-    def adjacent_to_any(self, i: int, ids: np.ndarray) -> bool:
-        """True iff flag i is adjacent to at least one flag of ids.
 
-        It tests the general-position rule for every member pair, one flag
-        at a time: the reference that MemberBits.blocked is checked against.
-        """
-        return bool(self._general_row(self._flag_words(i), ids).any())
+def _general_position_rows(n: int, J: Tuple[int, ...], field: FieldSpec):
+    """(N, row) for the flags of any type J, in enumerate_flags order:
+    row(i, start) is the general position of flag i against flags
+    start..N-1, on the point-mask words of their members.  Members of ranks
+    ra and rb are in general position iff they meet in the least rank,
+    max(ra + rb - n, 0), a subspace of (q^rank - 1) / (q - 1) points."""
+    n_words, q = (len(pg.all_points(n, field)) + _WORD_BITS - 1) // _WORD_BITS, field.q
+    masks = b"".join(subspace_point_mask(s).to_bytes(8 * n_words, "little")
+                     for f in enumerate_flags(n, J, field) for s in f.chain)
+    words = np.frombuffer(masks, dtype="<u8").reshape(-1, len(J), n_words)
+    members = [np.ascontiguousarray(words[:, b]) for b in range(len(J))]
+    least = [[(q ** max(ra + rb - n, 0) - 1) // (q - 1) for rb in J] for ra in J]
+
+    def row(i: int, start: int) -> np.ndarray:
+        ok = np.ones(len(words) - start, dtype=bool)
+        for a in range(len(J)):
+            for b, member in enumerate(members):
+                meet = member[start:] & words[i, a]
+                ok &= _popcount(meet).sum(axis=1) == least[a][b] if least[a][b] else ~_any_word(meet)
+        return ok
+
+    return len(words), row
 
 
-def export_dimacs(
-    n: int,
-    J: Sequence[int],
-    field: FieldSpec,
-    out,
-    cap: int = DEFAULT_VERTEX_CAP,
-) -> FlagUniverse:
-    """Write the graph in DIMACS edge format (1-based ids in universe order)
-    to the text handle out; more than cap vertices are refused before the
-    universe is built."""
+def export_dimacs(n: int, J: Sequence[int], field: FieldSpec, out, cap: int = DEFAULT_VERTEX_CAP) -> int:
+    """Write the graph in DIMACS edge format (1-based ids in enumerate_flags
+    order) to the text handle out and return its vertex count; more than cap
+    vertices are refused before anything is built.  Type {d, d+1} in rank
+    2d+1 takes the rows of its universe, any other type those of
+    _general_position_rows.  The graph is regular, as GL(n, q) is transitive
+    on the flags of one type, so it has N * |row(0)| / 2 edges."""
     if n < 3:
         raise InvalidType("q-Kneser graphs are defined for n >= 3")
     check_cap(field.q, flag_binomials(n, J), f"vertices of type {tuple(J)} in GF({field.q})^{n}", cap)
-    universe = FlagUniverse(n, J, field)
-    out.write(f"p edge {len(universe)} {universe.count_edges()}\n")
-    for i in range(len(universe) - 1):
-        row = universe.adjacency_row(i, i + 1)
-        for j in np.nonzero(row)[0]:
-            out.write(f"e {i + 1} {i + 2 + int(j)}\n")
-    return universe
+    J = tuple(J)
+    if J == (J[0], J[0] + 1) and n == 2 * J[0] + 1:
+        universe = FlagUniverse(n, J, field)
+        size, row = len(universe), universe.adjacency_row
+    else:
+        size, row = _general_position_rows(n, J, field)
+    out.write(f"p edge {size} {size * int(np.count_nonzero(row(0, 1))) // 2}\n")
+    for i in range(size - 1):
+        out.write("".join(f"e {i + 1} {j}\n" for j in (np.flatnonzero(row(i, i + 1)) + i + 2).tolist()))
+    return size

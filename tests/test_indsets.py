@@ -129,7 +129,7 @@ def reference_pair(ids, universe):
     return None
 
 
-@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (4, (1, 2), 2)], ids=["d2-q2", "d2-q3", "n4-J12-q2"])
+@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1, 2), 3)], ids=["d2-q2", "d2-q3", "d1-q3"])
 def test_find_adjacent_pair_matches_the_oracle(n, J, q):
     field = gf.make_field(q)
     universe = kneser.FlagUniverse(n, J, field)
@@ -180,19 +180,19 @@ def test_is_maximal_empty_set(u22):
 
 
 def test_find_extension_general_type(f2):
-    # member bits, and so the maximality scan, exist for type {d, d+1} in rank 2d+1 only
-    universe = kneser.FlagUniverse(4, (1, 2), f2)
+    # member bits, and so the maximality scan, exist for type {d, d+1} in rank
+    # 2d+1 only: no other type gets as far as a universe
     with pytest.raises(InvalidType):
-        indsets.find_extension([0], universe)
+        indsets.find_extension([0], kneser.FlagUniverse(4, (1, 2), f2))
 
 
 def reference_extension(ids, universe):
-    """First flag id outside the set that extends it, tested one flag at a time."""
+    """First flag id outside the set that extends it, tested one flag at a time on its adjacency row."""
     members = np.array(sorted(set(ids)), dtype=np.int64)
     outside = np.ones(len(universe), dtype=bool)
     outside[members] = False
     for i in np.flatnonzero(outside).tolist():
-        if not universe.adjacent_to_any(i, members):
+        if not universe.adjacency_row(i)[members].any():
             return i
     return None
 

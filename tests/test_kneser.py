@@ -16,6 +16,11 @@ from qkneser.errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 from conftest import unit_rows
 
 
+def param_id(value):
+    """A test id without spaces: a type (1, 2) reads J12."""
+    return "J" + "".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def make_flag(field, n, *rowsets):
     return kneser.Flag(tuple(pg.rref(rows, n, field) for rows in rowsets))
 
@@ -131,13 +136,33 @@ def test_universe_index_roundtrip_and_determinism(f2):
         assert u_a.id_of(u_a.flag_of(i)) == i
 
 
+# every type a universe builds: {d, d+1} in rank 2d+1, at d = 2 and d = 1
+UNIVERSE_TYPES = [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1, 2), 2), (3, (1, 2), 3)]
+
+
+def has_universe(n, J):
+    return J == (J[0], J[0] + 1) and n == 2 * J[0] + 1
+
+
 @pytest.mark.parametrize(
-    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2), (5, (1, 3), 3)]
+    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2), (5, (1, 3), 3)] + UNIVERSE_TYPES[2:]
 )
 def test_universe_ids_follow_enumerate_flags(n, J, q):
     field = gf.make_field(q)
-    u = kneser.FlagUniverse(n, J, field)
-    assert [u.flag_of(i) for i in range(len(u))] == list(kneser.enumerate_flags(n, J, field))
+    flags = list(kneser.enumerate_flags(n, J, field))
+    if has_universe(n, J):
+        u = kneser.FlagUniverse(n, J, field)
+        assert [u.flag_of(i) for i in range(len(u))] == flags
+        return
+    # other types have no universe; graph export numbers their flags in
+    # enumerate_flags order all the same
+    with pytest.raises(InvalidType):
+        kneser.FlagUniverse(n, J, field)
+    size, row = kneser._general_position_rows(n, J, field)
+    assert size == len(flags)
+    for i in sorted({0, size // 2, size - 1}):
+        expected = [j != i and kneser.general_position(flags[i], g) for j, g in enumerate(flags)]
+        assert row(i, 0).tolist() == expected
 
 
 def test_id_of_inverts_flag_of(u23, f2):
@@ -171,11 +196,20 @@ def word_point_ids(universe, pos):
     return [np.flatnonzero(row).tolist() for row in bits]
 
 
-@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)])
+@pytest.mark.parametrize(
+    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)] + UNIVERSE_TYPES[2:]
+)
 def test_point_ids_match_subspace_point_ids(n, J, q):
     field = gf.make_field(q)
+    if not has_universe(n, J):
+        # other types have no tables: graph export reads the point mask of
+        # each member of each flag
+        for s in {s for f in kneser.enumerate_flags(n, J, field) for s in f.chain}:
+            mask = kneser.subspace_point_mask(s)
+            assert [b for b in range(mask.bit_length()) if mask >> b & 1] == list(pg.subspace_point_ids(s))
+        return
     universe = kneser.FlagUniverse(n, J, field)
-    tables = [table(universe, pos) for pos in range(len(J))]
+    tables = [table(universe, pos) for pos in range(2)]
     # only the lower table keeps its point ids; every table has its words
     assert universe._lower_points.tolist() == [list(pg.subspace_point_ids(s)) for s in tables[0]]
     for pos, entries in enumerate(tables):
@@ -185,9 +219,8 @@ def test_point_ids_match_subspace_point_ids(n, J, q):
     duals = [pg.dual(s) for s in tables[-1]]
     rows = np.array([s.rows for s in duals], dtype=np.uint8)
     assert pg.dual_index(universe._bases[-1], field).tolist() == pg.subspace_index(rows, q).tolist()
-    if J == ((n - 1) // 2, (n + 1) // 2):
-        dual_points = universe._lower_points[universe.polarity[0]].tolist()
-        assert dual_points == [list(pg.subspace_point_ids(s)) for s in duals]
+    dual_points = universe._lower_points[universe.polarity[0]].tolist()
+    assert dual_points == [list(pg.subspace_point_ids(s)) for s in duals]
     # a subspace of another rank, or with the same basis over another field, is in no table
     other_field = gf.make_field(3 if q == 2 else 2)
     for pos, entries in enumerate(tables):
@@ -281,9 +314,8 @@ def table_parts(universe):
         "upper_words": universe._table_words[-1],
         "lower_ids": universe.member_ids(0),
         "upper_ids": universe.member_ids(1),
+        "dual_top_words": dual_top_words(universe),
     }
-    if universe._kneser_fast:
-        arrays["dual_top_words"] = dual_top_words(universe)
     digests = {}
     for name, a in arrays.items():
         h = hashlib.sha256(repr(a.shape).encode())
@@ -306,13 +338,12 @@ def test_tables_match_golden_digest(d, q, request):
 def test_tables_do_not_depend_on_build_chunk(chunk, f2, monkeypatch):
     # each chunk of lower members reads its flags' upper ids on its own, and
     # each chunk of upper entries its sigma
-    expected = table_parts(kneser.FlagUniverse(5, (1, 3), f2))
     monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
-    assert table_parts(kneser.FlagUniverse(5, (1, 3), f2)) == expected
+    assert table_parts(kneser.FlagUniverse(5, (2, 3), f2)) == TABLE_DIGESTS[2, 2]
     assert table_parts(kneser.FlagUniverse(5, (2, 3), gf.make_field(3))) == TABLE_DIGESTS[2, 3]
 
 
-@pytest.mark.parametrize("n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 3)])
+@pytest.mark.parametrize("n,J,q", UNIVERSE_TYPES)
 def test_upper_table_is_pg_enumeration(n, J, q):
     field = gf.make_field(q)
     universe = kneser.FlagUniverse(n, J, field)
@@ -372,7 +403,7 @@ def test_flag_cap_is_read_when_called(f2, monkeypatch):
         kneser.export_dimacs(5, (2, 3), f2, io.StringIO(), cap=500)
     monkeypatch.setattr(kneser, "MAX_FLAGS", 1_085)
     out = io.StringIO()
-    assert len(kneser.export_dimacs(5, (2, 3), f2, out, cap=1_085)) == 1_085
+    assert kneser.export_dimacs(5, (2, 3), f2, out, cap=1_085) == 1_085
     assert out.getvalue().startswith("p edge 1085 ")
 
 
@@ -514,15 +545,6 @@ def test_polarity_is_the_dual_of_each_upper_entry(name, request):
     for u in upper:
         expected = list(pg.subspace_point_ids(pg.dual(universe.entry(1, u))))
         assert universe._lower_points[sigma[u]].tolist() == expected
-
-
-def test_polarity_needs_kneser_type(f2):
-    # in GF(2)^5 the duals of the rank-3 entries are lines, not lower entries
-    universe = kneser.FlagUniverse(5, (1, 3), f2)
-    with pytest.raises(InvalidType):
-        universe.polarity
-    with pytest.raises(InvalidType):
-        indsets.dual_pencil_base_candidates(range(len(universe)), universe)
 
 
 @pytest.mark.parametrize("d,q", [(2, 3), (3, 2)])
@@ -801,9 +823,9 @@ def test_descriptor_masks_allocation_bound(u32):
 
 @pytest.mark.parametrize("name", ["u22", "u23", "u32", "u13"])
 def test_flags_with_matches_definition(name, request):
-    # (1, 3) in GF(3)^5 has a gap of two ranks: 13 lower entries per upper one
+    # u13 is d = 1 over GF(3): 13 points with 4 lines each, 4 points per line
     if name == "u13":
-        universe = kneser.FlagUniverse(5, (1, 3), gf.make_field(3))
+        universe = kneser.FlagUniverse(3, (1, 2), gf.make_field(3))
     else:
         universe = request.getfixturevalue(name)
     rng = random.Random(31)
@@ -884,6 +906,49 @@ def test_export_dimacs_guards(f2):
         kneser.export_dimacs(5, (2, 3), f2, io.StringIO(), cap=100)
     with pytest.raises(InvalidType):
         kneser.export_dimacs(2, (1,), f2, io.StringIO())
+    # the vertex count is returned; no universe is built for a type other
+    # than {d, d+1} in rank 2d+1
+    assert kneser.export_dimacs(4, (1, 2), f2, io.StringIO()) == 105
+
+
+@pytest.mark.parametrize(
+    "n,J,q,edges",
+    [(5, (2, 3), 2, 138_880), (3, (1, 2), 2, 84), (3, (1,), 2, 21), (5, (1, 3), 2, 312_480), (4, (1, 2), 3, 84_240)],
+    ids=param_id,
+)
+def test_edge_count_is_closed_form(n, J, q, edges):
+    # the graph is regular, so the header's N * |row(0)| / 2 edges are the rows' sum
+    field = gf.make_field(q)
+    if has_universe(n, J):
+        universe = kneser.FlagUniverse(n, J, field)
+        size, row = len(universe), universe.adjacency_row
+    else:
+        size, row = kneser._general_position_rows(n, J, field)
+    assert sum(int(np.count_nonzero(row(i, i + 1))) for i in range(size - 1)) == edges
+    buf = io.StringIO()
+    assert kneser.export_dimacs(n, J, field, buf) == size
+    assert buf.getvalue().startswith(f"p edge {size} {edges}\n")
+
+
+# sha256 of the DIMACS text of export_dimacs: the {d, d+1} graph in rank 2d+1
+# and the other types, which take a path of their own
+DIMACS_DIGESTS = {
+    (5, (2, 3), 2): "e09aa583271f90d280c69c6d89f085b32623741c4b473131c35168936cd16a8d",
+    (3, (1,), 2): "d217999b620a330d2c10116edef62b1de12f54a43fd1358757377157e8f18a07",
+    (3, (1, 2), 2): "b3e345c4223dd26b8cf388ce82395b7f415be19bf2baf3bd40d22987ce48bc97",
+    (4, (1, 3), 2): "a07b61f302a115329793cf8501e19fc46bcaa3c30fcd9f082f940dcb94908cb2",
+    (5, (1, 3), 2): "d0532e05ed49e2b4f3eef5a232fa692c350c39b472d15d06c563f8ba0a2b06d7",
+    (4, (1, 2), 3): "2c1a59f401915aad09fa80a2b517fe69ac3c2ce2fbb74f8d4f8eeace9fcf8c48",
+    (6, (2,), 2): "f0bb32a5f82f1c31216729f12a4a5b9910013382c377465d9508b9c7e20e3dcb",
+    (5, (1,), 3): "151880d6bd394d090c1411b830a1321b2739d380e79fd0bd6bd01d4d96f3f64c",
+}
+
+
+@pytest.mark.parametrize("n,J,q", sorted(DIMACS_DIGESTS), ids=param_id)
+def test_export_dimacs_matches_golden_digest(n, J, q):
+    buf = io.StringIO()
+    kneser.export_dimacs(n, J, gf.make_field(q), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIMACS_DIGESTS[n, J, q]
 
 
 def test_make_flag_validates_nesting(f2):
@@ -999,40 +1064,41 @@ def test_member_bits_need_kneser_type(f2):
         kneser.FlagUniverse(4, (1, 2), f2).member_bits()
 
 
+@pytest.mark.parametrize("n,J", [(4, (1, 2)), (6, (2, 3)), (3, (1,)), (5, (1, 3))], ids=param_id)
+def test_universe_needs_kneser_type(n, J, f2, monkeypatch):
+    # member bits, the polarity, the pair scan and the maximality scan exist
+    # for type {d, d+1} in rank 2d+1 only; any other type is refused before
+    # the flag count is checked or a table is built
+    def not_yet(*args):
+        raise AssertionError("the type was not refused first")
+
+    for module, attr in [(kneser, "check_cap"), (pg, "subspace_rows"), (pg, "all_points")]:
+        monkeypatch.setattr(module, attr, not_yet)
+    with pytest.raises(InvalidType, match="rank 2d\\+1"):
+        kneser.FlagUniverse(n, J, f2)
+
+
 @pytest.mark.parametrize("n,J", [(4, (1, 2)), (5, (1, 2)), (4, (1, 3))])
 def test_general_type_rows_and_pair_scan_match_definition(f2, n, J):
-    universe = kneser.FlagUniverse(n, J, f2)
-    flags = list(universe)
-    size = len(flags)
+    # the rows of export_dimacs for types without a universe, and the edges
+    # it writes, which scan every pair
+    flags = list(kneser.enumerate_flags(n, J, f2))
+    size, row = kneser._general_position_rows(n, J, f2)
+    assert size == len(flags)
     oracle = np.zeros((size, size), dtype=bool)
     for i in range(size):
         for j in range(i + 1, size):
             oracle[i, j] = oracle[j, i] = kneser.general_position(flags[i], flags[j])
     for i in range(size):
-        assert np.array_equal(universe.adjacency_row(i), oracle[i])
-        assert np.array_equal(universe.adjacency_row(i, i + 1), oracle[i, i + 1 :])
-
-    def first_pair(ids):
-        for a in range(len(ids) - 1):
-            for b in range(a + 1, len(ids)):
-                if oracle[ids[a], ids[b]]:
-                    return ids[a], ids[b]
-        return None
-
-    # a greedy independent set, alone and with one more flag
-    independent = []
-    for i in range(size):
-        if not oracle[i, independent].any():
-            independent.append(i)
-    assert len(independent) > 2
-    rng = random.Random(n * 10 + J[1])
-    cases = [independent, independent + [rng.choice(range(size))]]
-    cases += [rng.sample(range(size), k) for k in (2, 5, 20, 60) for _ in range(5)]
-    cases.append(rng.sample(independent, len(independent)))
-    assert any(first_pair(ids) is None for ids in cases)
-    assert any(first_pair(ids) is not None for ids in cases)
-    for ids in cases:
-        assert universe.check_pairwise_independent(ids) == first_pair(ids)
+        assert np.array_equal(row(i, 0), oracle[i])
+        assert np.array_equal(row(i, i + 1), oracle[i, i + 1 :])
+    buf = io.StringIO()
+    kneser.export_dimacs(n, J, f2, buf)
+    header, *lines = buf.getvalue().splitlines()
+    pairs = [tuple(int(v) - 1 for v in line.split()[1:]) for line in lines]
+    assert header == f"p edge {size} {len(pairs)}"
+    assert pairs == [tuple(p) for p in np.argwhere(np.triu(oracle)).tolist()]
+    assert 0 < len(pairs) < size * (size - 1) // 2
 
 
 def arrays_in(value):
