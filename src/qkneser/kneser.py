@@ -13,8 +13,8 @@ a pair of table ids, into the tables of distinct lower and upper members.
 Each table is pg.subspace_rows of its rank, and each entry is kept once, as
 its RREF basis and its point-mask words (a lower entry also as its sorted
 point ids), made in uint8 GF(q) arithmetic; no Subspace is built.  A
-table id is pg.subspace_index of a basis: a flag lo + <w> (w a lifted point
-of the quotient) gets its upper id from its upper member's basis.  A
+table id is pg.subspace_index of a basis; the flags' upper ids come per
+pivot shape of the lower table (pg.superspace_ids), with no per-flag basis.  A
 predicate of one member (P in pi, L in tau, ...) is evaluated once per
 table entry, and the flags of the entries that hold it are read off by
 flags_with, as sorted ids.  A closed-form flag count above MAX_FLAGS is
@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import pg, qcalc
-from .pg import _add, _mul, _neg
+from .pg import _add, _mul
 from .errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 from .gf import FieldSpec
 from ._parallel import run_blocks
@@ -67,8 +67,13 @@ MAX_FLAGS = 1_000_000
 _WORD = np.uint64
 _WORD_BITS = 64
 
-# lower members per step of the universe build; bounds its scratch arrays
+# table entries per step of the universe build; bounds its scratch arrays
 _BUILD_CHUNK = 256
+
+# upper entries per pg.dual_index call of FlagUniverse.polarity: its per-call
+# cost shows at 256, and its scratch, made on top of a verify's class sets,
+# raised the (3,2) verify peak RSS from 1024 on
+_DUAL_CHUNK = 512
 
 # pairs per pair-scan block: a few blocks per star group for run_blocks to
 # share out, each long enough that its per-call cost does not show
@@ -304,31 +309,6 @@ def _word_bits(words: np.ndarray, num_points: int) -> np.ndarray:
     return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, count=num_points, bitorder="little")
 
 
-def _upper_ids(field: FieldSpec, rows: np.ndarray, quotient: np.ndarray) -> np.ndarray:
-    """The upper table ids (pg.subspace_rows order) of the flags' upper members.
-
-    Flag t * K + j joins the lower basis rows[t] (RREF) with the lift of the
-    quotient basis quotient[j].  rows[t] reduced at the pivot columns of the
-    lifted rows, with those rows, is its upper member's RREF basis up to row
-    order, and pg.subspace_index reads its id off that; _BUILD_CHUNK lower
-    members at a time, so no per-flag basis is ever held.
-    """
-    K, gap = quotient.shape[:2]
-    ids = []
-    for c0 in range(0, len(rows), _BUILD_CHUNK):
-        r = rows[c0 : c0 + _BUILD_CHUNK]
-        c = len(r)
-        w = np.zeros((c,) + quotient.shape[:2] + r.shape[2:], dtype=np.uint8)  # (c, K, gap, n)
-        np.put_along_axis(w, pg._free_columns(r)[:, None, None, :], quotient, axis=-1)  # the lifted rows
-        pivots = np.argmax(w != 0, axis=-1)  # each row of w is zero at the others' pivots
-        reduced = np.broadcast_to(r[:, None], (c, K) + r.shape[1:])
-        for i in range(gap):
-            coef = _neg(field, r[np.arange(c)[:, None], :, pivots[:, :, i]])
-            reduced = _add(field, reduced, _mul(field, coef[..., None], w[:, :, i, None, :]))
-        ids.append(pg.subspace_index(np.concatenate((reduced, w), axis=2), field.q).ravel())
-    return np.concatenate(ids)
-
-
 class MemberBits:
     """Adjacency to a growing member set, tested on the two member tables.
 
@@ -456,16 +436,13 @@ class FlagUniverse:
         self.num_points = len(pg.all_points(n, field))
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
-        lows = pg.subspace_rows(n, d, field)
-        # the upper members over a lower one, in enumerate_superspaces order:
-        # its joins with the lifted points of the quotient GF(q)^(d+1)
-        quotient = np.array(pg.all_points(d + 1, field), dtype=np.uint8)[:, None]
-        self._per_lower = len(quotient)
-        self._upper = _upper_ids(field, lows, quotient)
-        self._bases = [lows, pg.subspace_rows(n, d + 1, field)]
-        self._lower_points, words = _span_points(field, lows, self.n_words)
+        # the upper members over a lower one, in enumerate_superspaces order
+        self._per_lower = len(pg.all_points(d + 1, field))
+        self._upper = pg.superspace_ids(n, d, field)
+        self._size = len(self._upper)
+        self._bases = [pg.subspace_rows(n, d, field), pg.subspace_rows(n, d + 1, field)]
+        self._lower_points, words = _span_points(field, self._bases[0], self.n_words)
         self._table_words = [words, _span_points(field, self._bases[1], self.n_words, keep_ids=False)[1]]
-        self._size = len(lows) * self._per_lower
         self._entries: List[dict] = [{}, {}]
         self._through = None
 
@@ -573,7 +550,7 @@ class FlagUniverse:
     @cached_property
     def polarity(self) -> Tuple[np.ndarray, np.ndarray]:
         """(sigma, its inverse), int32, built lazily: sigma[u] is the lower id of tau_u^perp."""
-        top, step = self._bases[1], _BUILD_CHUNK
+        top, step = self._bases[1], _DUAL_CHUNK
         sigma = np.concatenate([pg.dual_index(top[c0 : c0 + step], self.field) for c0 in range(0, len(top), step)])
         return sigma.astype(np.int32), np.argsort(sigma).astype(np.int32)
 
@@ -841,5 +818,6 @@ def export_dimacs(n: int, J: Sequence[int], field: FieldSpec, out, cap: int = DE
         size, row = _general_position_rows(n, J, field)
     out.write(f"p edge {size} {size * int(np.count_nonzero(row(0, 1))) // 2}\n")
     for i in range(size - 1):
-        out.write("".join(f"e {i + 1} {j}\n" for j in (np.flatnonzero(row(i, i + 1)) + i + 2).tolist()))
+        p, js = f"e {i + 1} ", (np.flatnonzero(row(i, i + 1)) + i + 2).tolist()
+        out.write(p + ("\n" + p).join(map(str, js)) + "\n" if js else "")
     return size

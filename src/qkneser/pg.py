@@ -7,8 +7,9 @@ rank is used throughout; projective dimension (rank - 1) only shows up in
 reporting layers.
 
 _shapes writes the enumeration order of the rank-r bases once:
-subspace_rows lists them in it, and subspace_index maps a basis back to
-its position, in closed form.
+subspace_rows lists them in it, subspace_index maps a basis back to its
+position, in closed form, and superspace_ids reads the positions of their
+joins with the quotient points off it per pivot shape.
 
 Row reduction has one table-driven implementation for every q.  Only
 join_rank packs GF(2) rows into ints (one per row, kept on the Subspace),
@@ -294,6 +295,36 @@ def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
     return np.concatenate(list(_subspace_row_blocks(n, r, field)))
 
 
+def superspace_ids(n: int, r: int, field: FieldSpec) -> np.ndarray:
+    """ids[t * K + j]: the rank-(r + 1) subspace_index of basis t (subspace_rows
+    order) joined with the lift w_j onto its free columns of point j of the K
+    points of GF(q)^(n-r), in enumerate_superspaces order.  Over a pivot shape
+    s, w_j, its pivot p_j and the upper shape are fixed; row k of basis
+    first[s] + x is the k-th group of base-q digits of x, a vector v on the free
+    columns, which reduced at p_j adds table[k, v, j]: a broadcast sum."""
+    q = field.q
+    pivots, _, first, lower_place = _shapes(n, r, q)
+    uppers, _, up_first, place = _shapes(n, r + 1, q)
+    points = np.array(all_points(n - r, field), dtype=np.uint8)
+    K, lead = len(points), np.argmax(points != 0, axis=1)
+    vecs = np.array(list(product(range(q), repeat=n - r)), dtype=np.uint8)  # in code order
+    reduced = _add(field, vecs[:, None], _mul(field, _neg(field, vecs[:, lead])[..., None], points))
+    ids = np.empty(gauss(n, r, q) * K, dtype=up_first.dtype)
+    for shape, start, digits in zip(pivots, first.tolist(), lower_place):
+        free = np.array([c for c in range(n) if c not in shape])
+        lifted = free[lead]  # p_j
+        up = np.array([uppers.index(tuple(sorted(shape + (p,)))) for p in lifted.tolist()])
+        # values[j, k, f]: the place value of free column f in row k of upper shape up[j]
+        values = place[up[:, None, None], np.array(shape)[:, None], free]
+        table = np.einsum("vjf,jkf->kvj", reduced, values)
+        sizes = q ** np.count_nonzero(digits[list(shape)], axis=1)
+        out = ids[start * K : (start + int(sizes.prod())) * K].reshape(tuple(sizes) + (K,))
+        out[...] = up_first[up] + (points * place[up[:, None], lifted[:, None], free]).sum(axis=1, dtype=ids.dtype)
+        for k, size in enumerate(sizes.tolist()):
+            out += table[k, :size].reshape((1,) * k + (size,) + (1,) * (r - 1 - k) + (K,))
+    return ids
+
+
 @lru_cache(maxsize=None)
 def _field_arrays(field: FieldSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GF(q) addition and multiplication tables, and the inverses (0 at 0), as uint8 arrays."""
@@ -323,24 +354,20 @@ def _neg(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     return a if field.p == 2 else _mul(field, np.uint8(field.p - 1), a)
 
 
-def _free_columns(rows: np.ndarray) -> np.ndarray:
-    """The non-pivot columns (..., n - j), increasing, of the (..., j, n) RREF bases rows."""
-    is_free = np.ones(rows.shape[:-2] + rows.shape[-1:], dtype=bool)
-    np.put_along_axis(is_free, np.argmax(rows != 0, axis=-1), False, axis=-1)
-    return np.nonzero(is_free)[-1].reshape(is_free.shape[:-1] + (-1,))
-
-
 def dual_index(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
     """The subspace_index of the orthogonal complement of each (N, j, n) RREF
     basis, spanned as dual has it before its RREF (per non-pivot column c, e_c
     with -bases[i][c] at the pivot of row i; the free columns are read once)
     and reduced: step i moves the row with the leftmost leading column among
     rows i.. to row i, scales that column to 1 and clears it in the others."""
-    free, at = _free_columns(bases), np.arange(len(bases))
+    pivots, at = np.argmax(bases != 0, axis=-1), np.arange(len(bases))
+    is_free = np.ones(bases.shape[::2], dtype=bool)
+    np.put_along_axis(is_free, pivots, False, axis=-1)
+    free = np.nonzero(is_free)[1].reshape(len(bases), -1)  # the non-pivot columns, increasing
     coef = np.take_along_axis(bases, free[:, None, :], axis=-1)  # bases[i][c]
     rows = np.zeros((len(bases), free.shape[1], bases.shape[2]), dtype=np.uint8)
     np.put_along_axis(rows, free[:, :, None], 1, axis=-1)
-    np.put_along_axis(rows, np.argmax(bases != 0, axis=-1)[:, None, :], _neg(field, coef).transpose(0, 2, 1), axis=-1)
+    np.put_along_axis(rows, pivots[:, None, :], _neg(field, coef).transpose(0, 2, 1), axis=-1)
     for i in range(rows.shape[1]):
         lead = np.argmax(rows[:, i:] != 0, axis=-1)
         r = np.argmin(lead, axis=-1)

@@ -145,7 +145,11 @@ def has_universe(n, J):
 
 
 @pytest.mark.parametrize(
-    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2), (5, (1, 3), 3)] + UNIVERSE_TYPES[2:]
+    "n,J,q",
+    [(5, (2, 3), 2), (5, (2, 3), 3), (3, (1,), 2), (5, (1, 3), 2), (5, (1, 3), 3)]
+    + UNIVERSE_TYPES[2:]
+    # every other field order, the table arithmetic of q = 4, 8 and 9 included
+    + [(3, (1, 2), q) for q in (4, 5, 7, 8, 9)],
 )
 def test_universe_ids_follow_enumerate_flags(n, J, q):
     field = gf.make_field(q)
@@ -259,6 +263,22 @@ def test_universe_build_makes_no_flags(monkeypatch):
         subspaces.clear()
 
 
+def test_universe_build_makes_no_index_lookups(monkeypatch):
+    # the upper ids come per pivot shape (pg.superspace_ids), not from a
+    # subspace_index of each flag's upper basis
+    calls = []
+    index = pg.subspace_index
+
+    def counting(*args):
+        calls.append(1)
+        return index(*args)
+
+    monkeypatch.setattr(pg, "subspace_index", counting)
+    for n, J, q in [(5, (2, 3), 3), (7, (3, 4), 2)]:
+        kneser.FlagUniverse(n, J, gf.make_field(q))
+    assert not calls
+
+
 def test_id_of_inverts_flag_of_on_a_sample(u32):
     rng = random.Random(32)
     for i in rng.sample(range(len(u32)), 300):
@@ -336,11 +356,14 @@ def test_tables_match_golden_digest(d, q, request):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_tables_do_not_depend_on_build_chunk(chunk, f2, monkeypatch):
-    # each chunk of lower members reads its flags' upper ids on its own, and
-    # each chunk of upper entries its sigma
+    # each chunk of entries is spanned on its own, and each chunk of upper
+    # entries reads its sigma on its own
     monkeypatch.setattr(kneser, "_BUILD_CHUNK", chunk)
+    monkeypatch.setattr(kneser, "_DUAL_CHUNK", chunk)
     assert table_parts(kneser.FlagUniverse(5, (2, 3), f2)) == TABLE_DIGESTS[2, 2]
     assert table_parts(kneser.FlagUniverse(5, (2, 3), gf.make_field(3))) == TABLE_DIGESTS[2, 3]
+    if chunk == 7:
+        assert table_parts(kneser.FlagUniverse(5, (2, 3), gf.make_field(4))) == TABLE_DIGESTS[2, 4]
 
 
 @pytest.mark.parametrize("n,J,q", UNIVERSE_TYPES)
@@ -373,8 +396,8 @@ def test_table_ids_of_refuses_non_canonical_bases(u22):
 def test_array_field_ops_match_field_spec(q):
     field = gf.make_field(q)
     a = np.arange(q, dtype=np.uint8)
-    sums, products = kneser._add(field, a[:, None], a[None, :]), kneser._mul(field, a[:, None], a[None, :])
-    negs = kneser._neg(field, a)
+    sums, products = pg._add(field, a[:, None], a[None, :]), pg._mul(field, a[:, None], a[None, :])
+    negs = pg._neg(field, a)
     for got in (sums, products, negs):
         assert got.dtype == np.uint8
     assert sums.tolist() == [[field.add(x, y) for y in range(q)] for x in range(q)]
