@@ -15,8 +15,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
+from . import _numpy as np
 from . import __version__, _parallel, cover, explore, gf, indsets, kneser, pg, qcalc
 from .errors import InvalidArgs, QKneserError
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from . import _numpy as np
 from . import pg, qcalc
 from .errors import InvalidDescriptor, MalformedCertificate
 from .gf import make_field

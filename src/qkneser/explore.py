@@ -37,8 +37,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
+from . import _numpy as np
 from . import _parallel, indsets, qcalc
 from .errors import InvalidArgs, NotIndependent
 from .gf import make_field
@@ -146,13 +145,14 @@ def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
     cols = np.empty((2 * w, free.size), dtype=np.uint64)  # lo words, then hi words; "clip" takes unbuffered
     for pos, words in enumerate(universe._table_words):
         np.take(words.T, universe.member_ids(pos, free), axis=1, out=cols[pos * w : pos * w + w], mode="clip")
+    swap = np.roll(np.arange(2 * w), w)  # hi rows, then lo rows
     keep = []
     alive = np.arange(free.size)
     while alive.size:
         k, rest = alive[0], alive[1:]
         keep.append(k)
         meets = np.take(cols, rest, axis=1)
-        meets &= np.roll(cols[:, k], w)[:, None]  # flag k's hi words, then its lo words
+        meets &= cols[swap, k][:, None]  # flag k's hi words, then its lo words
         alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
     return free[keep]
 

@@ -24,11 +24,9 @@ build, the definitional construction, and in the JSON writer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import numpy as np
-
+from . import _numpy as np
 from . import pg, qcalc
 from ._parallel import run_blocks  # unused here; perfbench/spans.py wraps this name
 from .errors import InvalidArgs, InvalidDescriptor
@@ -275,14 +273,6 @@ def build(desc: IndSetDescriptor) -> SplitSet:
             if not pg.contains(h, hi):
                 special.add(Flag((low, hi)))
     return SplitSet(generic=generic, special=frozenset(special))
-
-
-def family_size_bound(d: int, q: int) -> int:
-    """Largest family size allowed by the strict bound (1+1/q) th_{d-2} th_{d-1}^{d-1}."""
-    if d < 2:
-        raise InvalidDescriptor(f"d must be >= 2, got {d}")
-    bound = (1 + Fraction(1, q)) * qcalc.theta(d - 2, q) * qcalc.theta(d - 1, q) ** (d - 1)
-    return (bound.numerator - 1) // bound.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, prod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import _numpy as np
 from . import pg, qcalc
 from .pg import _add, _mul
 from .errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
@@ -64,7 +63,7 @@ DEFAULT_VERTEX_CAP = 20_000
 # 629,486 flags fits; (2,7), (3,3) and (4,2) do not
 MAX_FLAGS = 1_000_000
 
-_WORD = np.uint64
+_WORD = "uint64"
 _WORD_BITS = 64
 
 # table entries per step of the universe build; bounds its scratch arrays
@@ -85,9 +84,12 @@ _TILE_ROWS, _TILE_COLS = 64, 2048
 # members per step of MemberBits.add; bounds its scratch arrays
 _MEMBER_CHUNK = 4096
 
-# bit k of a word as a uint64 weight: MemberBits.add inserts a run of members
-# as one weighted sum
-_BIT_WEIGHTS = np.left_shift(_WORD(1), np.arange(_WORD_BITS, dtype=_WORD))
+
+@lru_cache(maxsize=None)
+def _bit_weights() -> np.ndarray:
+    """Bit k of a word as a uint64 weight: MemberBits.add inserts a run of
+    members as one weighted sum."""
+    return np.left_shift(np.uint64(1), np.arange(_WORD_BITS, dtype=_WORD))
 
 
 class Flag:
@@ -167,23 +169,6 @@ def enumerate_flags(n: int, J: Sequence[int], field: FieldSpec) -> Iterator[Flag
             yield Flag((lo, hi))
 
 
-def make_flag(subspaces: Iterable[pg.Subspace]) -> Flag:
-    """Build a flag from canonical subspaces, validating nesting."""
-    chain = tuple(sorted(subspaces, key=lambda s: s.rank))
-    if not chain:
-        raise InvalidType("empty flag")
-    _validate_type(chain[0].n, tuple(s.rank for s in chain))
-    for lo, hi in zip(chain, chain[1:]):
-        if not pg.contains(hi, lo):
-            raise InvalidType("flag members are not nested")
-    return Flag(chain)
-
-
-def dual_flag(f: Flag) -> Flag:
-    """Memberwise orthogonal complement; reverses the chain order."""
-    return Flag(tuple(pg.dual(s) for s in reversed(f.chain)))
-
-
 def general_position(f1: Flag, f2: Flag) -> bool:
     """Definition-level adjacency test via matrix ranks (the slow oracle)."""
     if f1.n != f2.n or f1.chain[0].field.q != f2.chain[0].field.q:
@@ -212,14 +197,10 @@ def subspace_point_mask(s: pg.Subspace) -> int:
 # bulk machinery
 
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
+    if hasattr(np, "bitwise_count"):  # numpy 2.0 on
         return np.bitwise_count(arr).astype(np.int64)
-    b = arr.view(np.uint8).reshape(arr.shape + (8,))
-    return _POP8[b].sum(axis=-1, dtype=np.int64)
+    return np.unpackbits(arr.view(np.uint8).reshape(arr.shape + (8,)), axis=-1).sum(axis=-1, dtype=np.int64)
 
 
 def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
@@ -257,7 +238,7 @@ def _holds(words: np.ndarray, tids: np.ndarray, p: int) -> np.ndarray:
     """Whether entry tids[i] of the table with mask words words holds point p;
     a gather from the flat table, as np.take of a column first copies it."""
     flat = tids.astype(np.intp) * words.shape[1] + p // _WORD_BITS
-    return words.ravel().take(flat) & _BIT_WEIGHTS[p % _WORD_BITS] != 0
+    return words.ravel().take(flat) & _bit_weights()[p % _WORD_BITS] != 0
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -370,7 +351,7 @@ class MemberBits:
                     # integer loop runs about twice as fast as np.dot here
                     w, b = divmod(self.size + k, _WORD_BITS)
                     run = apart[inv[k : k + _WORD_BITS - b]]
-                    weights = _BIT_WEIGHTS[b : b + run.shape[0]]
+                    weights = _bit_weights()[b : b + run.shape[0]]
                     bits[:, w] |= np.einsum("i,ij->j", weights, run.view(np.uint8))
                     k += run.shape[0]
             self.size += chunk.size

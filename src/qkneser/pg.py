@@ -6,10 +6,13 @@ tuples are equal, so subspaces are hashable dictionary keys.  Vector-space
 rank is used throughout; projective dimension (rank - 1) only shows up in
 reporting layers.
 
-_shapes writes the enumeration order of the rank-r bases once:
-subspace_rows lists them in it, subspace_index maps a basis back to its
-position, in closed form, and superspace_ids reads the positions of their
-joins with the quotient points off it per pivot shape.
+_order writes the enumeration order of the rank-r bases once, in pure
+Python: enumerate_subspaces yields them in it, and _shapes turns it into the
+arrays of the tables.  subspace_rows lists them in it, subspace_index maps a
+basis back to its position, in closed form, and superspace_ids reads the
+positions of their joins with the quotient points off it per pivot shape.
+The exact layer (Subspace, the lattice operations, the enumerations) never
+touches an array, so numpy loads only once a table is built.
 
 Row reduction has one table-driven implementation for every q.  Only
 join_rank packs GF(2) rows into ints (one per row, kept on the Subspace),
@@ -23,8 +26,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import DimensionMismatch, InvalidArgs, TooLarge
 from .gf import FieldSpec
 from .qcalc import gauss
@@ -125,11 +127,6 @@ def rref(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> Subspace:
     return Subspace(field, n, _rref_generic(rows, n, field))
 
 
-def rank_of_rows(rows: Sequence[Sequence[int]], n: int, field: FieldSpec) -> int:
-    """Matrix rank over GF(q)."""
-    return len(_rref_generic(rows, n, field))
-
-
 def join_rank(a: Subspace, b: Subspace) -> int:
     """rank(a + b) by row reduction of b's basis against a's.
 
@@ -225,28 +222,45 @@ def contains(a: Subspace, b: Subspace) -> bool:
 # enumeration
 
 
-# bases per block of _subspace_row_blocks; bounds the memory of a lazy enumeration
+# bases per step of subspace_rows; bounds its scratch arrays
 _ROW_BLOCK = 1 << 14
+
+# enumerate_subspaces holds the options of a pivot shape's last rows with at
+# most this many each, and makes the rows before them again per pass: a row
+# can have q^(n-r) options, so this bounds its memory
+_HELD_OPTIONS = 1 << 12
 
 
 @lru_cache(maxsize=None)
-def _shapes(n: int, r: int, q: int) -> Tuple[List[Tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
-    """The order of the rank-r RREF bases of GF(q)^n, written once, per pivot
-    shape s in lexicographic order: (pivots, keys, first, place).  Basis
-    first[s] + k holds the base-q digits of k in its free entries (row-major,
-    pivot columns left out), the first the most significant; place[s, p, c]
-    is the place value of the free entry in column c of the row with pivot
-    p, else 0.  keys[s] = -sum(2^(n-1-p) over its pivots p) ascend.  Indices
-    are int32 when all fit; past int64 the bases are refused, by the
-    exponent alone when it is large."""
+def _order(n: int, r: int, q: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]], ...]:
+    """The order of the rank-r RREF bases of GF(q)^n, written once: per
+    pivot shape s, in combinations order, (s, free), where free lists the
+    free entries (p, c), column c of the row with pivot p, row-major with
+    the pivot columns left out.  The k-th basis of s holds the base-q digits
+    of k in its free entries, the first the most significant.  More than
+    2^63 bases exceed an int64 index and are refused, by the exponent alone
+    when it is large."""
     if not 0 <= r <= n:
         raise InvalidArgs(f"need 0 <= r <= n, got r={r}, n={n}")
     if r * (n - r) >= 63 or gauss(n, r, q) >= 1 << 63:
         raise TooLarge(f"more than 2^63 subspaces of rank {r} in GF({q})^{n} exceed an int64 index")
-    pivots = list(combinations(range(n), r))
+    return tuple(
+        (shape, tuple((p, c) for p in shape for c in range(p + 1, n) if c not in shape))
+        for shape in combinations(range(n), r)
+    )
+
+
+@lru_cache(maxsize=None)
+def _shapes(n: int, r: int, q: int) -> Tuple[List[Tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+    """_order as arrays, per pivot shape s: (pivots, keys, first, place).
+    Basis first[s] + k is the k-th of s; place[s, p, c] is the place value
+    of the free entry in column c of the row with pivot p, else 0.  keys[s]
+    = -sum(2^(n-1-p) over its pivots p) ascend.  Indices are int32 when all
+    fit."""
+    order = _order(n, r, q)
+    pivots = [shape for shape, _ in order]
     place = np.zeros((len(pivots), n, n), dtype=np.int32 if gauss(n, r, q) < 1 << 31 else np.int64)
-    for s, shape in enumerate(pivots):
-        free = [(p, c) for p in shape for c in range(p + 1, n) if c not in shape]
+    for s, (_, free) in enumerate(order):
         for e, (p, c) in enumerate(reversed(free)):
             place[s, p, c] = q**e
     sizes = q ** np.count_nonzero(place, axis=(1, 2)).astype(place.dtype)
@@ -255,20 +269,6 @@ def _shapes(n: int, r: int, q: int) -> Tuple[List[Tuple[int, ...]], np.ndarray, 
     bits = [sum(1 << (n - 1 - p) for p in shape) for shape in pivots] if len(pivots) > 1 else [0]
     keys = -np.array(bits, dtype=np.int64)
     return pivots, keys, first, place
-
-
-def _subspace_row_blocks(n: int, r: int, field: FieldSpec) -> Iterator[np.ndarray]:
-    """subspace_rows in (k, r, n) uint8 blocks of at most _ROW_BLOCK bases."""
-    pivots, _, first, place = _shapes(n, r, field.q)
-    for shape, size, digits in zip(pivots, np.diff(first, append=gauss(n, r, field.q)).tolist(), place):
-        digits = digits[list(shape)]  # row i has pivot shape[i]
-        i, c = np.nonzero(digits)
-        for k0 in range(0, size, _ROW_BLOCK):
-            k = np.arange(k0, min(k0 + _ROW_BLOCK, size), dtype=np.int64)
-            block = np.zeros((k.size, r, n), dtype=np.uint8)
-            block[:, np.arange(r), list(shape)] = 1
-            block[:, i, c] = k[:, None] // digits[i, c] % field.q
-            yield block
 
 
 def subspace_index(rows: np.ndarray, q: int) -> np.ndarray:
@@ -291,8 +291,18 @@ def subspace_index(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
-    """The (N, r, n) uint8 RREF bases of all rank-r subspaces, in enumerate_subspaces order."""
-    return np.concatenate(list(_subspace_row_blocks(n, r, field)))
+    """The (N, r, n) uint8 RREF bases of all rank-r subspaces, in _order,
+    their free entries set _ROW_BLOCK bases at a time."""
+    pivots, _, first, place = _shapes(n, r, field.q)
+    out = np.zeros((gauss(n, r, field.q), r, n), dtype=np.uint8)
+    for shape, start, stop, digits in zip(pivots, first.tolist(), first[1:].tolist() + [len(out)], place):
+        digits = digits[list(shape)]  # row i has pivot shape[i]
+        i, c = np.nonzero(digits)
+        out[start:stop, np.arange(r), list(shape)] = 1
+        for k0 in range(0, stop - start, _ROW_BLOCK):
+            k = np.arange(k0, min(k0 + _ROW_BLOCK, stop - start), dtype=np.int64)
+            out[start + k0 : start + k0 + k.size, i, c] = k[:, None] // digits[i, c] % field.q
+    return out
 
 
 def superspace_ids(n: int, r: int, field: FieldSpec) -> np.ndarray:
@@ -381,11 +391,37 @@ def dual_index(bases: np.ndarray, field: FieldSpec) -> np.ndarray:
     return subspace_index(rows, field.q)
 
 
+def _row(n: int, p: int, cols: Sequence[int], digits: Sequence[int]) -> Row:
+    """The basis row with pivot p and the digits in its free columns cols."""
+    row = [0] * n
+    row[p] = 1
+    for c, x in zip(cols, digits):
+        row[c] = x
+    return tuple(row)
+
+
 def enumerate_subspaces(n: int, r: int, field: FieldSpec) -> Iterator[Subspace]:
-    """All rank-r subspaces of GF(q)^n, each exactly once, in _shapes order."""
-    for block in _subspace_row_blocks(n, r, field):
-        for rows in block.tolist():
-            yield Subspace(field, n, tuple(map(tuple, rows)))
+    """All rank-r subspaces of GF(q)^n, each exactly once, in _order (whose
+    refusal comes before the first).  A row's free entries are adjacent in the
+    digits, so a pivot shape's bases are the product of its rows' options
+    (product takes the first the most significant); see _HELD_OPTIONS."""
+    q = field.q
+    for shape, free in _order(n, r, q):
+        cols = [[c for p, c in free if p == pivot] for pivot in shape]
+        k = r
+        while k and q ** len(cols[k - 1]) <= _HELD_OPTIONS:
+            k -= 1
+        held = [
+            tuple(_row(n, p, cs, x) for x in product(range(q), repeat=len(cs))) for p, cs in zip(shape[k:], cols[k:])
+        ]
+        for digits in product(range(q), repeat=sum(map(len, cols[:k]))):
+            head, at = [], 0
+            for p, cs in zip(shape[:k], cols[:k]):
+                head.append(_row(n, p, cs, digits[at : at + len(cs)]))
+                at += len(cs)
+            head = tuple(head)
+            for tail in product(*held):
+                yield Subspace(field, n, head + tail)
 
 
 def _extend_rref(rows: Tuple[Row, ...], w: Sequence[int], fld: FieldSpec) -> Tuple[Row, ...]:

@@ -1,6 +1,6 @@
 import pytest
 
-from qkneser import gf, kneser
+from qkneser import gf, kneser, pg
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,8 @@ def u32(f2):
 
 def unit_rows(n):
     return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+
+
+def dual_flag(f):
+    """The memberwise orthogonal complement of a flag, its chain reversed."""
+    return kneser.Flag(tuple(pg.dual(s) for s in reversed(f.chain)))

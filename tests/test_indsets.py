@@ -7,7 +7,7 @@ from qkneser import explore, gf, indsets, kneser, pg, qcalc
 from qkneser.errors import InvalidArgs, InvalidDescriptor, InvalidType
 from qkneser.indsets import UNSTRUCTURED, IndSetDescriptor
 
-from conftest import unit_rows
+from conftest import dual_flag, unit_rows
 
 
 def standard_objects(field, d):
@@ -274,7 +274,7 @@ def test_id_taking_functions_reject_non_integer_ids(fn, u22):
 def test_classify_dualized_point_line(f2, u22):
     p, ell, _ = standard_objects(f2, 2)
     split = indsets.build(indsets.point_line(p, ell))
-    dual_set = {kneser.dual_flag(f) for f in split.all}
+    dual_set = {dual_flag(f) for f in split.all}
     result = indsets.classify(u22.ids_of(list(dual_set)), u22)
     assert isinstance(result, IndSetDescriptor)
     assert result.variant == "hyperplane_family"
@@ -373,20 +373,9 @@ def test_dualize_descriptor_involution(f2):
 def test_duality_flagwise_matches_descriptor_dual(f2):
     p, ell, _ = standard_objects(f2, 2)
     desc = indsets.point_line(p, ell)
-    flagwise = {kneser.dual_flag(f) for f in indsets.build(desc).all}
+    flagwise = {dual_flag(f) for f in indsets.build(desc).all}
     descriptor = indsets.build(indsets.dualize_descriptor(desc)).all
     assert flagwise == descriptor
-
-
-def test_family_size_bound():
-    assert indsets.family_size_bound(2, 2) == 4  # bound 4.5, strict
-    assert indsets.family_size_bound(3, 2) == 220  # bound 220.5, strict
-    prev = None
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        val = indsets.family_size_bound(2, q)
-        if prev is not None:
-            assert val >= prev
-        prev = val
 
 
 def test_descriptor_validation_errors(f2, f3):

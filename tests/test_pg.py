@@ -143,10 +143,11 @@ def documented_key(rows, n):
     return pivots, free
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
 def test_subspace_rows_count_canonical_and_order(q):
+    # the pure-Python enumeration against the tables, at every q
     fld = gf.make_field(q)
-    for n in range(1, 6 if q < 9 else 4):
+    for n in range(1, 6 if q < 7 else 5):
         for r in range(n + 1):
             rows = pg.subspace_rows(n, r, fld)
             assert rows.shape == (qcalc.gauss(n, r, q), r, n) and rows.dtype == np.uint8
@@ -154,7 +155,20 @@ def test_subspace_rows_count_canonical_and_order(q):
             assert all(pg.is_canonical_rows(basis, n, fld) for basis in bases)
             keys = [documented_key(basis, n) for basis in bases]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            assert [s.rows for s in pg.enumerate_subspaces(n, r, fld)] == [tuple(b) for b in bases]
+            enumerated = [s.rows for s in pg.enumerate_subspaces(n, r, fld)]
+            assert enumerated == [tuple(b) for b in bases]
+            index = pg.subspace_index(np.array(enumerated, dtype=np.uint8).reshape(rows.shape), q)
+            assert np.array_equal(index, np.arange(len(rows)))
+
+
+def test_enumeration_holds_few_options_of_a_long_row(f2, f3, monkeypatch):
+    # rows with more options than _HELD_OPTIONS are made per basis, in the same order
+    whole = {(n, r, fld.q): [s.rows for s in pg.enumerate_subspaces(n, r, fld)]
+             for n, r, fld in [(5, 1, f2), (5, 2, f3), (6, 3, f2)]}
+    for limit in (0, 2, 8):
+        monkeypatch.setattr(pg, "_HELD_OPTIONS", limit)
+        for (n, r, q), rows in whole.items():
+            assert [s.rows for s in pg.enumerate_subspaces(n, r, gf.make_field(q))] == rows
 
 
 @pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
