@@ -356,7 +356,7 @@ def dual_pencil_base_candidates(ids: Iterable[int], universe: FlagUniverse) -> L
 def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
     """Which entries of a table (rows of point-mask words) hold s: those with
     the bit of each of its basis rows, which are normalized and so are points."""
-    points = [pg.point_index(universe.n, universe.field)[row] for row in s.rows]
+    points = pg.point_ids(np.array(s.rows, dtype=np.uint8), universe.field.q).tolist()
     return np.logical_and.reduce([words[:, p // 64] & np.uint64(1 << p % 64) != 0 for p in points])
 
 

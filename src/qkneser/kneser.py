@@ -12,15 +12,15 @@ FlagUniverse numbers the flags of one graph without holding them: a flag is
 a pair of table ids, into the tables of distinct lower and upper members.
 Each table is pg.subspace_rows of its rank, and each entry is kept once, as
 its RREF basis and its point-mask words (a lower entry also as its sorted
-point ids), made in uint8 GF(q) arithmetic; no Subspace is built.  A
-table id is pg.subspace_index of a basis; the flags' upper ids come per
-pivot shape of the lower table (pg.superspace_ids), with no per-flag basis.  A
-predicate of one member (P in pi, L in tau, ...) is evaluated once per
-table entry, and the flags of the entries that hold it are read off by
-flags_with, as sorted ids.  A closed-form flag count above MAX_FLAGS is
-refused first.  The polarity maps upper entry tau to the lower id of
-tau^perp (sigma, by pg.dual_index) and back, so the dual side of a check
-reads the lower table.
+point ids), each point spanned once, in id order, and numbered in closed
+form (pg.point_ids); no Subspace is built.  A table id is pg.subspace_index
+of a basis; the flags' upper ids come per pivot shape of the lower table
+(pg.superspace_ids), with no per-flag basis.  A predicate of one member (P
+in pi, L in tau, ...) is evaluated once per table entry, and the flags of
+the entries that hold it are read off by flags_with, as sorted ids.  A
+closed-form flag count above MAX_FLAGS is refused first.  The polarity maps
+upper entry tau to the lower id of tau^perp (sigma, by pg.dual_index) and
+back, so the dual side of a check reads the lower table.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  It first groups
 the flags into stars: flags whose lower members pi share a point P, or whose
@@ -203,25 +203,6 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.unpackbits(arr.view(np.uint8).reshape(arr.shape + (8,)), axis=-1).sum(axis=-1, dtype=np.int64)
 
 
-def _codes(vecs: np.ndarray, q: int) -> np.ndarray:
-    """Base-q codes of the vectors along the last axis (int32 Horner loop)."""
-    code = np.zeros(vecs.shape[:-1], dtype=np.int32)
-    for k in range(vecs.shape[-1]):
-        code *= q
-        code += vecs[..., k]
-    return code
-
-
-@lru_cache(maxsize=None)
-def _point_of_code(n: int, field: FieldSpec) -> np.ndarray:
-    """Point id (all_points order) of every nonzero vector of GF(q)^n, by code."""
-    pts = np.array(pg.all_points(n, field), dtype=np.uint8)
-    lookup = np.full(field.q**n, -1, dtype=np.int32)
-    for a in range(1, field.q):
-        lookup[_codes(_mul(field, np.uint8(a), pts), field.q)] = np.arange(len(pts), dtype=np.int32)
-    return lookup
-
-
 def _any_word(words: np.ndarray) -> np.ndarray:
     """Whether each row of words (last axis) has a set bit, say a point.  On
     short rows .any() costs several times an OR over the word columns; from
@@ -260,23 +241,25 @@ def _span_points(field: FieldSpec, rows: np.ndarray, n_words: int, keep_ids: boo
     """(ids, words): the sorted point ids of the row spaces of the (N, j, n)
     bases rows (None unless keep_ids), and the point-mask words set from them.
 
-    Each chunk of _BUILD_CHUNK bases is spanned, one row at a time: the span
-    of rows 0..i is every vector of the span of rows 0..i-1 plus every
-    multiple of row i.  A point is hit by its q - 1 nonzero multiples, so
-    every (q - 1)-th of the sorted ids of the nonzero vectors is kept.
+    Each chunk of _BUILD_CHUNK bases is spanned from its last row up: the
+    span S_i of rows i.. is c * row i + S_(i+1) for c = 0 .. q - 1.  The
+    points led by row i are row i + S_(i+1), in coefficient order, which is
+    lex and so id order (pg.point_ids), as a point holds its coefficient at
+    each later pivot; points led by later rows have later pivots, so smaller
+    ids.  So each point comes once, in id order.
     """
-    q, j = field.q, rows.shape[1]
-    elems = np.arange(q, dtype=np.uint8)[None, :, None]
-    point_of = _point_of_code(rows.shape[-1], field)
+    q, (j, n) = field.q, rows.shape[1:]
     ids = np.empty((len(rows), (q**j - 1) // (q - 1)), dtype=np.int32) if keep_ids else None
     words = np.empty((len(rows), n_words), dtype=_WORD)
     for c0 in range(0, len(rows), _BUILD_CHUNK):
         r = rows[c0 : c0 + _BUILD_CHUNK]
-        span = np.zeros((len(r), 1, r.shape[2]), dtype=np.uint8)
-        for i in range(j):
-            multiples = _mul(field, elems, r[:, None, i, :])
-            span = _add(field, span[:, :, None], multiples[:, None]).reshape(len(r), -1, r.shape[2])
-        points = np.sort(point_of[_codes(span[:, 1:], q)], axis=1)[:, :: q - 1]
+        span, leads = np.zeros((len(r), 1, n), dtype=np.uint8), []
+        for i in range(j - 1, 0, -1):
+            multiples = _mul(field, np.arange(q, dtype=np.uint8)[:, None], r[:, None, i, :])
+            size, span = span.shape[1], _add(field, multiples[:, :, None], span[:, None]).reshape(len(r), -1, n)
+            leads.append(span[:, size : 2 * size])  # coefficient 1 on row i
+        leads.append(_add(field, r[:, None, 0, :], span))
+        points = pg.point_ids(np.concatenate(leads, axis=1), q)
         if keep_ids:
             ids[c0 : c0 + len(r)] = points
         incidence = np.zeros((len(r), n_words * _WORD_BITS), dtype=bool)
@@ -414,11 +397,11 @@ class FlagUniverse:
             raise InvalidType(f"a flag universe needs type {{d, d+1}} in rank 2d+1, got {self.types} in rank {n}")
         self.field = field
         check_cap(field.q, flag_binomials(n, J), f"flags of type {self.types} in GF({field.q})^{n}")
-        self.num_points = len(pg.all_points(n, field))
+        self.num_points = qcalc.theta(n - 1, field.q)
         self.n_words = (self.num_points + _WORD_BITS - 1) // _WORD_BITS
 
         # the upper members over a lower one, in enumerate_superspaces order
-        self._per_lower = len(pg.all_points(d + 1, field))
+        self._per_lower = qcalc.theta(d, field.q)
         self._upper = pg.superspace_ids(n, d, field)
         self._size = len(self._upper)
         self._bases = [pg.subspace_rows(n, d, field), pg.subspace_rows(n, d + 1, field)]
@@ -763,7 +746,7 @@ def _general_position_rows(n: int, J: Tuple[int, ...], field: FieldSpec):
     start..N-1, on the point-mask words of their members.  Members of ranks
     ra and rb are in general position iff they meet in the least rank,
     max(ra + rb - n, 0), a subspace of (q^rank - 1) / (q - 1) points."""
-    n_words, q = (len(pg.all_points(n, field)) + _WORD_BITS - 1) // _WORD_BITS, field.q
+    n_words, q = (qcalc.theta(n - 1, field.q) + _WORD_BITS - 1) // _WORD_BITS, field.q
     masks = b"".join(subspace_point_mask(s).to_bytes(8 * n_words, "little")
                      for f in enumerate_flags(n, J, field) for s in f.chain)
     words = np.frombuffer(masks, dtype="<u8").reshape(-1, len(J), n_words)

@@ -10,7 +10,8 @@ _order writes the enumeration order of the rank-r bases once, in pure
 Python: enumerate_subspaces yields them in it, and _shapes turns it into the
 arrays of the tables.  subspace_rows lists them in it, subspace_index maps a
 basis back to its position, in closed form, and superspace_ids reads the
-positions of their joins with the quotient points off it per pivot shape.
+positions of their joins with the quotient points off it per pivot shape;
+point_ids is the closed-form position of a point in all_points.
 The exact layer (Subspace, the lattice operations, the enumerations) never
 touches an array, so numpy loads only once a table is built.
 
@@ -508,6 +509,20 @@ def all_points(n: int, field: FieldSpec) -> Tuple[Row, ...]:
                     pts.append(v)
                 break
     return tuple(pts)
+
+
+def point_ids(vecs: np.ndarray, q: int) -> np.ndarray:
+    """The all_points index of each normalized vector along the last axis of
+    vecs (q^n < 2^63), in closed form: all_points is in lex order, so a point
+    of base-q code c, q^m <= c < q^(m + 1), follows the theta(m) = (q^m - 1) /
+    (q - 1) points of later pivots, and its index is c - q^m + theta(m)."""
+    n = vecs.shape[-1]
+    code = np.zeros(vecs.shape[:-1], dtype=np.int32 if q**n < 1 << 31 else np.int64)
+    for k in range(n):
+        code *= q
+        code += vecs[..., k]
+    offsets = np.array([(q**m - 1) // (q - 1) - q**m for m in range(n)], dtype=code.dtype)
+    return code + offsets[np.searchsorted(q ** np.arange(1, n, dtype=code.dtype), code, side="right")]
 
 
 @lru_cache(maxsize=None)

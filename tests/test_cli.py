@@ -416,11 +416,16 @@ def _family_json(variant, d):
 @pytest.mark.parametrize("command", ["cover verify", "indset check"])
 def test_large_d_family_refused_before_point_masks(capsys, monkeypatch, tmp_path, command, variant, d):
     # an empty point_family is a point pencil; a one-member hyperplane_family
-    # has no pairs to test, so neither may index the points of PG(2d, q)
+    # has no pairs to test, so neither may index the points of PG(2d, q),
+    # by table or in closed form
     def no_point_index(n, field):
         raise AssertionError(f"points of PG({n - 1}, {field.q}) indexed")
 
+    def no_point_ids(vecs, q):
+        raise AssertionError(f"points of PG({vecs.shape[-1] - 1}, {q}) indexed")
+
     monkeypatch.setattr(pg, "point_index", no_point_index)
+    monkeypatch.setattr(pg, "point_ids", no_point_ids)
     desc = _family_json(variant, d)
     data = {"d": d, "q": 2, "U": [], "classes": [desc]} if command == "cover verify" else desc
     infile = tmp_path / "in.json"

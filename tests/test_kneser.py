@@ -194,14 +194,17 @@ def test_table_masks_match_point_masks(name, request):
         assert all(universe.entry(pos, t) is s for t, s in enumerate(entries))
 
 
-def word_point_ids(universe, pos):
-    """The sorted point ids of each entry of table pos, read off its mask words."""
-    bits = np.unpackbits(universe._table_words[pos].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+def word_point_ids(words):
+    """The sorted point ids of each row of mask words."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
     return [np.flatnonzero(row).tolist() for row in bits]
 
 
 @pytest.mark.parametrize(
-    "n,J,q", [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)] + UNIVERSE_TYPES[2:]
+    "n,J,q",
+    [(5, (2, 3), 2), (5, (2, 3), 3), (5, (1, 3), 2), (5, (1, 3), 3), (3, (1,), 2)]
+    + UNIVERSE_TYPES[2:]
+    + [(3, (1, 2), q) for q in (4, 5, 7, 8, 9)],
 )
 def test_point_ids_match_subspace_point_ids(n, J, q):
     field = gf.make_field(q)
@@ -217,7 +220,7 @@ def test_point_ids_match_subspace_point_ids(n, J, q):
     # only the lower table keeps its point ids; every table has its words
     assert universe._lower_points.tolist() == [list(pg.subspace_point_ids(s)) for s in tables[0]]
     for pos, entries in enumerate(tables):
-        assert word_point_ids(universe, pos) == [list(pg.subspace_point_ids(s)) for s in entries]
+        assert word_point_ids(universe._table_words[pos]) == [list(pg.subspace_point_ids(s)) for s in entries]
         assert [universe.table_id_of(pos, s) for s in entries] == list(range(len(entries)))
     # the dual of every top entry, by its index among the subspaces of its rank
     duals = [pg.dual(s) for s in tables[-1]]
@@ -231,6 +234,20 @@ def test_point_ids_match_subspace_point_ids(n, J, q):
         strangers = [pg.full_space(n, field), pg.Subspace(other_field, n, entries[0].rows)]
         strangers += [s for other, rest in enumerate(tables) if other != pos for s in rest[:5]]
         assert [universe.table_id_of(pos, s) for s in strangers] == [None] * len(strangers)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_span_points_match_subspace_point_ids_at_large_q(q):
+    # the d = 2 universes at these q are over MAX_FLAGS, so span sampled
+    # entries of both tables
+    field, rng = gf.make_field(q), np.random.default_rng(q)
+    n_words = (qcalc.theta(4, q) + 63) // 64
+    for r in (2, 3):
+        rows = pg.subspace_rows(5, r, field)
+        rows = rows[np.sort(rng.choice(len(rows), 300, replace=False))]
+        ids, words = kneser._span_points(field, rows, n_words)
+        expected = [list(pg.subspace_point_ids(pg.Subspace(field, 5, tuple(map(tuple, b))))) for b in rows.tolist()]
+        assert ids.tolist() == word_point_ids(words) == expected
 
 
 def count_calls(monkeypatch, cls):
@@ -277,6 +294,24 @@ def test_universe_build_makes_no_index_lookups(monkeypatch):
     for n, J, q in [(5, (2, 3), 3), (7, (3, 4), 2)]:
         kneser.FlagUniverse(n, J, gf.make_field(q))
     assert not calls
+
+
+def test_universe_build_indexes_no_ambient_points(monkeypatch):
+    # point ids come in closed form (pg.point_ids), and the point count from
+    # theta, with no table of the points of the whole space
+    all_points = pg.all_points
+
+    def not_ambient(n, field):
+        assert n not in (5, 7), f"the points of GF({field.q})^{n} were listed"
+        return all_points(n, field)
+
+    def no_point_index(n, field):
+        raise AssertionError(f"the points of GF({field.q})^{n} were indexed")
+
+    monkeypatch.setattr(pg, "all_points", not_ambient)
+    monkeypatch.setattr(pg, "point_index", no_point_index)
+    for n, J, q in [(5, (2, 3), 3), (7, (3, 4), 2)]:
+        kneser.FlagUniverse(n, J, gf.make_field(q))
 
 
 def test_id_of_inverts_flag_of_on_a_sample(u32):
@@ -998,7 +1033,7 @@ def test_popcount_helper(monkeypatch):
 def dense_entries_through_points(universe):
     """entries_through_points from one dense (points x entries) incidence per table."""
     rows = []
-    for ids in (universe._lower_points, np.array(word_point_ids(universe, 1))):
+    for ids in (universe._lower_points, np.array(word_point_ids(universe._table_words[1]))):
         through = np.zeros((universe.num_points, len(ids)), dtype=bool)
         through[ids, np.arange(len(ids))[:, None]] = True
         rows.append(np.packbits(through, axis=1, bitorder="little"))

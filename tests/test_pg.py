@@ -272,6 +272,14 @@ def test_all_points(f2, f3):
         assert lead == 1
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_ORDERS)
+def test_point_ids_invert_all_points(q):
+    field = gf.make_field(q)
+    for n in range(1, 6):
+        vecs = np.array(pg.all_points(n, field), dtype=np.uint8)
+        assert pg.point_ids(vecs, q).tolist() == list(range(qcalc.theta(n - 1, q)))
+
+
 def test_subspace_point_ids(f3):
     e = unit_rows(5)
     a = pg.rref([e[0], e[1]], 5, f3)
