@@ -12,7 +12,6 @@ caller's tables copy-on-write.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from typing import Callable, List, Sequence, TypeVar
 
@@ -48,6 +47,7 @@ def fork_blocks(fn: Callable[[Sequence[T]], R], items: Sequence[T], workers: int
     workers = max(1, min(workers, usable_cpus(), len(items)))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(items)]
+    import pickle  # only a forked run pays for this import
     per = -(-len(items) // workers)
     runs = [items[i:i + per] for i in range(0, len(items), per)]
     children = []  # (pid, read end)
@@ -92,6 +92,7 @@ def fork_blocks(fn: Callable[[Sequence[T]], R], items: Sequence[T], workers: int
 
 
 def _child(fn: Callable[[Sequence[T]], R], run: Sequence[T], w: int, read_ends: List[int]) -> None:
+    import pickle  # loaded by fork_blocks before the fork
     try:
         # a read end left open here would keep a write from failing once the parent has given up
         for fd in read_ends:

@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 
 from . import _numpy as np
-from . import __version__, _parallel, cover, explore, gf, indsets, kneser, pg, qcalc
+from . import __version__, _parallel, cover, gf, indsets, kneser, pg, qcalc
 from .errors import InvalidArgs, QKneserError
 
 EXIT_OK = 0
@@ -341,18 +341,18 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from . import explore  # only this command pays for its import
     # checked before the universe is built, which can take seconds
     if not 1 <= args.samples <= sys.maxsize:
         return _fail(f"--samples must be from 1 to {sys.maxsize}, got {args.samples}")
     if args.rho < 1:
         return _fail(f"--rho must be at least 1, got {args.rho}")
-    fld = gf.make_field(args.q)
     n, J = 2 * args.d + 1, (args.d, args.d + 1)
     if args.greedy_color_order:
         # the coloring's vertex cap, checked before the universe and the samples
         what = f"vertices of type {J} in GF({args.q})^{n}"
         kneser.check_cap(args.q, kneser.flag_binomials(n, J), what, kneser.DEFAULT_VERTEX_CAP)
-    universe = kneser.FlagUniverse(n, J, fld)
+    universe = kneser.FlagUniverse(n, J, gf.make_field(args.q))
     stats = explore.conjecture_probe(
         args.d, args.q, args.samples, master_seed=args.seed,
         rho_candidate=args.rho, universe=universe,

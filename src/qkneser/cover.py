@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import _numpy as np
 from . import pg, qcalc
-from .errors import InvalidDescriptor, MalformedCertificate
+from .errors import InvalidArgs, InvalidDescriptor, MalformedCertificate
 from .gf import make_field
 from .indsets import (
     IndSetDescriptor,
@@ -199,11 +199,11 @@ def verify_cover(
     """Exhaustively check coverage, per-class independence and class sizes.
 
     The verdict depends on coverage and independence only; closed-form size
-    mismatches are reported but do not invalidate a covering.
+    mismatches are reported but do not invalidate a covering.  A universe of
+    another (d, q) raises.
     """
     if cert.d < 2:
         raise MalformedCertificate(f"need d >= 2, got {cert.d}")
-    fld = make_field(cert.q)
     n = 2 * cert.d + 1
     for i, desc in enumerate(cert.classes):
         try:
@@ -213,7 +213,9 @@ def verify_cover(
         if desc.d != cert.d or desc.q != cert.q:
             raise MalformedCertificate(f"class {i} parameters do not match the certificate")
     if universe is None:
-        universe = FlagUniverse(n, (cert.d, cert.d + 1), fld)
+        universe = FlagUniverse(n, (cert.d, cert.d + 1), make_field(cert.q))
+    elif (universe.n, universe.field.q) != (n, cert.q):
+        raise InvalidArgs(f"a ({cert.d},{cert.q}) certificate on a universe in GF({universe.field.q})^{universe.n}")
 
     g0 = qcalc.size_constants(cert.d, cert.q, 1).g0
     covered = np.zeros(len(universe), dtype=bool)

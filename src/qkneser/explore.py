@@ -17,16 +17,17 @@ functools.wraps timer), the samples all run in the caller, so that whatever
 the wrapper records covers every sample.
 
 The greedy takes the flags in the stable argsort order of one random 64-bit
-key each, drawn a run at a time, split by key value.  The head, the flags keyed below
-floor(_HEAD * 2^64 / N), is dense: led by the seed, _pick_apart keeps its
-first flag, drops every later one adjacent to it, and repeats, so the seed
-stays whole.  One blocked pass over every flag, on the member bits of the
-picks (FlagUniverse.member_bits), leaves the tail, which is sparse:
-FlagUniverse.adjacent_pairs lists its adjacent pairs, and a tail flag is kept
-unless an earlier kept one is adjacent to it.  Every head key is below every
-tail key, so this is the global (key, id) order, ties included, and exactly
-the set of the one-flag-at-a-time greedy.  The pencil tests of a sample
-count its flags per table entry, and classify reuses their candidates.
+key each, drawn a run at a time, split by key value.  The head, the flags
+keyed below floor(_HEAD * 2^64 / N), is dense: led by the seed,
+FlagUniverse.pick_apart keeps its first flag, drops every later one adjacent
+to it, and repeats, so the seed stays whole.  One blocked pass over every
+flag, on the member bits of the picks (FlagUniverse.member_bits), leaves the
+tail, which is sparse: FlagUniverse.adjacent_pairs lists its adjacent pairs,
+and a tail flag is kept unless an earlier kept one is adjacent to it.  Every
+head key is below every tail key, so this is the global (key, id) order, ties
+included, and exactly the set of the one-flag-at-a-time greedy.  The pencil
+tests of a sample count its flags per table entry, and classify reuses their
+candidates.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
     t = (_HEAD << 64) // n
     in_head = keys < np.uint64(t) if t >> 64 == 0 else np.ones(n, dtype=bool)
     head = np.flatnonzero(in_head & free)
-    # led by the seed, which _pick_apart keeps whole, dropping the head flags it blocks
-    picked = _pick_apart(np.concatenate((np.array(ids, dtype=np.int64), head[_key_order(keys[head])])), universe)
+    # led by the seed, which pick_apart keeps whole, dropping the head flags it blocks
+    picked = universe.pick_apart(np.concatenate((np.array(ids, dtype=np.int64), head[_key_order(keys[head])])))
     # the tail: the flags keyed from t on that no member is adjacent to
     tail = free & ~in_head
     if tail.any():
@@ -134,29 +135,6 @@ def _greedy_complete_ids(seed_ids: Iterable[int], rng: random.Random, universe: 
     return sorted(picked.tolist() + tail[keep].tolist())
 
 
-def _pick_apart(free: np.ndarray, universe: FlagUniverse) -> np.ndarray:
-    """The flags that the one-flag-at-a-time greedy takes from free, in order.
-
-    Keep free[0], drop every later flag adjacent to it, and repeat; flags a
-    and b are adjacent iff lo(a) misses hi(b) and hi(a) misses lo(b).  The
-    words are held once, one row per word, so a step ANDs and ORs whole rows.
-    """
-    w = universe.n_words
-    cols = np.empty((2 * w, free.size), dtype=np.uint64)  # lo words, then hi words; "clip" takes unbuffered
-    for pos, words in enumerate(universe._table_words):
-        np.take(words.T, universe.member_ids(pos, free), axis=1, out=cols[pos * w : pos * w + w], mode="clip")
-    swap = np.roll(np.arange(2 * w), w)  # hi rows, then lo rows
-    keep = []
-    alive = np.arange(free.size)
-    while alive.size:
-        k, rest = alive[0], alive[1:]
-        keep.append(k)
-        meets = np.take(cols, rest, axis=1)
-        meets &= cols[swap, k][:, None]  # flag k's hi words, then its lo words
-        alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
-    return free[keep]
-
-
 def conjecture_probe(
     d: int,
     q: int,
@@ -166,13 +144,14 @@ def conjecture_probe(
     universe: Optional[FlagUniverse] = None,
 ) -> SampleStats:
     """Sample maximal independent sets and bucket them by the trichotomy,
-    in one process per usable CPU."""
+    in one process per usable CPU; a universe of another (d, q) raises."""
     if samples < 1:
         raise InvalidArgs("need at least one sample")
     known = qcalc.size_constants(d, q, rho_candidate)
-    fld = make_field(q)
     if universe is None:
-        universe = FlagUniverse(2 * d + 1, (d, d + 1), fld)
+        universe = FlagUniverse(2 * d + 1, (d, d + 1), make_field(q))
+    elif (universe.n, universe.field.q) != (2 * d + 1, q):
+        raise InvalidArgs(f"a ({d},{q}) probe on a universe in GF({universe.field.q})^{universe.n}")
     stats = SampleStats(
         d=d, q=q, samples=samples, master_seed=master_seed,
         rho_candidate=rho_candidate, threshold=known.e1, g0=known.g0, e0=known.e0,
@@ -248,12 +227,15 @@ def greedy_color(
 
     First-fit in the order (a vertex takes the first color no earlier
     neighbor has), so color class c is the greedy maximal independent set
-    (_pick_apart) of the vertices classes 0..c-1 left.  More than cap
-    vertices are refused before the universe is built."""
+    (FlagUniverse.pick_apart) of the vertices classes 0..c-1 left.  More than
+    cap vertices are refused before the universe is built, and a universe of
+    another (d, q) raises."""
     n, J = 2 * d + 1, (d, d + 1)
     check_cap(q, flag_binomials(n, J), f"vertices of type {J} in GF({q})^{n}", cap)
     if universe is None:
         universe = FlagUniverse(n, J, make_field(q))
+    elif (universe.n, universe.field.q) != (n, q):
+        raise InvalidArgs(f"a ({d},{q}) coloring on a universe in GF({universe.field.q})^{universe.n}")
     n_vertices = len(universe)
     if order == "enumeration":
         remaining = np.arange(n_vertices)
@@ -267,7 +249,7 @@ def greedy_color(
     colors = np.full(n_vertices, -1, dtype=np.int64)
     num_colors = 0
     while remaining.size:
-        colors[_pick_apart(remaining, universe)] = num_colors
+        colors[universe.pick_apart(remaining)] = num_colors
         remaining = remaining[colors[remaining] < 0]
         num_colors += 1
     return ColoringResult(num_colors=num_colors, colors=colors.tolist(), order=order, seed=seed)

@@ -15,10 +15,9 @@ point_pencil (likewise for the dual pair).
 A set of flags is a sorted array of FlagUniverse ids: find_adjacent_pair,
 is_independent, find_extension, is_maximal, classify and the pencil
 candidates take ids and the universe and answer in ids, and
-descriptor_masks gives a descriptor's two parts as ids.  The dual side
-reads the lower table through the polarity sigma: upper entry u lies in
-H iff lower entry sigma(u) holds H^perp.  Flag objects appear only in
-build, the definitional construction, and in the JSON writer.
+descriptor_masks gives a descriptor's two parts as ids; every question
+about the tables goes to the universe.  Flag objects appear only in build,
+the definitional construction, and in the JSON writer.
 """
 
 from __future__ import annotations
@@ -327,45 +326,16 @@ def is_maximal(ids: Iterable[int], universe: FlagUniverse) -> bool:
 # structure recovery
 
 
-def _points_off(universe: FlagUniverse, pos: int, ids: np.ndarray) -> List[int]:
-    """Points on no entry of table pos (on no dual of one, for the upper table)
-    that a flag outside the set ids uses.  An entry is full when all its flags,
-    as many for each, are in ids; every point is on as many, so count full
-    ones.  The dual of upper entry u is lower entry sigma(u)."""
-    points = universe._lower_points
-    tids = universe.polarity[0][universe.member_ids(1, ids)] if pos else universe.member_ids(0, ids)
-    full = np.bincount(tids, minlength=len(points)) == len(universe) // len(points)
-    if not full.any():
-        return []
-    on_full = np.bincount(points[full].ravel(), minlength=universe.num_points)
-    return np.flatnonzero(on_full == points.size // universe.num_points).tolist()
-
-
 def pencil_base_candidates(ids: Iterable[int], universe: FlagUniverse) -> List[int]:
     """Point bits whose full point-pencil lies inside the set of flag ids:
     the points on no lower member of a flag outside the set."""
-    return _points_off(universe, 0, _id_array(ids, universe))
+    return universe.pencil_points(0, _id_array(ids, universe))
 
 
 def dual_pencil_base_candidates(ids: Iterable[int], universe: FlagUniverse) -> List[int]:
     """Dual-point bits (H^perp) whose full dual pencil lies inside the set of
     flag ids: the points on the dual of no upper member of a flag outside it."""
-    return _points_off(universe, 1, _id_array(ids, universe))
-
-
-def _entries_holding(words: np.ndarray, universe: FlagUniverse, s: pg.Subspace) -> np.ndarray:
-    """Which entries of a table (rows of point-mask words) hold s: those with
-    the bit of each of its basis rows, which are normalized and so are points."""
-    points = pg.point_ids(np.array(s.rows, dtype=np.uint8), universe.field.q).tolist()
-    return np.logical_and.reduce([words[:, p // 64] & np.uint64(1 << p % 64) != 0 for p in points])
-
-
-def _on_base(universe: FlagUniverse, pos: int, x: pg.Subspace) -> np.ndarray:
-    """Per entry of table pos, whether it is generic for the base point x (a
-    lower entry through x) or hyperplane x^perp (an upper entry u inside it:
-    its dual, lower entry sigma(u), holds x)."""
-    through = _entries_holding(universe._table_words[0], universe, x)
-    return through[universe.polarity[0]] if pos else through
+    return universe.pencil_points(1, _id_array(ids, universe))
 
 
 def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np.ndarray, np.ndarray]:
@@ -375,14 +345,16 @@ def descriptor_masks(desc: IndSetDescriptor, universe: FlagUniverse) -> Tuple[np
     tau^perp) is decided once per table entry, and a part's flags are read
     off its entries (FlagUniverse.flags_with); a family is a set of table
     ids.  The special part is the flags of the family entries whose other
-    member is not generic."""
+    member is not generic.  A universe of another (d, q) raises."""
+    if (universe.n, universe.field.q) != (desc.n, desc.q):
+        raise InvalidDescriptor(f"a ({desc.d},{desc.q}) class on a universe in GF({universe.field.q})^{universe.n}")
     pos = 0 if desc.is_point_based() else 1
-    on_base = _on_base(universe, pos, pg.dual(desc.base) if pos else desc.base)
+    on_base = universe.generic_entries(pos, pg.dual(desc.base) if pos else desc.base)
     if desc.variant == "point_line":
-        family = np.flatnonzero(_entries_holding(universe._table_words[1], universe, desc.line))
+        family = np.flatnonzero(universe.entries_holding(1, desc.line))
     elif desc.variant == "point_hyperplane":
-        held = _entries_holding(universe._table_words[1], universe, desc.base)
-        family = np.flatnonzero(held & _on_base(universe, 1, pg.dual(desc.hyperplane)))
+        held = universe.entries_holding(1, desc.base)
+        family = np.flatnonzero(held & universe.generic_entries(1, pg.dual(desc.hyperplane)))
     else:
         family = universe.table_ids_of(1 - pos, desc.family)
         if (family < 0).any():
@@ -405,7 +377,7 @@ def classify(ids: Iterable[int], universe: FlagUniverse, candidates: Optional[Tu
     if not ids.size:
         return UNSTRUCTURED
     if candidates is None:
-        candidates = _points_off(universe, 0, ids), _points_off(universe, 1, ids)
+        candidates = universe.pencil_points(0, ids), universe.pencil_points(1, ids)
     for pos, bits in enumerate(candidates):
         for bit in bits:
             x = pg.Subspace(universe.field, universe.n, (pg.all_points(universe.n, universe.field)[bit],))
@@ -419,7 +391,7 @@ def _match_family(ids: np.ndarray, universe: FlagUniverse, pos: int, x: pg.Subsp
     """The family descriptor at base point x (pos 0) or hyperplane x^perp (pos
     1) whose family is the other members of the flags of ids not generic for
     it, if it describes exactly the set (else None); it may be a pencil."""
-    outside = ids[~_on_base(universe, pos, x)[universe.member_ids(pos, ids)]]
+    outside = ids[~universe.generic_entries(pos, x)[universe.member_ids(pos, ids)]]
     family = [universe.entry(1 - pos, t) for t in _sorted_distinct(universe.member_ids(1 - pos, outside)).tolist()]
     try:
         desc = hyperplane_family(pg.dual(x), family) if pos else point_family(x, family)

@@ -20,7 +20,9 @@ in pi, L in tau, ...) is evaluated once per table entry, and the flags of
 the entries that hold it are read off by flags_with, as sorted ids.  A
 closed-form flag count above MAX_FLAGS is refused first.  The polarity maps
 upper entry tau to the lower id of tau^perp (sigma, by pg.dual_index) and
-back, so the dual side of a check reads the lower table.
+back: upper entry u lies in H iff lower entry sigma(u) holds H^perp.  Only
+FlagUniverse reads its tables; it answers the entry (entries_holding,
+generic_entries), pencil (pencil_points) and greedy (pick_apart) questions.
 
 FlagUniverse.check_pairwise_independent is the bulk check.  It first groups
 the flags into stars: flags whose lower members pi share a point P, or whose
@@ -215,11 +217,12 @@ def _any_word(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _holds(words: np.ndarray, tids: np.ndarray, p: int) -> np.ndarray:
-    """Whether entry tids[i] of the table with mask words words holds point p;
-    a gather from the flat table, as np.take of a column first copies it."""
-    flat = tids.astype(np.intp) * words.shape[1] + p // _WORD_BITS
-    return words.ravel().take(flat) & _bit_weights()[p % _WORD_BITS] != 0
+def _holds(words: np.ndarray, p: int, tids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Whether each entry of mask words words, or each of tids (a gather from
+    the flat table, as np.take of a column first copies it), holds point p."""
+    w = p // _WORD_BITS
+    column = words[:, w] if tids is None else words.ravel().take(tids.astype(np.intp) * words.shape[1] + w)
+    return column & _bit_weights()[p % _WORD_BITS] != 0
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -534,6 +537,29 @@ class FlagUniverse:
                     through[:, c0 // 8 : c0 // 8 + step // 8] = np.packbits(incidence, axis=1, bitorder="little")
         return self._through
 
+    def entries_holding(self, pos: int, s: pg.Subspace) -> np.ndarray:
+        """Per entry of member table pos, whether it holds s: whether it has
+        the bit of each basis row of s, which is normalized and so a point."""
+        points = pg.point_ids(np.array(s.rows, dtype=np.uint8), self.field.q).tolist()
+        return np.logical_and.reduce([_holds(self._table_words[pos], p) for p in points])
+
+    def generic_entries(self, pos: int, x: pg.Subspace) -> np.ndarray:
+        """Per entry of table pos, whether it is generic for the base point x (a
+        lower entry through x) or hyperplane x^perp (an upper entry u inside it:
+        its dual, lower entry sigma(u), holds x)."""
+        through = self.entries_holding(0, x)
+        return through[self.polarity[0]] if pos else through
+
+    def pencil_points(self, pos: int, ids: np.ndarray) -> List[int]:
+        """The points on no entry of table pos (on no dual sigma(u) of one, for
+        the upper table) that a flag outside the distinct ids uses: an entry is
+        full when its K flags are all in ids, and such a point is on as many
+        full entries as every point is on entries (_point_tally)."""
+        tids = self.polarity[0][self.member_ids(1, ids)] if pos else self.member_ids(0, ids)
+        full = np.flatnonzero(np.bincount(tids) == self._per_lower)
+        on_full = _point_tally(self._lower_points, full, self.num_points)
+        return np.flatnonzero(on_full == self._lower_points.size // self.num_points).tolist()
+
     # -- adjacency -----------------------------------------------------------
 
     def adjacency_row(self, i: int, start: int = 0) -> np.ndarray:
@@ -592,7 +618,7 @@ class FlagUniverse:
                 if counts[point] < 2:
                     break
                 tids = sides[point // width]
-                members = (free & _holds(self._table_words[0], tids, point % width)).nonzero()[0]
+                members = (free & _holds(self._table_words[0], point % width, tids)).nonzero()[0]
                 groups.append(members)
                 points.append(point)
                 free[members] = False
@@ -638,8 +664,8 @@ class FlagUniverse:
         """
         width = self.n_words * _WORD_BITS
         if point < width:
-            return ~_holds(self._table_words[1], self.member_ids(1, ids), point)
-        return ~_holds(self._table_words[1], self.polarity[1][self.member_ids(0, ids)], point - width)
+            return ~_holds(self._table_words[1], point, self.member_ids(1, ids))
+        return ~_holds(self._table_words[1], point - width, self.polarity[1][self.member_ids(0, ids)])
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None
@@ -738,6 +764,22 @@ class FlagUniverse:
         bits = MemberBits(self)
         bits.add(ids)
         return bits
+
+    def pick_apart(self, ids: np.ndarray) -> np.ndarray:
+        """The flags that the one-flag-at-a-time greedy takes from ids, in
+        order: keep ids[0], drop every later flag adjacent to it (lo(a) misses
+        hi(b) and hi(a) misses lo(b)), and repeat, on the gathered words, one
+        row per word, so a step ANDs and ORs whole rows."""
+        cols = np.concatenate(self._gather(ids))  # lo words, then hi words
+        swap = np.roll(np.arange(2 * self.n_words), self.n_words)  # hi rows, then lo rows
+        keep, alive = [], np.arange(ids.size)
+        while alive.size:
+            k, rest = alive[0], alive[1:]
+            keep.append(k)
+            meets = np.take(cols, rest, axis=1)
+            meets &= cols[swap, k][:, None]  # flag k's hi words, then its lo words
+            alive = np.compress(np.bitwise_or.reduce(meets, axis=0), rest)
+        return ids[keep]
 
 
 def _general_position_rows(n: int, J: Tuple[int, ...], field: FieldSpec):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qkneser import cli, cover, indsets, kneser, pg, qcalc
+from qkneser import cli, cover, explore, indsets, kneser, pg, qcalc
 from qkneser.errors import TooLarge
 
 from conftest import unit_rows
@@ -365,7 +365,7 @@ def test_vertex_cap_refuses_before_building(capsys, monkeypatch, tmp_path, argv)
         return gauss(a, b, q)
 
     monkeypatch.setattr(kneser.FlagUniverse, "__init__", fail)
-    monkeypatch.setattr(cli.explore, "conjecture_probe", fail)
+    monkeypatch.setattr(explore, "conjecture_probe", fail)
     monkeypatch.setattr(qcalc, "gauss", small_gauss)
     code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
     assert (code, out) == (1, "")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkneser import cover, indsets, pg, qcalc
-from qkneser.errors import MalformedCertificate
+from qkneser.errors import InvalidArgs, MalformedCertificate
 
 
 def canonical_class_key(desc):
@@ -161,6 +161,12 @@ def test_verify_cover_rejects_malformed(u22, f2):
     data4["classes"] = 5
     with pytest.raises(MalformedCertificate):
         cover.certificate_from_json(data4)
+
+
+@pytest.mark.parametrize("d,q,name", [(2, 2, "u23"), (3, 2, "u22")])
+def test_verify_cover_refuses_a_universe_of_other_parameters(d, q, name, request):
+    with pytest.raises(InvalidArgs, match=r"universe in GF\(\d\)\^\d"):
+        cover.verify_cover(cover.build_cover(d, q), universe=request.getfixturevalue(name))
 
 
 def test_certificate_json_round_trip():

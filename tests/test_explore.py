@@ -255,6 +255,16 @@ def test_graph_is_regular(name, request):
     assert len(degrees) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda universe: explore.conjecture_probe(2, 2, 3, universe=universe),
+    lambda universe: explore.greedy_color(2, 2, universe=universe),
+], ids=["conjecture_probe", "greedy_color"])
+def test_a_universe_of_other_parameters_is_refused(call, u23, u32):
+    for universe in (u23, u32):
+        with pytest.raises(InvalidArgs, match=r"universe in GF\(\d\)\^\d"):
+            call(universe)
+
+
 def test_greedy_color_cap(u22):
     with pytest.raises(TooLarge):
         explore.greedy_color(2, 2, universe=u22, cap=10)
@@ -328,7 +338,7 @@ def test_greedy_kernel_fixed_point_on_point_line_class(name, q, request):
 @pytest.mark.parametrize("head", [0, 32, explore._HEAD, 1 << 40])
 def test_greedy_kernel_independent_of_head_size(head, u22, u23, monkeypatch):
     # head 0 sends every flag through the conflict-pair tail, 1 << 40 every flag through
-    # _pick_apart; a head of 7 can leave 9,168 flags and 17.5M adjacent pairs in a (2,3) tail
+    # pick_apart; a head of 7 can leave 9,168 flags and 17.5M adjacent pairs in a (2,3) tail
     monkeypatch.setattr(explore, "_HEAD", head)
     for universe, q in ((u22, 2), (u23, 3)):
         for seed in ([], pencil_ids(universe, gf.make_field(q))):
@@ -452,7 +462,7 @@ def test_pick_apart_matches_reference_when_first_flag_cuts_nothing(name, request
     rest = [f for f in apart[1:80] if f != c] + [c]
     random.Random(2).shuffle(rest)
     head = [first, b] + rest
-    got = explore._pick_apart(np.array(head), universe).tolist()
+    got = universe.pick_apart(np.array(head)).tolist()
     assert sorted(got) == reference_greedy([], head, universe)
     assert got[:2] == [first, b] and c not in got and len(got) > 2
 

@@ -222,6 +222,14 @@ def test_find_extension_matches_reference_on_random_independent_sets(name, sets,
         assert indsets.find_extension(part, universe) == reference_extension(part, universe)
 
 
+def test_descriptor_masks_refuse_a_universe_of_other_parameters(f2, u23, u32):
+    p = pg.Subspace(f2, 5, (tuple(unit_rows(5)[0]),))
+    desc = indsets.point_line(p, pg.rref(unit_rows(5)[:2], 5, f2))
+    for universe in (u23, u32):
+        with pytest.raises(InvalidDescriptor, match=r"universe in GF\(\d\)\^\d"):
+            indsets.descriptor_masks(desc, universe)
+
+
 @pytest.mark.parametrize("name,q", [("u22", 2), ("u23", 3)])
 def test_descriptor_masks_match_build(name, q, request):
     universe = request.getfixturevalue(name)
@@ -336,7 +344,7 @@ def outside_flag_candidates(in_set, points, tids, num_points):
 
 
 @pytest.mark.parametrize("name,q,n", [("u22", 2, 5), ("u23", 3, 5), ("u32", 2, 7)])
-def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
+def test_pencil_candidates_match_outside_flag_definition(name, q, n, request, monkeypatch):
     universe = request.getfixturevalue(name)
     field = gf.make_field(q)
     rng = random.Random(n * q)
@@ -354,14 +362,17 @@ def test_pencil_candidates_match_outside_flag_definition(name, q, n, request):
     for dense in [noise < k for k in (0, 3, 128, 253)] + [np.ones(len(universe), dtype=bool)]:
         sets += [dense, dense | sets[0], dense | sets[1], dense & sets[2]]
     found = 0
-    for in_set in sets:
-        got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
-        lower = universe._lower_points, universe.member_ids(0)
-        assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
-        got_dual = indsets.dual_pencil_base_candidates(np.flatnonzero(in_set), universe)
-        dual_upper = universe._lower_points[universe.polarity[0]], universe.member_ids(1)
-        assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
-        found += len(got) + len(got_dual)
+    # the full entries through each point are tallied _MEMBER_CHUNK entries at a time
+    for chunk in (kneser._MEMBER_CHUNK, 1, 7):
+        monkeypatch.setattr(kneser, "_MEMBER_CHUNK", chunk)
+        for in_set in sets:
+            got = indsets.pencil_base_candidates(np.flatnonzero(in_set), universe)
+            lower = universe._lower_points, universe.member_ids(0)
+            assert got == outside_flag_candidates(in_set, *lower, universe.num_points)
+            got_dual = indsets.dual_pencil_base_candidates(np.flatnonzero(in_set), universe)
+            dual_upper = universe._lower_points[universe.polarity[0]], universe.member_ids(1)
+            assert got_dual == outside_flag_candidates(in_set, *dual_upper, universe.num_points)
+            found += len(got) + len(got_dual)
     assert found
 
 

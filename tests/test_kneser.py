@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import operator
@@ -6,6 +7,7 @@ import tracemalloc
 from functools import reduce
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1173,3 +1175,21 @@ def test_member_ids_are_the_only_per_flag_arrays(u23):
             assert array.shape[0] != len(u23), name
         if isinstance(value, list):
             assert len(value) != len(u23) and all(len(item) != len(u23) for item in value), name
+
+
+# how FlagUniverse stores its tables, which only kneser.py reads
+TABLE_ATTRS = {"_table_words", "_lower_points", "_bases", "_upper", "_upper_flags", "_through", "_per_lower",
+               "n_words", "num_points"}
+
+
+def test_only_kneser_reads_the_universe_tables():
+    # a module that read them would have to change with their format; the
+    # probe's bare universe.polarity, which builds sigma before forking, is no read
+    src = Path(__file__).resolve().parent.parent / "src" / "qkneser"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "kneser.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            reads = isinstance(node, ast.Attribute) and node.attr in TABLE_ATTRS
+            sigma = isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "polarity"
+            assert not (reads or sigma), f"{path.name}:{node.lineno}"

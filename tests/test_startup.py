@@ -1,8 +1,10 @@
-"""The exact commands never load numpy.
+"""The exact commands never load numpy, pickle or qkneser.explore.
 
 The package binds numpy lazily (qkneser._numpy), so a command that builds no
 FlagUniverse runs on pure Python and skips numpy's import, about 90 ms and
-12 MB of a fresh process.  Each command runs in a fresh interpreter here.
+12 MB of a fresh process.  pickle (for forked workers) and qkneser.explore
+are imported only where they are used.  Each command runs in a fresh
+interpreter here.
 """
 
 import ast
@@ -17,12 +19,14 @@ from qkneser import cover
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkneser"
 
-# runs cli.main on its arguments, then reports the exit code and whether numpy's core loaded
+# runs cli.main on its arguments, then reports the exit code and which of
+# numpy's core, pickle and qkneser.explore loaded
 PROBE = """
 import json, sys
 from qkneser import cli
 code = cli.main(sys.argv[1:])
-sys.stderr.write("\\n" + json.dumps([code, "numpy._core" in sys.modules]))
+loaded = [name for name in ("numpy._core", "pickle", "qkneser.explore") if name in sys.modules]
+sys.stderr.write("\\n" + json.dumps([code, loaded]))
 """
 
 
@@ -47,11 +51,17 @@ def cover23(tmp_path_factory):
     ["enumerate", "flags", "--d", "2", "--q", "2"],
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")))
 def test_exact_commands_leave_numpy_unloaded(argv, cover23):
-    assert run_cli([a.format(cover23=cover23) for a in argv]) == [0, False]
+    assert run_cli([a.format(cover23=cover23) for a in argv]) == [0, []]
 
 
 def test_cover_verify_loads_numpy(cover23):
-    assert run_cli(["cover", "verify", "--in", cover23]) == [0, True]
+    code, loaded = run_cli(["cover", "verify", "--in", cover23])
+    assert code == 0 and "numpy._core" in loaded and "qkneser.explore" not in loaded
+
+
+def test_explore_loads_explore():
+    code, loaded = run_cli(["explore", "--d", "2", "--q", "2", "--samples", "2"])
+    assert code == 0 and "qkneser.explore" in loaded
 
 
 def test_no_module_imports_numpy_itself():
