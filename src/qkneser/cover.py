@@ -33,7 +33,7 @@ from .indsets import (
     point_pencil,
     validate_descriptor,
 )
-from .kneser import Flag, FlagUniverse, check_cap
+from .kneser import Flag, FlagUniverse, _popcount, _word_bits, check_cap
 
 MISSING_TRUNCATE = 10
 
@@ -218,14 +218,15 @@ def verify_cover(
         raise InvalidArgs(f"a ({cert.d},{cert.q}) certificate on a universe in GF({universe.field.q})^{universe.n}")
 
     g0 = qcalc.size_constants(cert.d, cert.q, 1).g0
-    covered = np.zeros(len(universe), dtype=bool)
+    covered = np.zeros(-(-len(universe) // 64), dtype="<u8")  # flag i is bit i % 8 of byte i // 8
+    covered[-1] = ~(~np.uint64(0) >> np.uint64(-len(universe) % 64))  # the bits past the last flag
     class_sizes: List[Dict] = []
     size_mismatches: List[int] = []
     bad_classes = []
     for i, desc in enumerate(cert.classes):
         generic, special = descriptor_masks(desc, universe)
         ids = np.sort(np.concatenate((generic, special)))
-        covered[ids] = True
+        np.bitwise_or.at(covered.view(np.uint8), ids >> 3, np.left_shift(np.uint8(1), (ids & 7).astype(np.uint8)))
         n_gen, n_spec = int(generic.size), int(special.size)
         expected_spec = _expected_special(desc)
         ok = n_gen == g0 and (expected_spec is None or n_spec == expected_spec)
@@ -249,12 +250,14 @@ def verify_cover(
         if hit is not None:
             bad_classes.append((i, (universe.flag_of(hit[0]), universe.flag_of(hit[1]))))
 
-    missing_ids = np.nonzero(~covered)[0]
+    missing_count = 64 * covered.size - int(_popcount(covered).sum())
+    gaps = np.flatnonzero(~covered)[:MISSING_TRUNCATE]
+    word, bit = np.nonzero(_word_bits(covered[gaps, None], 64) == 0)
     return VerifyReport(
         total_flags=len(universe),
-        covered=int(np.count_nonzero(covered)),
-        missing=[universe.flag_of(int(i)) for i in missing_ids[:MISSING_TRUNCATE]],
-        missing_count=int(missing_ids.size),
+        covered=len(universe) - missing_count,
+        missing=[universe.flag_of(int(i)) for i in (gaps[word] * 64 + bit)[:MISSING_TRUNCATE]],
+        missing_count=missing_count,
         bad_classes=bad_classes,
         class_sizes=class_sizes,
         size_mismatches=size_mismatches,

@@ -14,10 +14,10 @@ Each table is pg.subspace_rows of its rank, and each entry is kept once, as
 its RREF basis and its point-mask words (a lower entry also as its sorted
 point ids), each point spanned once, in id order, and numbered in closed
 form (pg.point_ids); no Subspace is built.  A table id is pg.subspace_index
-of a basis; the flags' upper ids come per pivot shape of the lower table
-(pg.superspace_ids), with no per-flag basis.  A predicate of one member (P
-in pi, L in tau, ...) is evaluated once per table entry, and the flags of
-the entries that hold it are read off by flags_with, as sorted ids.  A
+of a basis; a flag's upper id is computed from small per-pivot-shape tables
+(pg.superspace_ids), so nothing is stored per flag.  A predicate of one
+member (P in pi, L in tau, ...) is evaluated once per table entry, and the
+flags of the entries that hold it are enumerated by flags_with.  A
 closed-form flag count above MAX_FLAGS is refused first.  The polarity maps
 upper entry tau to the lower id of tau^perp (sigma, by pg.dual_index) and
 back: upper entry u lies in H iff lower entry sigma(u) holds H^perp.  Only
@@ -33,12 +33,9 @@ the remaining pairs on mask words gathered from the tables, with its blocks
 shared out by run_blocks.  Its tiles give the witness, or every adjacent
 pair (adjacent_pairs).
 
-MemberBits (FlagUniverse.member_bits) tests flags against a growing set.
-Each member sets one bit in the row of every lower table entry disjoint from
-its upper member, and in the row of every upper table entry disjoint from
-its lower member, so a flag is adjacent to some member iff the AND of its
-two rows is nonzero.  The greedy completion in explore and the maximality
-scan in indsets.find_extension both use it.
+MemberBits (FlagUniverse.member_bits) tests flags against a growing set, on
+a bit per member in a row per table entry; the greedy completion in explore
+and the maximality scan in indsets.find_extension both use it.
 
 export_dimacs writes any type's graph: {d, d+1} in rank 2d+1 from the
 universe's adjacency rows, every other type from the point masks of
@@ -286,38 +283,21 @@ class MemberBits:
     then adjacent to some member iff lower[lo_tid(c)] & upper[hi_tid(c)]
     has a set bit.  The entries that meet a member's entry are the OR of
     the entries through its points (FlagUniverse.entries_through_points),
-    so a member costs its point count times one bit row per table.  Members
-    are cheapest added in batches: add writes up to 64 members' bits with
-    one weighted sum.
+    so a member costs its point count times one bit row per table.
     """
 
     def __init__(self, universe: "FlagUniverse"):
         self._universe = universe
         self._through = universe.entries_through_points()
-        self._sizes = [len(words) for words in universe._table_words]
-        self.lower, self.upper = (np.zeros((n, 0), dtype=_WORD) for n in self._sizes)
+        self.lower, self.upper = (np.zeros((len(words), 0), dtype=_WORD) for words in universe._table_words)
         self.size = 0
 
-    def _apart(self, pos: int, tids: np.ndarray) -> np.ndarray:
-        """apart[r, t]: entry t of table pos misses entry tids[r] of the other
-        table, whose points are read off its mask words 64 entries at a time."""
-        words, num_points = self._universe._table_words[1 - pos], self._universe.num_points
-        out = np.empty((tids.size, self._sizes[pos]), dtype=bool)
-        for r0 in range(0, tids.size, _WORD_BITS):
-            r = tids[r0 : r0 + _WORD_BITS]
-            points = np.nonzero(_word_bits(words[r], num_points))[1].reshape(r.size, -1)
-            meet = np.bitwise_or.reduce(self._through[pos][points], axis=1)
-            meet = np.unpackbits(meet, axis=1, count=self._sizes[pos], bitorder="little")
-            np.equal(meet, 0, out=out[r0 : r0 + r.size])
-        return out
-
     def add(self, ids: Sequence[int]) -> None:
-        """Make the flags ids members; their bits follow the given order.
-
-        Each run of up to 64 new members whose bits share word w goes in as
-        one weighted sum over their apart rows, with weight 2^b for bit b;
-        the bits are distinct, so the sum is their OR.
-        """
+        """Make the flags ids members; their bits follow the given order.  Each
+        run of up to 64 new members whose bits share word w goes in as one
+        weighted sum (weight 2^b for bit b, so an OR) over the rows of their
+        distinct opposite entries, a row marking the entries that meet one:
+        the run's bits less the sum are those of the members apart from each."""
         ids = np.asarray(ids, dtype=np.int64)
         extra = (self.size + ids.size + _WORD_BITS - 1) // _WORD_BITS - self.lower.shape[1]
         if extra > 0:
@@ -325,34 +305,37 @@ class MemberBits:
             # together, and a set of e0 members at (2,4) already takes 3 MB
             self.lower = np.pad(self.lower, ((0, 0), (0, extra)))
             self.upper = np.pad(self.upper, ((0, 0), (0, extra)))
+        words, num_points = self._universe._table_words, self._universe.num_points
         for c0 in range(0, ids.size, _MEMBER_CHUNK):
             chunk = ids[c0 : c0 + _MEMBER_CHUNK]
             for pos, bits in enumerate((self.lower, self.upper)):
-                # members that share an opposite entry share its row
-                uniq, inv = np.unique(self._universe.member_ids(1 - pos, chunk), return_inverse=True)
-                apart = self._apart(pos, uniq)
-                k = 0
+                opposite, k = self._universe.member_ids(1 - pos, chunk), 0
                 while k < chunk.size:
                     # the next members, whose bits share word w; einsum's
                     # integer loop runs about twice as fast as np.dot here
                     w, b = divmod(self.size + k, _WORD_BITS)
-                    run = apart[inv[k : k + _WORD_BITS - b]]
-                    weights = _bit_weights()[b : b + run.shape[0]]
-                    bits[:, w] |= np.einsum("i,ij->j", weights, run.view(np.uint8))
-                    k += run.shape[0]
+                    uniq, inv = np.unique(opposite[k : k + _WORD_BITS - b], return_inverse=True)
+                    weights = np.zeros(uniq.size, dtype=_WORD)
+                    np.bitwise_or.at(weights, inv, _bit_weights()[b : b + inv.size])
+                    points = np.nonzero(_word_bits(words[1 - pos][uniq], num_points))[1]
+                    meets = np.bitwise_or.reduce(self._through[pos][points.reshape(uniq.size, -1)], axis=1)
+                    meets = np.unpackbits(meets, axis=1, count=bits.shape[0], bitorder="little")
+                    bits[:, w] |= np.einsum("i,ij->j", weights, meets) ^ weights.sum()
+                    k += inv.size
             self.size += chunk.size
 
     def blocked(self, ids=None) -> np.ndarray:
-        """Whether each flag of ids (an id array or slice; all, in chunks, by default) is adjacent to a member."""
+        """Whether each flag of ids (an id array or slice; every flag by default) is adjacent to a member."""
         universe = self._universe
-        if ids is None:
-            out = np.empty(len(universe), dtype=bool)
-            for c0 in range(0, len(universe), _MEMBER_CHUNK):
-                out[c0 : c0 + _MEMBER_CHUNK] = self.blocked(slice(c0, c0 + _MEMBER_CHUNK))
-            return out
-        both = universe.per_flag(0, self.lower, ids)
-        both &= universe.per_flag(1, self.upper, ids)
-        return _any_word(both)
+        if ids is not None:
+            return _any_word(universe.per_flag(0, self.lower, ids) & universe.per_flag(1, self.upper, ids))
+        out, step = np.empty(len(universe), dtype=bool), 8 * _MEMBER_CHUNK
+        for c0 in range(0, len(universe), step):
+            upper = universe.member_ids(1, slice(c0, c0 + step))
+            for c1 in range(0, upper.size, _MEMBER_CHUNK):
+                c, hi = slice(c0 + c1, c0 + c1 + _MEMBER_CHUNK), self.upper.take(upper[c1 : c1 + _MEMBER_CHUNK], axis=0)
+                out[c] = _any_word(universe.per_flag(0, self.lower, c) & hi)
+        return out
 
 
 @dataclass(frozen=True)
@@ -378,18 +361,14 @@ class FlagUniverse:
     """Dense id <-> flag bijection over the two member tables of type {d, d+1}
     in rank 2d+1, the only type it builds (the graphs of the theorem).
 
-    A flag is its pair of table ids: flag i has members
-    entry(pos, member_ids(pos, i)).  Its lower id is i // K for K uppers
-    per lower member, so only the upper ids are stored, int32 when they
-    fit, with their int32 inverse (_upper_flags, built on first use): these
-    are the only per-flag arrays.  Each table lists every subspace of its
-    rank in pg.subspace_rows order, so table ids are pg.subspace_index
-    values.  Entry t of table pos has its (rank, n) uint8 RREF basis
-    _bases[pos][t] and its point-mask words _table_words[pos][t], lower entry
-    t its sorted point ids _lower_points[t]; per_flag reads a per-entry array
-    off for flags, and flags_with lists the flags of some entries.  Ids follow
-    enumerate_flags, so they are stable across runs; certificates reference
-    flags by bases.
+    Flag i has members entry(pos, member_ids(pos, i)): lower id i // K for
+    K uppers per lower member, and an upper id computed where it is read
+    from the per-shape tables _superspaces; nothing is stored per flag.
+    Table ids are pg.subspace_index values.  Entry t of table pos has its
+    (rank, n) uint8 RREF basis _bases[pos][t] and its point-mask words
+    _table_words[pos][t], lower entry t its sorted point ids
+    _lower_points[t].  Ids follow enumerate_flags, so they are stable across
+    runs; certificates reference flags by bases.
     """
 
     def __init__(self, n: int, J: Sequence[int], field: FieldSpec):
@@ -405,9 +384,9 @@ class FlagUniverse:
 
         # the upper members over a lower one, in enumerate_superspaces order
         self._per_lower = qcalc.theta(d, field.q)
-        self._upper = pg.superspace_ids(n, d, field)
-        self._size = len(self._upper)
+        self._superspaces = pg.superspace_tables(n, d, field)
         self._bases = [pg.subspace_rows(n, d, field), pg.subspace_rows(n, d + 1, field)]
+        self._size = len(self._bases[0]) * self._per_lower
         self._lower_points, words = _span_points(field, self._bases[0], self.n_words)
         self._table_words = [words, _span_points(field, self._bases[1], self.n_words, keep_ids=False)[1]]
         self._entries: List[dict] = [{}, {}]
@@ -426,7 +405,7 @@ class FlagUniverse:
         """The ids of flags, with one table lookup per chain position: flag
         t * K + j is the one of lower entry t whose upper id matches."""
         lower, per_lower = self.table_ids_of(0, [f.chain[0] for f in flags]).astype(np.int64), self._per_lower
-        block = self.member_ids(1, lower[:, None] * per_lower + np.arange(per_lower))
+        block = pg.superspace_ids(self._superspaces, np.maximum(lower, 0))
         hit = block == self.table_ids_of(1, [f.chain[-1] for f in flags])[:, None]
         ids = np.where((lower >= 0) & hit.any(axis=1), lower * per_lower + hit.argmax(axis=1), -1)
         bad = [f for f, i in zip(flags, ids) if i < 0 or len(f.chain) != 2]
@@ -437,52 +416,53 @@ class FlagUniverse:
     def flag_of(self, i: int) -> Flag:
         if not 0 <= i < self._size:
             raise InvalidArgs(f"flag id {i} outside [0, {self._size})")
-        return Flag(tuple(self.entry(pos, int(self.member_ids(pos, i))) for pos in range(2)))
+        t, j = divmod(int(i), self._per_lower)
+        return Flag((self.entry(0, t), self.entry(1, int(pg.superspace_ids(self._superspaces, t, j)))))
 
     def member_ids(self, pos: int, ids=slice(None)) -> np.ndarray:
         """The table ids of the flags' members at chain position pos, for an
         id, an id array or a slice of ids (every flag by default): flag i's
-        lower id is i // K; upper ids are stored, so a slice of them is a view."""
-        if pos:
-            return self._upper[ids]
-        return (np.arange(self._size)[ids] if isinstance(ids, slice) else np.asarray(ids)) // self._per_lower
+        lower id is i // K, and its upper id pg.superspace_ids of that and
+        i % K, once per lower entry of a slice or of a run in ids (sorted ids run)."""
+        k = self._per_lower
+        if isinstance(ids, slice):
+            start, stop, _ = ids.indices(self._size)
+            lower = np.arange(start // k, -(-stop // k))
+            rows = pg.superspace_ids(self._superspaces, lower) if pos else lower.repeat(k)
+            return rows.ravel()[start % k : start % k + stop - start]
+        lower, j = np.divmod(np.asarray(ids, dtype=np.int64), k)
+        if not pos:
+            return lower
+        flat = lower.ravel()
+        new = np.concatenate(([True], flat[1:] != flat[:-1]))
+        if 2 * np.count_nonzero(new) > lower.size:
+            return pg.superspace_ids(self._superspaces, lower, j)
+        rows = pg.superspace_ids(self._superspaces, flat[new])
+        return rows.ravel().take((np.cumsum(new) - 1) * k + j.ravel()).reshape(lower.shape)
 
     def flags_with(self, pos: int, tids) -> np.ndarray:
         """The sorted ids of the flags whose member at chain position pos is
         one of the table entries tids: lower entry t has flags t * K ..
-        t * K + K - 1, and upper entry u those in row u of _upper_flags."""
-        tids = _sorted_distinct(np.asarray(tids, dtype=np.int64))
-        if pos:
-            return np.sort(self._upper_flags[tids].ravel()).astype(np.int64)
-        return (tids[:, None] * self._per_lower + np.arange(self._per_lower)).ravel()
-
-    @cached_property
-    def _upper_flags(self) -> np.ndarray:
-        """Row u holds the ascending ids of the flags of upper entry u (built
-        lazily; each upper entry has as many).  The flags of _BUILD_CHUNK lower
-        entries at a time are sorted by upper id and appended to their rows."""
-        filled = np.zeros(len(self._bases[1]), dtype=np.int64)
-        out = np.empty((filled.size, self._size // filled.size), dtype=np.int32)
-        step = _BUILD_CHUNK * self._per_lower
-        for c0 in range(0, self._size, step):
-            upper = self._upper[c0 : c0 + step]
-            order = np.argsort(upper, kind="stable")
-            ranked = upper[order]
-            # the k-th flag of row u in this run goes k slots past its earlier flags
-            out[ranked, filled[ranked] + np.arange(ranked.size) - np.searchsorted(ranked, ranked)] = c0 + order
-            filled += np.bincount(upper, minlength=filled.size)
-        return out
+        t * K + K - 1, upper entry u the flag t * K + j of each hyperplane t
+        of it, u the j-th upper entry over t (t^perp is one of the K upper
+        entries over u^perp, so t is sigma of it); _WORD_BITS at a time."""
+        tids, k = _sorted_distinct(np.asarray(tids, dtype=np.int64)), self._per_lower
+        if not pos:
+            return (tids[:, None] * k + np.arange(k)).ravel()
+        sigma, flags = self.polarity[0], [np.empty(0, dtype=np.int64)]
+        for c0 in range(0, tids.size, _WORD_BITS):
+            u = tids[c0 : c0 + _WORD_BITS]
+            lower = sigma[pg.superspace_ids(self._superspaces, sigma[u])].astype(np.int64)
+            j = np.argmax(pg.superspace_ids(self._superspaces, lower) == u[:, None, None], axis=-1)
+            flags.append((lower * k + j).ravel())
+        return np.sort(np.concatenate(flags))
 
     def per_flag(self, pos: int, table: np.ndarray, ids=slice(None)) -> np.ndarray:
-        """table[member_ids(pos, ids)] for a per-entry array table.  Over a
-        slice of ids, a lower table is repeated K times instead of gathered,
-        and a 1-d upper table is indexed by the view of the upper ids:
-        np.take would copy the int32 ids to intp, 8 B per flag."""
-        if not isinstance(ids, slice):
-            return table.take(self.member_ids(pos, ids), axis=0)
-        if pos:
-            upper = self._upper[ids]
-            return table[upper] if table.ndim == 1 else table.take(upper, axis=0)
+        """table[member_ids(pos, ids)] for a per-entry array table; over a
+        slice of ids, a lower table is repeated K times instead of gathered."""
+        if pos or not isinstance(ids, slice):
+            tids = self.member_ids(pos, ids)
+            return table[tids] if table.ndim == 1 else table.take(tids, axis=0)
         start, stop, _ = ids.indices(self._size)
         k = self._per_lower
         return table[start // k : -(-stop // k)].repeat(k, axis=0)[start % k : start % k + stop - start]
@@ -602,12 +582,13 @@ class FlagUniverse:
         """
         ids = np.asarray(ids, dtype=np.int64)
         m = int(ids.size)
+        lower, upper = self.member_ids(0, ids), self.member_ids(1, ids)
         free = np.ones(m, dtype=bool)
         groups: List[np.ndarray] = []
         points: List[int] = []
         if m > 1:
             width = self.n_words * _WORD_BITS
-            sides = [self.member_ids(0, ids), self.polarity[0][self.member_ids(1, ids)]]
+            sides = [lower, self.polarity[0][upper]]
 
             def tally(rows) -> np.ndarray:
                 return np.concatenate([_point_tally(self._lower_points, tids[rows], width) for tids in sides])
@@ -632,7 +613,8 @@ class FlagUniverse:
         start = 0
         for g, point in zip(groups, points):
             stop = start + g.size
-            cols = stop + self._star_columns(point, ids[order[stop:]]).nonzero()[0]
+            later = order[stop:]
+            cols = stop + self._star_columns(point, lower[later], upper[later]).nonzero()[0]
             pair_tests += g.size * cols.size
             if cols.size:
                 step = max(1, _BLOCK_PAIRS // cols.size)
@@ -654,8 +636,9 @@ class FlagUniverse:
             pairs_pruned=comb(m, 2) - pair_tests,
         )
 
-    def _star_columns(self, point: int, ids: np.ndarray) -> np.ndarray:
-        """Which flags of ids the rows of a star at point must still be tested against.
+    def _star_columns(self, point: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Which flags, of member ids lower and upper, the rows of a star at
+        point must still be tested against.
 
         point numbers star_plan's star points: below n_words * 64 it is the
         point P of a pi-star, which prunes the flags whose tau holds P; from
@@ -664,8 +647,8 @@ class FlagUniverse:
         """
         width = self.n_words * _WORD_BITS
         if point < width:
-            return ~_holds(self._table_words[1], point, self.member_ids(1, ids))
-        return ~_holds(self._table_words[1], point - width, self.polarity[1][self.member_ids(0, ids)])
+            return ~_holds(self._table_words[1], point, upper)
+        return ~_holds(self._table_words[1], point - width, self.polarity[1][lower])
 
     def check_pairwise_independent(
         self, ids: Sequence[int], threads: int = 1, plan: Optional[StarPlan] = None

@@ -10,8 +10,8 @@ _order writes the enumeration order of the rank-r bases once, in pure
 Python: enumerate_subspaces yields them in it, and _shapes turns it into the
 arrays of the tables.  subspace_rows lists them in it, subspace_index maps a
 basis back to its position, in closed form, and superspace_ids reads the
-positions of their joins with the quotient points off it per pivot shape;
-point_ids is the closed-form position of a point in all_points.
+positions of their joins with the quotient points off small per-pivot-shape
+tables; point_ids is the closed-form position of a point in all_points.
 The exact layer (Subspace, the lattice operations, the enumerations) never
 touches an array, so numpy loads only once a table is built.
 
@@ -306,34 +306,48 @@ def subspace_rows(n: int, r: int, field: FieldSpec) -> np.ndarray:
     return out
 
 
-def superspace_ids(n: int, r: int, field: FieldSpec) -> np.ndarray:
-    """ids[t * K + j]: the rank-(r + 1) subspace_index of basis t (subspace_rows
-    order) joined with the lift w_j onto its free columns of point j of the K
-    points of GF(q)^(n-r), in enumerate_superspaces order.  Over a pivot shape
-    s, w_j, its pivot p_j and the upper shape are fixed; row k of basis
-    first[s] + x is the k-th group of base-q digits of x, a vector v on the free
-    columns, which reduced at p_j adds table[k, v, j]: a broadcast sum."""
+def superspace_tables(n: int, r: int, field: FieldSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of superspace_ids for the rank-r bases: (first, size,
+    shares), per pivot shape s.  Row k of basis first[s] + x is the vector
+    on the free columns coded by the k-th base-q digit group of x (of sizes
+    size[s], the first the most significant).  Joined with the lift w_j of
+    quotient point j (enumerate_superspaces order; w_j, its pivot p_j and
+    the upper shape are fixed over s), its index is the sum over k of
+    shares[s, k, code, j]: row k reduced at p_j, at its place values, row 0
+    with the first index of the upper shape and w_j's place values added."""
     q = field.q
     pivots, _, first, lower_place = _shapes(n, r, q)
     uppers, _, up_first, place = _shapes(n, r + 1, q)
     points = np.array(all_points(n - r, field), dtype=np.uint8)
-    K, lead = len(points), np.argmax(points != 0, axis=1)
+    lead = np.argmax(points != 0, axis=1)
     vecs = np.array(list(product(range(q), repeat=n - r)), dtype=np.uint8)  # in code order
     reduced = _add(field, vecs[:, None], _mul(field, _neg(field, vecs[:, lead])[..., None], points))
-    ids = np.empty(gauss(n, r, q) * K, dtype=up_first.dtype)
-    for shape, start, digits in zip(pivots, first.tolist(), lower_place):
+    shares = np.empty((len(pivots), r, len(vecs), len(points)), dtype=up_first.dtype)
+    for s, shape in enumerate(pivots):
         free = np.array([c for c in range(n) if c not in shape])
         lifted = free[lead]  # p_j
         up = np.array([uppers.index(tuple(sorted(shape + (p,)))) for p in lifted.tolist()])
-        # values[j, k, f]: the place value of free column f in row k of upper shape up[j]
-        values = place[up[:, None, None], np.array(shape)[:, None], free]
-        table = np.einsum("vjf,jkf->kvj", reduced, values)
-        sizes = q ** np.count_nonzero(digits[list(shape)], axis=1)
-        out = ids[start * K : (start + int(sizes.prod())) * K].reshape(tuple(sizes) + (K,))
-        out[...] = up_first[up] + (points * place[up[:, None], lifted[:, None], free]).sum(axis=1, dtype=ids.dtype)
-        for k, size in enumerate(sizes.tolist()):
-            out += table[k, :size].reshape((1,) * k + (size,) + (1,) * (r - 1 - k) + (K,))
-    return ids
+        # place[up[j], shape[k], f]: the place value of free column f in row k of upper shape up[j]
+        shares[s] = np.einsum("vjf,jkf->kvj", reduced, place[up[:, None, None], np.array(shape)[:, None], free])
+        shares[s, 0] += up_first[up] + (points * place[up[:, None], lifted[:, None], free]).sum(1, dtype=shares.dtype)
+    size = q ** np.count_nonzero(np.take_along_axis(lower_place, np.array(pivots)[..., None], axis=1), axis=2)
+    return first, size, shares
+
+
+def superspace_ids(tables, lower: np.ndarray, points=None) -> np.ndarray:
+    """The index of lower basis lower joined with the lift of quotient point
+    points, broadcast, or with points None of all K along a new last axis:
+    the pivot shape by a searchsorted on first, then a share per digit group."""
+    first, size, shares = tables
+    r, per_row, K = shares.shape[1:]
+    lower = np.asarray(lower, dtype=np.int64)[()]  # one id stays a scalar: 0-d array steps cost more
+    s = first.searchsorted(lower, side="right") - 1
+    x, row, out = lower - first[s], s * (r * per_row), 0  # row: of share (s, 0, 0)
+    for k in range(r - 1, -1, -1):
+        x, v = divmod(x, size[s, k])
+        v += row + k * per_row
+        out = out + (shares.reshape(-1, K).take(v, axis=0) if points is None else shares.take(v * K + points))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,11 @@ def u23(f3):
 
 
 @pytest.fixture(scope="session")
+def u24():
+    return kneser.FlagUniverse(5, (2, 3), gf.make_field(4))
+
+
+@pytest.fixture(scope="session")
 def u32(f2):
     return kneser.FlagUniverse(7, (3, 4), f2)
 

@@ -1,4 +1,5 @@
 import json
+import random
 from math import comb
 
 import numpy as np
@@ -127,6 +128,29 @@ def test_verify_cover_missing_class(u22):
     assert report.missing_count > 0
     assert report.missing  # truncated witness list is populated
     assert report.covered < report.total_flags
+
+
+@pytest.mark.parametrize("name", ["u22", "u23"])
+def test_verify_cover_coverage_bits_match_a_flag_mask(name, request):
+    # coverage is one bit per flag: covered, missing_count and the first
+    # missing flags are those of a mask of one byte per flag, for covers
+    # with classes dropped, a dual class added, and every class dropped
+    universe = request.getfixturevalue(name)
+    full = cover.build_cover(2, universe.field.q)
+    rng = random.Random(len(universe))
+    cases = [[], list(range(len(full.classes)))] + [rng.sample(range(len(full.classes)), k) for k in (1, 2, 5)]
+    for drop in cases:
+        cert = cover.build_cover(2, universe.field.q)
+        cert.classes = [c for i, c in enumerate(cert.classes) if i not in drop]
+        cert.classes += cover.dualize_cover(full).classes[:1] if drop else []
+        mask = np.zeros(len(universe), dtype=bool)
+        for desc in cert.classes:
+            for part in indsets.descriptor_masks(desc, universe):
+                mask[part] = True
+        report = cover.verify_cover(cert, universe=universe)
+        missing = np.flatnonzero(~mask)
+        assert (report.covered, report.missing_count) == (int(mask.sum()), missing.size)
+        assert report.missing == [universe.flag_of(int(i)) for i in missing[: cover.MISSING_TRUNCATE]]
 
 
 def test_verify_cover_reports_size_mismatch_without_invalidating(u22, f2):

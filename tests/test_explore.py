@@ -17,11 +17,6 @@ from qkneser.errors import InvalidArgs, NotIndependent, TooLarge
 from conftest import unit_rows
 
 
-@pytest.fixture(scope="module")
-def u24():
-    return kneser.FlagUniverse(5, (2, 3), gf.make_field(4))
-
-
 @lru_cache(maxsize=None)
 def _flag_int_masks(universe, pos):
     table = [int.from_bytes(row.tobytes(), "little") for row in universe._table_words[pos].astype("<u8")]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkneser import cover, gf, indsets, kneser, pg, qcalc
+from qkneser import cover, explore, gf, indsets, kneser, pg, qcalc
 from qkneser.errors import DimensionMismatch, InvalidArgs, InvalidType, TooLarge
 
 from conftest import dual_flag, unit_rows
@@ -413,6 +413,73 @@ def test_upper_table_is_pg_enumeration(n, J, q):
     assert [tuple(map(tuple, b)) for b in universe._bases[1][universe.member_ids(1)].tolist()] == uppers
 
 
+def broadcast_superspace_ids(n, r, field):
+    """Every flag's upper id as one broadcast sum over a whole pivot shape:
+    the array the universe kept before its upper ids were computed on demand."""
+    q = field.q
+    pivots, _, first, lower_place = pg._shapes(n, r, q)
+    uppers, _, up_first, place = pg._shapes(n, r + 1, q)
+    points = np.array(pg.all_points(n - r, field), dtype=np.uint8)
+    K, lead = len(points), np.argmax(points != 0, axis=1)
+    vecs = np.array(list(product(range(q), repeat=n - r)), dtype=np.uint8)
+    reduced = pg._add(field, vecs[:, None], pg._mul(field, pg._neg(field, vecs[:, lead])[..., None], points))
+    ids = np.empty(pg.gauss(n, r, q) * K, dtype=up_first.dtype)
+    for shape, start, digits in zip(pivots, first.tolist(), lower_place):
+        free = np.array([c for c in range(n) if c not in shape])
+        lifted = free[lead]
+        up = np.array([uppers.index(tuple(sorted(shape + (p,)))) for p in lifted.tolist()])
+        values = place[up[:, None, None], np.array(shape)[:, None], free]
+        table = np.einsum("vjf,jkf->kvj", reduced, values)
+        sizes = q ** np.count_nonzero(digits[list(shape)], axis=1)
+        out = ids[start * K : (start + int(sizes.prod())) * K].reshape(tuple(sizes) + (K,))
+        out[...] = up_first[up] + (points * place[up[:, None], lifted[:, None], free]).sum(axis=1, dtype=ids.dtype)
+        for k, size in enumerate(sizes.tolist()):
+            out += table[k, :size].reshape((1,) * k + (size,) + (1,) * (r - 1 - k) + (K,))
+    return ids
+
+
+# the cases of the table digests, and d = 1 over every field order
+UPPER_ID_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)] + [(1, q) for q in gf.SUPPORTED_ORDERS]
+
+
+@pytest.mark.parametrize("d,q", UPPER_ID_CASES)
+def test_upper_ids_match_the_broadcast_table(d, q):
+    field = gf.make_field(q)
+    n = 2 * d + 1
+    expected = broadcast_superspace_ids(n, d, field)
+    tables = pg.superspace_tables(n, d, field)
+    lower, K = pg.gauss(n, d, q), qcalc.theta(n - d - 1, q)
+    got = pg.superspace_ids(tables, np.arange(lower)).ravel()
+    assert np.array_equal(pg.superspace_ids(tables, np.arange(lower)[:, None], np.arange(K)).ravel(), got)
+    assert got.dtype == expected.dtype == np.int32 and np.array_equal(got, expected)
+    if d == 1:  # the definition: the join of each point with each quotient point
+        uppers = [hi.rows for lo in pg.enumerate_subspaces(n, d, field) for hi in pg.enumerate_superspaces(lo, d + 1)]
+        assert np.array_equal(expected, pg.subspace_index(np.array(uppers, dtype=np.uint8), q))
+
+    universe = kneser.FlagUniverse(n, (d, d + 1), field)
+    size, rng = len(universe), random.Random(d * 100 + q)
+    whole = universe.member_ids(1)
+    assert whole.dtype == np.int32 and np.array_equal(whole, expected)
+    # slices that start and stop inside a lower entry's run of K, or on one
+    cuts = sorted(rng.sample(range(size + 1), 6)) + [0, K, size - K + 1, size]
+    for start, stop in zip(cuts, cuts[1:] + [size, 3, 0]):
+        assert np.array_equal(universe.member_ids(1, slice(start, stop)), expected[start:stop])
+    # single ids; id arrays in random order with repeats, flat or 2-d; and
+    # sorted ones, whose runs of one lower entry take its K upper ids once
+    for i in rng.sample(range(size), 20) + [0, size - 1]:
+        assert int(universe.member_ids(1, i)) == expected[i]
+    ids = np.array([rng.randrange(size) for _ in range(500)] * 2)
+    rng.shuffle(ids)
+    for case in (ids, ids.reshape(50, 20), np.sort(ids), np.sort(ids).reshape(20, 50), ids[:0], [], np.arange(size)):
+        got = universe.member_ids(1, case)
+        assert got.dtype == np.int32 and np.array_equal(got, expected[case])
+    # flags_with goes from the upper entries back to their flags
+    uppers = pg.gauss(n, d + 1, q)
+    for tids in ([], [0], [uppers - 1], rng.sample(range(uppers), min(uppers, 150)), range(uppers)):
+        got = universe.flags_with(1, tids)
+        assert got.dtype == np.int64 and np.array_equal(got, np.flatnonzero(np.isin(expected, list(tids))))
+
+
 def test_table_ids_of_refuses_non_canonical_bases(u22):
     field, n = u22.field, u22.n
     entry = u22.entry(1, 5)
@@ -647,11 +714,11 @@ def test_star_rule_sound_against_adjacency_rows(u23):
 def column_rule_rows(universe):
     """(a, pruned) for every flag a: the flags that a star at any of a's star
     points prunes as columns of the row a, by the column rule of star_plan."""
-    everyone = np.arange(len(universe))
     words = star_words(universe).astype("<u8").view(np.uint8)
     incidence = np.unpackbits(words, axis=-1, bitorder="little").astype(bool)
     points = np.flatnonzero(incidence.any(axis=0))
-    pruned = np.array([~universe._star_columns(int(p), everyone) for p in points])
+    members = universe.member_ids(0), universe.member_ids(1)
+    pruned = np.array([~universe._star_columns(int(p), *members) for p in points])
     for a in range(len(universe)):
         yield a, pruned[incidence[a, points]].any(axis=0)
 
@@ -896,9 +963,9 @@ def test_flags_with_matches_definition(name, request):
             got = universe.flags_with(pos, tids)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.flatnonzero(np.isin(universe.member_ids(pos), tids)))
-    index = universe._upper_flags
-    assert index.dtype == np.int32
-    assert np.array_equal(np.sort(index.ravel()), np.arange(len(universe)))
+    # an upper entry has a flag per hyperplane of it
+    hyperplanes = qcalc.theta(universe.types[1] - 1, universe.field.q)
+    assert all(universe.flags_with(1, [u]).size == hyperplanes for u in rng.sample(range(entries), min(entries, 20)))
 
 
 def test_star_plan_counts_every_pair(u22):
@@ -1155,30 +1222,29 @@ def test_general_type_rows_and_pair_scan_match_definition(f2, n, J):
 def arrays_in(value):
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
             yield from arrays_in(item)
 
 
-def test_member_ids_are_the_only_per_flag_arrays(u23):
-    # build every lazy cache first; a lower id is i // K, so only the upper ids
-    # and their inverse, the upper-to-flags index of flags_with, are stored
-    u23.polarity, u23.entries_through_points(), u23.flags_with(1, [0])
-    u23.star_plan(range(0, len(u23), 7))
-    assert u23.member_ids(1).shape == (len(u23),) and u23.member_ids(1).dtype == np.int32
-    assert u23.member_ids(1).base is u23._upper  # a view, not a copy
-    assert u23._upper_flags.size == len(u23) and u23._upper_flags.dtype == np.int32
-    for name, value in vars(u23).items():
-        if name in ("_upper", "_upper_flags"):
-            continue
-        for array in arrays_in(value):
-            assert array.shape[0] != len(u23), name
-        if isinstance(value, list):
-            assert len(value) != len(u23) and all(len(item) != len(u23) for item in value), name
+def test_universe_keeps_no_per_flag_array(u32, u24):
+    # upper ids are computed from pg's per-shape tables, and the flags of an
+    # upper entry enumerated from its hyperplanes, so after a verify of the
+    # pinned (3,2) cover and a (2,4) probe sample, with every lazy table built,
+    # no array the universe holds has one entry per flag
+    assert cover.verify_cover(cover.build_cover(3, 2), universe=u32).valid
+    explore.conjecture_probe(2, 4, 1, master_seed=3, universe=u24)
+    for universe in (u32, u24):
+        for name, value in vars(universe).items():
+            for array in arrays_in(value):
+                assert len(universe) not in (array.size, array.shape[0]), name
+            if isinstance(value, list):
+                assert len(value) != len(universe) and all(len(item) != len(universe) for item in value), name
+        assert universe.member_ids(1).dtype == np.int32
 
 
 # how FlagUniverse stores its tables, which only kneser.py reads
-TABLE_ATTRS = {"_table_words", "_lower_points", "_bases", "_upper", "_upper_flags", "_through", "_per_lower",
+TABLE_ATTRS = {"_table_words", "_lower_points", "_bases", "_superspaces", "_through", "_per_lower",
                "n_words", "num_points"}
 
 
